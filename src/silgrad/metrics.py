@@ -331,22 +331,25 @@ class BenchResult:
 
 def bench_calls(method: str, call, n_samples: int, warmup: int = 100,
                 iterations: np.ndarray | None = None) -> BenchResult:
-    """Time ``call(i)`` per sample; reports mean +/- std of per-call FPS.
+    """Time ``call(i)`` per sample; reports calls over total time, +/- the
+    per-call time's relative spread carried onto that rate.
 
     ``iterations`` (per-frame counts from a tracking run) turns the
     per-iteration rate into a frame rate for iterative methods.
     """
     for i in range(warmup):
         call(i)
-    fps = np.empty(n_samples)
+    dt = np.empty(n_samples)
     for i in range(n_samples):
         t0 = time.perf_counter()
         call(i)
-        fps[i] = 1.0 / max(time.perf_counter() - t0, 1e-9)
+        dt[i] = time.perf_counter() - t0
+    mean_dt = max(dt.mean(), 1e-9)
+    fps = 1.0 / mean_dt
+    fps_std = fps * dt.std() / mean_dt
     if iterations is None:
-        return BenchResult(method, fps.mean(), fps.std(), 1.0, 0.0,
-                           fps.mean(), fps.std())
+        return BenchResult(method, fps, fps_std, 1.0, 0.0, fps, fps_std)
     it_mean = float(np.mean(iterations))
     it_std = float(np.std(iterations))
-    return BenchResult(method, fps.mean(), fps.std(), it_mean, it_std,
-                       fps.mean() / it_mean, fps.std() / it_mean)
+    return BenchResult(method, fps, fps_std, it_mean, it_std,
+                       fps / it_mean, fps_std / it_mean)

@@ -30,13 +30,23 @@ part where parts overlap: a union over parts double-counts halos where
 outlines coincide, and one scene-wide sign turns an outline inside another
 part into a dip.
 
-Pairs are enumerated in each triangle's bounding box widened by a halo of
-3 sqrt(sigma_r) + 0.5 px; a pixel within that halo of a contour edge lies
-in the box of the triangle that owns the edge, and farther pixels are
-saturated. The gradient w.r.t. projected vertices is hand-derived (envelope
-theorem on the pixel's one winning contour edge) and exposed as a single
-fused autodiff op; both rasterizers share one pixel-triangle pair
-enumeration.
+Both rasterizers share one pixel-triangle pair enumeration, which walks
+scanline spans. A triangle with halo h visits the rows of its bounding box
+widened by h; in each row it visits the x-range of the triangle clipped to
+the band [yc - h, yc + h] around the row's center yc, widened by h plus a
+one-pixel guard against rounding. Every pixel center within distance h of
+the triangle is visited, in (triangle, row, column) order. The hard
+rasterizer uses h = 0: the covered pixels plus two or three per triangle row.
+The soft rasterizer gives a triangle that owns a contour edge
+h = 3 sqrt(sigma_r) + 0.5 px: a pixel within h of a contour edge is visited
+by the triangle that owns the edge, and a farther one has |z| > h^2/sigma_r
+(at most sigmoid(-9) = 1.2e-4 away from 0 or 1) and may read its nearest
+visited edge or, outside every part, 0. A triangle without a contour edge
+only sets the sign of the pixels it covers, so it gets h = 0. On the 128 px
+tool scene this visits about 5x fewer soft pairs and 20x fewer hard pairs
+than each triangle's bounding box did. The gradient w.r.t. projected vertices
+is hand-derived (envelope theorem on the pixel's one winning contour edge)
+and exposed as a single fused autodiff op.
 """
 
 from __future__ import annotations
@@ -51,7 +61,7 @@ import numpy as np
 from . import autodiff as ad
 
 _PAIR_CHUNK = 1 << 22  # pixel-triangle pairs processed per vectorized block
-_HALO_SIGMAS = 3.0     # bbox expansion in units of sqrt(sigma_r)
+_HALO_SIGMAS = 3.0     # contour-edge halo in units of sqrt(sigma_r)
 
 
 @dataclass(frozen=True)
@@ -129,36 +139,62 @@ class SilhouetteImage:
 # ---------------------------------------------------------------------------
 # pixel-triangle pair enumeration
 
-def _pair_blocks(tris: np.ndarray, width: int, height: int, halo: float):
-    """Yield (tri_idx, px, py) chunks covering each triangle's expanded bbox.
+def _pair_blocks(tris: np.ndarray, width: int, height: int, halo):
+    """Yield (tri_idx, px, py) chunks of the scanline spans that hold every
+    pixel center within ``halo`` of each triangle (see the module docstring),
+    in (triangle, row, column) order.
 
-    ``tris`` is (N, 3, 2); pixel coordinates are centers (col+0.5, row+0.5).
+    ``tris`` is (N, 3, 2) with finite coordinates; ``halo`` is in px, scalar
+    or (N,). Pixel coordinates are centers (col+0.5, row+0.5).
     """
     if len(tris) == 0:
         return
-    xmin = tris[:, :, 0].min(axis=1) - halo
-    xmax = tris[:, :, 0].max(axis=1) + halo
-    ymin = tris[:, :, 1].min(axis=1) - halo
-    ymax = tris[:, :, 1].max(axis=1) + halo
-    x0 = np.clip(np.ceil(xmin - 0.5).astype(np.int64), 0, width - 1)
-    x1 = np.clip(np.floor(xmax - 0.5).astype(np.int64), -1, width - 1)
-    y0 = np.clip(np.ceil(ymin - 0.5).astype(np.int64), 0, height - 1)
-    y1 = np.clip(np.floor(ymax - 0.5).astype(np.int64), -1, height - 1)
-    nx = np.maximum(x1 - x0 + 1, 0)
+    h = np.broadcast_to(np.asarray(halo, dtype=float), (len(tris),))
+    # clip in float before the integer cast: coordinates may lie far off-screen
+    x0 = np.ceil(np.clip(tris[:, :, 0].min(axis=1) - h - 0.5, 0, width))
+    x1 = np.floor(np.clip(tris[:, :, 0].max(axis=1) + h - 0.5, -1, width - 1))
+    y0 = np.ceil(np.clip(tris[:, :, 1].min(axis=1) - h - 0.5, 0, height)).astype(np.int64)
+    y1 = np.floor(np.clip(tris[:, :, 1].max(axis=1) + h - 0.5, -1, height - 1)).astype(np.int64)
     ny = np.maximum(y1 - y0 + 1, 0)
-    counts = nx * ny
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    total = int(offsets[-1])
-    if total == 0:
-        return
-    starts = list(range(0, total, _PAIR_CHUNK)) + [total]
-    for lo, hi in zip(starts[:-1], starts[1:]):
-        idx = np.arange(lo, hi)
-        tri = np.searchsorted(offsets, idx, side="right") - 1
-        local = idx - offsets[tri]
-        px = x0[tri] + local % nx[tri]
-        py = y0[tri] + local // nx[tri]
+    tri_r = np.repeat(np.arange(len(tris)), ny)
+    row = np.arange(len(tri_r)) - np.repeat(np.cumsum(ny) - ny - y0, ny)
+
+    # x-range of each triangle within its rows' bands: clip every edge to
+    # the band (Liang-Barsky in y) and take the extremes of the clipped ends
+    hr = h[tri_r]
+    lo, hi = row + 0.5 - hr, row + 0.5 + hr
+    xl = np.full(len(row), np.inf)
+    xr = np.full(len(row), -np.inf)
+    t = tris[tri_r]
+    for k in range(3):
+        a, d = t[:, k], t[:, (k + 1) % 3] - t[:, k]
+        flat = d[:, 1] == 0.0
+        dy = np.where(flat, 1.0, d[:, 1])
+        ta, tb = (lo - a[:, 1]) / dy, (hi - a[:, 1]) / dy
+        s0 = np.where(flat, 0.0, np.maximum(np.minimum(ta, tb), 0.0))
+        s1 = np.where(flat, 1.0, np.minimum(np.maximum(ta, tb), 1.0))
+        hit = (s0 <= s1) & ~(flat & ((a[:, 1] < lo) | (a[:, 1] > hi)))
+        xa, xb = a[:, 0] + s0 * d[:, 0], a[:, 0] + s1 * d[:, 0]
+        xl = np.where(hit, np.minimum(xl, np.minimum(xa, xb)), xl)
+        xr = np.where(hit, np.maximum(xr, np.maximum(xa, xb)), xr)
+    xs = np.maximum(np.ceil(xl - hr - 1.5), x0[tri_r])
+    xe = np.minimum(np.floor(xr + hr + 0.5), x1[tri_r])
+    keep = xe >= xs
+    tri_r, row = tri_r[keep], row[keep]
+    xs = xs[keep].astype(np.int64)
+    cnt = xe[keep].astype(np.int64) - xs + 1
+    ends = np.cumsum(cnt)
+
+    r0 = 0
+    while r0 < len(cnt):
+        base = ends[r0] - cnt[r0]
+        r1 = max(int(np.searchsorted(ends, base + _PAIR_CHUNK, side="right")), r0 + 1)
+        c = cnt[r0:r1]
+        tri = np.repeat(tri_r[r0:r1], c)
+        py = np.repeat(row[r0:r1], c)
+        px = np.arange(len(tri)) + np.repeat(xs[r0:r1] - (ends[r0:r1] - c - base), c)
         yield tri, px, py
+        r0 = r1
 
 
 def _orient_ccw(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,11 +225,12 @@ def hard_occupancy(verts2d: np.ndarray, faces: np.ndarray, valid: np.ndarray,
     """Binary union coverage for batched screen-space geometry.
 
     verts2d: (B, V, 2); faces: (T, 3); valid: (B, T). Returns (B, H, W) of
-    {0.0, 1.0}.
+    {0.0, 1.0}. An image with a non-finite vertex is all NaN.
     """
     B = verts2d.shape[0]
+    finite = np.isfinite(verts2d).all(axis=(1, 2))
     tris = verts2d[:, faces, :].reshape(-1, 3, 2)
-    keep = valid.reshape(-1)
+    keep = (valid & finite[:, None]).reshape(-1)
     tris, area2 = _orient_ccw(tris)
     keep = keep & (area2 != 0.0)
     sel = np.flatnonzero(keep)
@@ -217,7 +254,9 @@ def hard_occupancy(verts2d: np.ndarray, faces: np.ndarray, valid: np.ndarray,
             inside &= (e[k] > 0) | ((e[k] == 0) & topleft[k][tri])
         flat = (batch_of[tri] * height + py) * width + px
         out[flat[inside]] = True
-    return out.reshape(B, height, width).astype(float)
+    occ = out.reshape(B, height, width).astype(float)
+    occ[~finite] = np.nan
+    return occ
 
 
 def _face_parts(faces: np.ndarray, num_verts: int) -> np.ndarray:
@@ -297,7 +336,8 @@ def _soft_forward(tris_k, contour_k, pix0, part_k, n_parts, width, height, sigma
     Returns flat pixel indices, their logits z = sign * d2 / sigma_r (max
     over parts), the sign, and the winning pair's triangle and edge slot.
     """
-    halo = _HALO_SIGMAS * np.sqrt(sigma_r) + 0.5
+    # a triangle without a contour edge only lights the pixels it covers
+    halo = np.where(contour_k.any(axis=1), _HALO_SIGMAS * np.sqrt(sigma_r) + 0.5, 0.0)
     blocks = []
     for tri, px, py in _pair_blocks(tris_k, width, height, halo):
         d2, ek, inside = _soft_pair_terms(tris_k, contour_k, tri, px, py)

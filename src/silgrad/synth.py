@@ -188,7 +188,10 @@ def _joint_path(scene: ToolScene, n_frames: int, rng: np.random.Generator) -> np
 
 def render_truth(scene: ToolScene, base: se3.RigidTransform,
                  q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hard masks (N,H,W uint8) and keypoints (N,6,2 f32) at configuration q."""
+    """Hard masks (N,H,W uint8) and keypoints (N,6,2 f32) at configuration q.
+
+    Raises ValueError naming the first frame whose mask is not finite.
+    """
     from .scene import keypoints_screen, render_masks
     n = len(q)
     masks = np.empty((n, scene.camera.height, scene.camera.width), dtype=np.uint8)
@@ -197,7 +200,11 @@ def render_truth(scene: ToolScene, base: se3.RigidTransform,
         hi = min(lo + _RENDER_SLAB, n)
         rot = np.broadcast_to(base.rotation, (hi - lo, 3, 3))
         trans = np.broadcast_to(base.translation, (hi - lo, 3))
-        masks[lo:hi] = render_masks(scene, rot, trans, q[lo:hi], "hard").astype(np.uint8)
+        slab = render_masks(scene, rot, trans, q[lo:hi], "hard")
+        bad = np.flatnonzero(np.isnan(slab).any(axis=(1, 2)))
+        if len(bad):
+            raise ValueError(f"frame {lo + bad[0]}: non-finite vertex in the hard render")
+        masks[lo:hi] = slab.astype(np.uint8)
         xy, _ = keypoints_screen(scene, rot, trans, q[lo:hi])
         kps[lo:hi] = xy.astype(np.float32)
     return masks, kps

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import signal
@@ -252,3 +254,13 @@ def test_bench_iterative_frame_rate_scales_down():
     np.testing.assert_allclose(res.frame_fps_mean,
                                res.inference_fps_mean / 22.0, rtol=1e-12)
     assert res.frame_fps_mean < res.inference_fps_mean
+
+
+def test_bench_reports_frames_over_total_time(monkeypatch):
+    # calls alternating 5 ms and 15 ms: 100 frames in 1 s, where the mean of
+    # the per-call rates would read (200 + 66.7) / 2 = 133/s
+    ticks = iter(np.cumsum([0.0] + [0.005, 0.0, 0.015, 0.0] * 50))
+    monkeypatch.setattr(metrics, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    res = metrics.bench_calls("alt", lambda i: None, n_samples=100, warmup=0)
+    assert res.inference_fps_mean == pytest.approx(100.0, rel=1e-9)
+    assert res.frame_fps_mean == res.inference_fps_mean

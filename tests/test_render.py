@@ -117,6 +117,89 @@ def test_hard_behind_near_plane_triangles_dropped():
     assert img.pixels.sum() == 0.0
 
 
+def _random_triangles(rng, n, width, height):
+    """Seeded triangles with the cases a scanline walk can get wrong: general
+    position partly off-screen, slivers, horizontal edges, vertices on pixel
+    centers and on integer corners, and zero-area triangles."""
+    lo, hi = [-8.0, -8.0], [width + 8.0, height + 8.0]
+    general = rng.uniform(lo, hi, (n, 3, 2))
+    a, b = np.round(rng.uniform(lo, hi, (2, n, 2)))
+    normal = (b - a)[:, ::-1] * [1.0, -1.0] / np.linalg.norm(b - a, axis=1, keepdims=True)
+    sliver = np.stack([a, b, (a + b) / 2 + 1e-3 * normal], axis=1)
+    horizontal = general.copy()
+    horizontal[:, 1, 1] = horizontal[:, 0, 1]
+    collinear = np.stack([a, b, (a + b) / 2], axis=1)  # exact: area2 == 0
+    level = collinear.copy()
+    level[:, :, 1] = np.floor(a[:, 1:]) + 0.5  # on a row of pixel centers
+    repeated = general.copy()
+    repeated[:, 2] = repeated[:, 0]
+    return np.concatenate([general, sliver, horizontal, np.floor(general) + 0.5,
+                           np.round(general), collinear, level, repeated])
+
+
+def _brute_hard(tris, width, height):
+    """Every pixel center against every triangle: CCW edge functions with the
+    top-left rule, in the rasterizer's arithmetic."""
+    x = np.arange(width)[None, :] + 0.5
+    y = np.arange(height)[:, None] + 0.5
+    out = np.zeros((height, width), dtype=bool)
+    for tri in tris:
+        e1, e2 = tri[1] - tri[0], tri[2] - tri[0]
+        area2 = e1[0] * e2[1] - e1[1] * e2[0]
+        if area2 == 0:
+            continue
+        if area2 < 0:
+            tri = tri[[0, 2, 1]]
+        inside = np.ones((height, width), dtype=bool)
+        for k in range(3):
+            a, b = tri[k], tri[(k + 1) % 3]
+            dx, dy = b[0] - a[0], b[1] - a[1]
+            e = dx * (y - a[1]) - dy * (x - a[0])
+            inside &= (e > 0) | ((e == 0) & ((dy > 0) or (dy == 0 and dx < 0)))
+        out |= inside
+    return out
+
+
+def test_hard_matches_all_pixels_edge_test():
+    rng = np.random.default_rng(2024)
+    width, height = 48, 40
+    tris = _random_triangles(rng, 30, width, height)
+    faces = np.arange(3 * len(tris)).reshape(-1, 3)
+    valid = np.stack([np.ones(len(tris), bool), rng.uniform(size=len(tris)) < 0.3])
+    occ = render.hard_occupancy(np.stack([tris.reshape(-1, 2)] * 2), faces, valid,
+                                width, height)
+    for i in range(2):
+        np.testing.assert_array_equal(occ[i], _brute_hard(tris[valid[i]], width, height))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_hard_nonfinite_vertex_gives_nan_image(bad):
+    verts = np.array([[[10.0, 10.0], [50.0, 10.0], [30.0, 50.0]]])
+    verts[0, 2, 1] = bad
+    occ = render.hard_occupancy(verts, np.array([[0, 1, 2]]), np.ones((1, 1), bool), 64, 64)
+    assert np.isnan(occ).all()
+
+
+def test_hard_nonfinite_vertex_poisons_only_its_image():
+    verts = np.tile([[10.0, 10.0], [50.0, 10.0], [30.0, 50.0]], (2, 1, 1))
+    verts[1, 0, 0] = np.nan
+    faces, valid = np.array([[0, 1, 2]]), np.ones((2, 1), bool)
+    occ = render.hard_occupancy(verts, faces, valid, 64, 64)
+    np.testing.assert_array_equal(occ[0], render.hard_occupancy(verts[:1], faces,
+                                                                valid[:1], 64, 64)[0])
+    assert occ[0].sum() > 0
+    assert np.isnan(occ[1]).all()
+
+
+@pytest.mark.parametrize("halo", [0.0, 3.0 * np.sqrt(render.default_sigma_r(128)) + 0.5])
+def test_diagonal_sliver_pairs_follow_its_length(halo):
+    # a 1 px wide sliver from corner to corner of a 128 px image: its
+    # bounding box holds every pixel, its spans about 4h + 3 per row
+    tri = np.array([[[0.0, 0.7], [0.7, 0.0], [128.0, 128.0]]])
+    pairs = sum(len(t) for t, _, _ in render._pair_blocks(tri, 128, 128, halo))
+    assert 128 <= pairs <= 128 * 2 * (2 * halo + 3)
+
+
 # ------------------------------------------------------------- soft raster
 
 def test_soft_pixel_on_edge_is_half():
@@ -248,6 +331,59 @@ def test_soft_gradient_zero_without_triangles():
     occ = render.soft_occupancy(v, np.array([[0, 1, 2]]), np.zeros((1, 1), bool),
                                 64, 64, sigma_r=0.41)
     assert ad._val(occ).sum() == 0.0
+
+def _all_pairs(tris, width, height, halo):
+    """Every pixel against every triangle, in (triangle, row, column) order."""
+    idx = np.arange(len(tris) * height * width)
+    yield idx // (height * width), idx % width, idx // width % height
+
+
+def _assert_soft_matches_all_pairs(monkeypatch, verts, faces, valid, width, height,
+                                   sigma_r):
+    """Forward and VJP equal an all-pairs evaluation wherever |z| < h^2/sigma_r.
+    Returns both occupancies and sigmoid(-h^2/sigma_r)."""
+    def run():
+        v = ad.leaf(ad.Tape(), verts)
+        occ = render.soft_occupancy(v, faces, valid, width, height, sigma_r)
+        return v, occ
+
+    v, occ = run()
+    with monkeypatch.context() as m:
+        m.setattr(render, "_pair_blocks", _all_pairs)
+        v_ref, occ_ref = run()
+    h = 3.0 * np.sqrt(sigma_r) + 0.5
+    s_lo, s_hi = ad.stable_sigmoid(np.array([-1.0, 1.0]) * h * h / sigma_r)
+    o, o_ref = ad._val(occ), ad._val(occ_ref)
+    near = (o_ref > s_lo) & (o_ref < s_hi)
+    assert near.sum() > 100
+    np.testing.assert_array_equal(o[near], o_ref[near])
+    g = np.random.default_rng(5).normal(size=near.shape) * near
+    grad = ad.backward(ad.reduce_sum(ad.mul(occ, g)))[v.nid]
+    grad_ref = ad.backward(ad.reduce_sum(ad.mul(occ_ref, g)))[v_ref.nid]
+    np.testing.assert_array_equal(grad, grad_ref)
+    return o, o_ref, s_lo
+
+
+def test_soft_tool_scene_matches_all_pairs(monkeypatch):
+    sc = scene.reference_scene(64)
+    rng = np.random.default_rng(11)
+    q = np.stack([visible_config(rng) for _ in range(2)])
+    rot = np.repeat(sc.base.rotation[None], 2, axis=0)
+    xy, depths = scene.screen_geometry(sc, rot, np.repeat(sc.base.translation[None], 2, axis=0), q)
+    valid = render.face_validity(depths, sc.faces, sc.camera, "soft")
+    o, o_ref, s_lo = _assert_soft_matches_all_pairs(monkeypatch, ad._val(xy), sc.faces,
+                                                    valid, 64, 64, sc.sigma_r)
+    # farther pixels stay saturated: both within sigmoid(-h^2/sigma_r) of 0 or 1
+    assert np.abs(o - o_ref).max() <= 1.01 * s_lo
+
+
+@pytest.mark.parametrize("sigma_r", [0.41, 2.0])
+def test_soft_random_triangles_match_all_pairs(monkeypatch, sigma_r):
+    width, height = 48, 40
+    tris = _random_triangles(np.random.default_rng(7), 6, width, height)
+    faces = np.arange(3 * len(tris)).reshape(-1, 3)
+    _assert_soft_matches_all_pairs(monkeypatch, tris.reshape(1, -1, 2), faces,
+                                   np.ones((1, len(tris)), bool), width, height, sigma_r)
 
 
 # ------------------------------------------------------------- mask files

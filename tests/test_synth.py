@@ -99,6 +99,13 @@ def test_masks_match_regenerated_hard_render():
     np.testing.assert_array_equal(kps, rec.keypoints)
 
 
+def test_render_truth_names_nonfinite_frame():
+    q = np.tile([0.05, -0.05, 0.13, 0.4, 0.1, -0.2, 0.5], (3, 1))
+    q[1, 3] = np.nan
+    with pytest.raises(ValueError, match="frame 1"):
+        synth.render_truth(SCENE, SCENE.base, q)
+
+
 def test_round_trip_bit_exact(tmp_path):
     rec = synth.generate_trajectory(1.0, SCENE, synth.default_noise_spec(), 77, index=3)
     synth.write_trajectory(tmp_path / "t", rec)
