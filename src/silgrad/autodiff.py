@@ -12,7 +12,8 @@ network) therefore runs both as a fast numpy pipeline and as a recorded,
 differentiable one.
 
 There is no global "active tape"; the tape travels with the operands, so
-independent tapes can run on separate threads without shared state.
+independent tapes can run on separate threads without shared state. Leaves
+and plain constants are lifted to float64.
 """
 
 from __future__ import annotations
@@ -26,30 +27,8 @@ __all__ = [
     "FiniteDiffReport",
     "leaf",
     "backward",
-    "record",
     "finite_diff_check",
-    "set_default_dtype",
-    "get_default_dtype",
 ]
-
-_DEFAULT_DTYPE = np.float64
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the dtype used to lift constants and allocate gradients.
-
-    float64 is the default; float32 is supported as a faster option for
-    training and throughput benchmarks.
-    """
-    global _DEFAULT_DTYPE
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported dtype {dtype!r}; use float32 or float64")
-    _DEFAULT_DTYPE = dt.type
-
-
-def get_default_dtype():
-    return _DEFAULT_DTYPE
 
 
 class ShapeMismatch(ValueError):
@@ -171,8 +150,8 @@ class DiffValue:
 
 
 def leaf(tape: Tape, value, requires_grad: bool = True):
-    """Lift a numpy value onto the tape as a differentiable leaf."""
-    arr = np.asarray(value, dtype=_DEFAULT_DTYPE)
+    """Lift a numpy value onto the tape as a differentiable float64 leaf."""
+    arr = np.asarray(value, dtype=np.float64)
     if not requires_grad:
         return arr
     return tape.add_leaf(arr)
@@ -185,7 +164,7 @@ def _is_dv(x) -> bool:
 def _val(x) -> np.ndarray:
     if _is_dv(x):
         return x.value
-    return np.asarray(x, dtype=_DEFAULT_DTYPE)
+    return np.asarray(x, dtype=np.float64)
 
 
 def _tape_of(*xs) -> Tape:
@@ -269,14 +248,6 @@ def neg(a):
     return _unary(a, np.negative, lambda av, out: lambda g: -g)
 
 
-def exp(a):
-    return _unary(a, np.exp, lambda av, out: lambda g: g * out)
-
-
-def log(a):
-    return _unary(a, np.log, lambda av, out: lambda g: g / av)
-
-
 def sin(a):
     return _unary(a, np.sin, lambda av, out: lambda g: g * np.cos(av))
 
@@ -314,15 +285,10 @@ def tanh(a):
     return _unary(a, np.tanh, lambda av, out: lambda g: g * (1.0 - out * out))
 
 
-def relu(a):
-    return _unary(a, lambda x: np.maximum(x, 0),
-                  lambda av, out: lambda g: g * (av > 0))
-
-
 def clamp(a, lo=None, hi=None):
     """Clip to [lo, hi]; gradient is zero wherever the value was clipped."""
     def bw(av, out):
-        mask = np.ones(av.shape, dtype=av.dtype if av.dtype.kind == "f" else _DEFAULT_DTYPE)
+        mask = np.ones(av.shape, dtype=av.dtype if av.dtype.kind == "f" else np.float64)
         if lo is not None:
             mask = mask * (av >= lo)
         if hi is not None:
@@ -347,30 +313,6 @@ def reduce_mean(a, axis=None, keepdims=False):
     av = _val(a)
     n = av.size if axis is None else np.prod([av.shape[i] for i in np.atleast_1d(axis)])
     return mul(reduce_sum(a, axis=axis, keepdims=keepdims), 1.0 / float(n))
-
-
-def _tie_split_bw(av, out, axis, keepdims):
-    """Backward for min/max: gradient distributed evenly over ties."""
-    ov = out if keepdims or axis is None else np.expand_dims(out, axis) if axis is not None else out
-
-    def run(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        hit = (av == ov)
-        counts = hit.sum(axis=axis, keepdims=True) if axis is not None else hit.sum()
-        return np.broadcast_to(g, av.shape) * hit / counts
-
-    return run
-
-
-def reduce_min(a, axis=None, keepdims=False):
-    return _unary(a, lambda x: np.min(x, axis=axis, keepdims=keepdims),
-                  lambda av, out: _tie_split_bw(av, out, axis, keepdims))
-
-
-def reduce_max(a, axis=None, keepdims=False):
-    return _unary(a, lambda x: np.max(x, axis=axis, keepdims=keepdims),
-                  lambda av, out: _tie_split_bw(av, out, axis, keepdims))
 
 
 def softmax(a, axis=-1):
@@ -520,49 +462,7 @@ def from_op(out_value: np.ndarray, parents: list, vjp):
 
 
 # ---------------------------------------------------------------------------
-# spec surface: record / backward / finite_diff_check
-
-_OPS = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-    "neg": neg,
-    "matmul": matmul,
-    "sum": reduce_sum,
-    "mean": reduce_mean,
-    "exp": exp,
-    "log": log,
-    "sin": sin,
-    "cos": cos,
-    "sqrt": sqrt,
-    "power": power,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "relu": relu,
-    "softmax": softmax,
-    "layer-normalization": layer_norm,
-    "reshape": reshape,
-    "transpose": transpose,
-    "slice": take,
-    "concatenate": concatenate,
-    "broadcast": broadcast_to,
-    "clamp": clamp,
-    "min": reduce_min,
-    "max": reduce_max,
-}
-
-
-def record(op_kind: str, inputs, *args, **kwargs):
-    """Apply a primitive by name, recording it on the operands' tape."""
-    try:
-        fn = _OPS[op_kind]
-    except KeyError:
-        raise ValueError(f"unknown op kind {op_kind!r}") from None
-    if op_kind == "concatenate":
-        return fn(inputs, *args, **kwargs)
-    return fn(*inputs, *args, **kwargs)
-
+# backward / finite_diff_check
 
 def backward(loss) -> dict[int, np.ndarray]:
     """Gradients of a scalar loss w.r.t. every requires-grad leaf.
@@ -648,7 +548,3 @@ def gelu(a):
     c = 0.7978845608028654  # sqrt(2/pi)
     return mul(mul(a, 0.5), add(1.0, tanh(mul(c, add(a, mul(0.044715, mul(a, mul(a, a))))))))
 
-
-def maximum(a, b):
-    """Elementwise max via relu composition."""
-    return add(a, relu(sub(b, a)))

@@ -47,7 +47,7 @@ def apply_correction(raw, theta_noisy, k, chain, squash: str = "centered"):
     """
     # clamp away from exact saturation so |delta| < k holds strictly even
     # when the sigmoid rounds to 1.0
-    tiny = 8.0 * np.finfo(ad.get_default_dtype()).eps
+    tiny = 8.0 * np.finfo(np.float64).eps
     squashed = ad.clamp(ad.sigmoid(raw), tiny, 1.0 - tiny)
     if squash == "centered":
         delta = ad.mul(k, ad.sub(ad.mul(2.0, squashed), 1.0))
@@ -72,7 +72,7 @@ def render_corrected(scene: ToolScene, theta_hat, q_noisy_first3,
     """
     rot = se3.euler_to_matrix_diff(ad.take(theta_hat, (..., slice(0, 3))))
     trans = ad.take(theta_hat, (..., slice(3, 6)))
-    q = ad.concatenate([np.asarray(q_noisy_first3, dtype=ad.get_default_dtype()),
+    q = ad.concatenate([np.asarray(q_noisy_first3, dtype=np.float64),
                         ad.take(theta_hat, (..., slice(6, 10)))], axis=-1)
     mask = render_masks(scene, rot, trans, q, "soft", sigma_r)
     kps, _ = keypoints_screen(scene, rot, trans, q)
@@ -204,8 +204,7 @@ class CorrectorModel:
 
 
 def stack_mask_channels(m_ref: np.ndarray, m_noisy: np.ndarray) -> np.ndarray:
-    dtype = ad.get_default_dtype()
-    return np.stack([m_ref, m_noisy], axis=1).astype(dtype)
+    return np.stack([m_ref, m_noisy], axis=1).astype(np.float64)
 
 
 def infer(model: CorrectorModel, store: FrameStore, idx=None, chain=None) -> np.ndarray:
@@ -273,7 +272,7 @@ def batch_loss(model_cfg: vit.VitConfig, weights: dict, store: FrameStore,
     raw = vit.forward(model_cfg, weights, masks, theta_noisy / k)
     theta_hat = apply_correction(raw, theta_noisy, k, store.scene.chain, squash)
     s_hat, kp_hat = render_corrected(store.scene, theta_hat, store.q_first3[idx])
-    lr_part = loss_render(s_hat, store.masks_ref[idx].astype(ad.get_default_dtype()))
+    lr_part = loss_render(s_hat, store.masks_ref[idx].astype(np.float64))
     lk_part = loss_keypoints(kp_hat, store.keypoints[idx])
     lj_part = loss_joint(ad.take(theta_hat, (..., slice(6, 10))), store.q_true_vis[idx])
     total = ad.reduce_mean(loss_total(alpha, beta, gamma, lr_part, lk_part, lj_part))
@@ -315,12 +314,10 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
     k = default_scale(train_ds.scene.chain)
 
     rng = rng_stream(cfg.seed, _TRAIN_STREAM)
-    dtype = ad.get_default_dtype()
-    weights = {name: w.astype(dtype)
-               for name, w in vit.init_weights(cfg.vit_config, rng).items()}
+    weights = vit.init_weights(cfg.vit_config, rng)
     state = AdamState(m={n: np.zeros_like(w) for n, w in weights.items()},
                       v={n: np.zeros_like(w) for n, w in weights.items()})
-    model = CorrectorModel(cfg.vit_config, weights, k.astype(dtype), cfg.squash,
+    model = CorrectorModel(cfg.vit_config, weights, k, cfg.squash,
                            alpha, cfg.beta, cfg.gamma)
 
     n = len(store)

@@ -23,9 +23,6 @@ from . import se3
 REVOLUTE = "revolute"
 PRISMATIC = "prismatic"
 
-# joints 4..7 (1-based) are observable in the camera view
-VISIBLE_JOINTS = (3, 4, 5, 6)
-
 
 @dataclass(frozen=True)
 class Joint:

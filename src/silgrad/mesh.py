@@ -33,10 +33,6 @@ class TriMesh:
         if np.any(areas <= _MIN_FACE_AREA):
             raise ValueError("degenerate face (area below 1e-12 m^2)")
 
-    @property
-    def num_faces(self) -> int:
-        return len(self.faces)
-
 
 def write_mesh(path, mesh: TriMesh) -> None:
     lines = [f"v {x:.9g} {y:.9g} {z:.9g}" for x, y, z in mesh.vertices]

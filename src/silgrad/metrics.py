@@ -20,7 +20,6 @@ from . import kinematics as kin
 from . import se3
 from .corrector import VISIBLE_SLICE
 
-JOINT_NAMES = ("Outer Roll", "Wrist Pitch", "Wrist Yaw", "End Effector")
 CSV_HEADER = "t,x_mm,y_mm,z_mm,roll_deg,pitch_deg,yaw_deg,q4_deg,q5_deg,q6_deg,q7_deg,iters"
 
 
@@ -87,16 +86,6 @@ def truth_series(chain, base_true: se3.RigidTransform, q_true: np.ndarray,
                       np.broadcast_to(base_true.translation, (n, 3)), q_true)
     return PoseSeries(np.asarray(times, dtype=float), r, t,
                       q_true[:, VISIBLE_SLICE].copy(), "truth",
-                      np.zeros(n, dtype=int))
-
-
-def noisy_series(chain, base_noisy: se3.RigidTransform, q_noisy: np.ndarray,
-                 times: np.ndarray) -> PoseSeries:
-    n = len(q_noisy)
-    r, t = _eef_batch(chain, np.broadcast_to(base_noisy.rotation, (n, 3, 3)),
-                      np.broadcast_to(base_noisy.translation, (n, 3)), q_noisy)
-    return PoseSeries(np.asarray(times, dtype=float), r, t,
-                      q_noisy[:, VISIBLE_SLICE].copy(), "noisy",
                       np.zeros(n, dtype=int))
 
 
@@ -250,24 +239,17 @@ def compute_metrics(per_trajectory: list[dict]) -> MetricsReport:
 
 
 def evaluate_series(preds: list[PoseSeries], truths: list[PoseSeries],
-                    noisys: list[PoseSeries], cutoff_hz: float | None = 1.5,
-                    nrmse_range: str = "truth") -> MetricsReport:
+                    noisys: list[PoseSeries],
+                    cutoff_hz: float | None = 1.5) -> MetricsReport:
     """Filter predictions, then aggregate per-trajectory metrics.
 
-    The reduction baseline is the raw (unfiltered) noisy series. With
-    ``nrmse_range="noisy"`` normalization ranges come from the noisy series.
+    The reduction baseline is the raw (unfiltered) noisy series. The three
+    lists pair up by position and must have the same length.
     """
     per_traj = []
-    for pred, truth, noisy in zip(preds, truths, noisys):
+    for pred, truth, noisy in zip(preds, truths, noisys, strict=True):
         p = lowpass(pred, cutoff_hz) if cutoff_hz else pred
-        m = trajectory_metrics(p, truth, noisy)
-        if nrmse_range == "noisy":
-            rng = _truth_ranges(noisy)
-            for key in m:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    m[key]["nrmse"] = np.where(rng[key] > 0,
-                                               m[key]["rmse"] / rng[key] * 100.0, np.nan)
-        per_traj.append(m)
+        per_traj.append(trajectory_metrics(p, truth, noisy))
     return compute_metrics(per_traj)
 
 

@@ -51,10 +51,8 @@ and exposed as a single fused autodiff op.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -91,11 +89,6 @@ def default_camera(size: int = 128, near: float = 0.01, far: float = 1.0) -> Pin
     return PinholeCamera(f, f, size / 2.0, size / 2.0, size, size, near, far)
 
 
-class Keypoint2D(NamedTuple):
-    x: float
-    y: float
-
-
 def project(camera: PinholeCamera, points):
     """Project camera-frame points (..., 3) to pixels (..., 2).
 
@@ -111,11 +104,6 @@ def project(camera: PinholeCamera, points):
     u = ad.add(ad.mul(camera.fx, ad.div(x, z)), camera.cx)
     v = ad.add(ad.mul(camera.fy, ad.div(y, z)), camera.cy)
     return ad.stack([u, v], axis=-1), behind
-
-
-def project_point(camera: PinholeCamera, point) -> tuple[Keypoint2D, bool]:
-    xy, behind = project(camera, np.asarray(point, dtype=float))
-    return Keypoint2D(float(xy[0]), float(xy[1])), bool(behind)
 
 
 @dataclass(frozen=True)
@@ -391,7 +379,10 @@ def soft_occupancy(verts2d, faces: np.ndarray, valid: np.ndarray,
     flip = (area2 < 0)[:, None]
     contour = _contour_slots(area2.reshape(B, T), faces, valid, V).reshape(-1, 3)
     contour = np.where(flip, contour[:, ::-1], contour)
-    sel = np.flatnonzero(valid.reshape(-1))
+    # as in the hard raster, a zero-area triangle covers no pixel center;
+    # _contour_slots gives it no side, so its edges count only through the
+    # faces that share them
+    sel = np.flatnonzero(valid.reshape(-1) & (area2 != 0.0))
     tris_k = tris_o[sel]
     parts = _face_parts(faces, V)
     pix, z, sign, tri, ek = _soft_forward(
@@ -446,44 +437,13 @@ def face_validity(depths: np.ndarray, faces: np.ndarray, camera: PinholeCamera,
     return (z > camera.near).any(axis=2)
 
 
-# ---------------------------------------------------------------------------
-# scene-level entry points (single image, list of posed meshes)
-
-def _scene_screen(meshes_poses, camera: PinholeCamera):
-    verts, faces, offset = [], [], 0
-    for mesh, pose in meshes_poses:
-        verts.append(pose.apply(mesh.vertices))
-        faces.append(mesh.faces + offset)
-        offset += len(mesh.vertices)
-    if not verts:
-        return np.zeros((1, 0, 3)), np.zeros((0, 3), dtype=np.int64)
-    return np.concatenate(verts)[None], np.concatenate(faces)
-
-
-def rasterize_hard(meshes_poses, camera: PinholeCamera) -> SilhouetteImage:
-    """Union silhouette of posed meshes; 1 where a pixel center is covered."""
-    pts, faces = _scene_screen(meshes_poses, camera)
-    xy, _ = project(camera, pts)
-    valid = face_validity(pts[..., 2], faces, camera, "hard")
-    img = hard_occupancy(xy, faces, valid, camera.width, camera.height)[0]
-    return SilhouetteImage(img, "hard")
-
-
-def rasterize_soft(meshes_poses, camera: PinholeCamera, sigma_r: float) -> SilhouetteImage:
-    pts, faces = _scene_screen(meshes_poses, camera)
-    xy, _ = project(camera, pts)
-    valid = face_validity(pts[..., 2], faces, camera, "soft")
-    img = soft_occupancy(xy, faces, valid, camera.width, camera.height, sigma_r)[0]
-    return SilhouetteImage(img, "soft")
-
-
 def default_sigma_r(width: int) -> float:
     """Fixed soft-rasterizer temperature: 1e-4 * W^2 square pixels."""
     return 1e-4 * float(width) ** 2
 
 
 # ---------------------------------------------------------------------------
-# mask files: 8-bit PGM (viewable) and raw float planes (lossless)
+# mask files: 8-bit binary PGM
 
 def write_pgm(path, image: SilhouetteImage) -> None:
     data = np.round(np.clip(image.pixels, 0.0, 1.0) * 255.0).astype(np.uint8)
@@ -507,6 +467,8 @@ def read_pgm(path, kind: str | None = None) -> SilhouetteImage:
         maxval = int(parts[2])
     except ValueError as exc:
         raise ValueError(f"{path}: malformed PGM header") from exc
+    if w <= 0 or h <= 0:
+        raise ValueError(f"{path}: PGM size {w}x{h} is not positive")
     body = parts[3]
     if maxval != 255 or len(body) < w * h:
         raise ValueError(f"{path}: unsupported or truncated PGM payload")
@@ -515,31 +477,3 @@ def read_pgm(path, kind: str | None = None) -> SilhouetteImage:
         kind = "hard" if np.all((pix == 0.0) | (pix == 1.0)) else "soft"
     return SilhouetteImage(pix, kind)
 
-
-_SILF_MAGIC = b"SILF"
-
-
-def write_silf(path, image: SilhouetteImage) -> None:
-    h, w = image.pixels.shape
-    with open(path, "wb") as fh:
-        fh.write(_SILF_MAGIC)
-        fh.write(struct.pack("<HH", w, h))
-        fh.write(image.pixels.astype("<f4").tobytes())
-
-
-def read_silf(path, kind: str | None = None) -> SilhouetteImage:
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise FileNotFoundError(f"mask file not readable: {path}") from exc
-    if len(raw) < 8 or raw[:4] != _SILF_MAGIC:
-        raise ValueError(f"{path}: bad float-plane header")
-    w, h = struct.unpack("<HH", raw[4:8])
-    expect = 8 + 4 * w * h
-    if len(raw) < expect:
-        raise ValueError(f"{path}: truncated float plane ({len(raw)} < {expect} bytes)")
-    pix = np.frombuffer(raw[8:expect], dtype="<f4").reshape(h, w).astype(float)
-    if kind is None:
-        kind = "hard" if np.all((pix == 0.0) | (pix == 1.0)) else "soft"
-    return SilhouetteImage(pix, kind)

@@ -7,7 +7,6 @@ so sampled configurations keep the articulated head inside the view.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +21,6 @@ from . import se3
 WORK_CENTER = np.array([0.0, 0.0, 0.14])
 RCM_POSITION = np.array([0.06, 0.05, 0.04])
 
-ASSETS_ENV = "SILGRAD_ASSETS"
 CHAIN_FILE = "psm_simplified.yaml"
 
 
@@ -125,10 +123,6 @@ def keypoints_screen(scene: ToolScene, base_rotation, base_translation, q):
 
 # ---------------------------------------------------------------------------
 # asset directory
-
-def default_assets_dir() -> Path:
-    return Path(os.environ.get(ASSETS_ENV, "assets"))
-
 
 def write_assets(out_dir, scene: ToolScene | None = None) -> Path:
     """Write the chain description plus mesh files; returns the chain path."""

@@ -60,12 +60,6 @@ class RigidTransform:
         p = np.asarray(points, dtype=float)
         return p @ self.rotation.T + self.translation
 
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
-
     def allclose(self, other: "RigidTransform", atol: float = 1e-9) -> bool:
         return (np.allclose(self.rotation, other.rotation, atol=atol)
                 and np.allclose(self.translation, other.translation, atol=atol))

@@ -280,7 +280,7 @@ def write_trajectory(traj_dir, rec: TrajectoryRecord) -> None:
 
 
 def read_trajectory(traj_dir, frame_rate: float = FRAME_RATE,
-                    seed: int = 0, load_masks: bool = True) -> TrajectoryRecord:
+                    seed: int = 0) -> TrajectoryRecord:
     traj_dir = Path(traj_dir)
     path = traj_dir / "frames.bin"
     try:
@@ -300,15 +300,13 @@ def read_trajectory(traj_dir, frame_rate: float = FRAME_RATE,
         if n and not np.all(rows == rows[0]):
             raise ValueError(f"{path}: {name} varies within the trajectory")
 
-    masks = None
-    if load_masks:
-        first = render.read_pgm(traj_dir / "mask_0000.pgm", kind="hard")
-        h, w = first.pixels.shape
-        masks = np.empty((n, h, w), dtype=np.uint8)
-        masks[0] = first.pixels.astype(np.uint8)
-        for i in range(1, n):
-            masks[i] = render.read_pgm(traj_dir / f"mask_{i:04d}.pgm",
-                                       kind="hard").pixels.astype(np.uint8)
+    first = render.read_pgm(traj_dir / "mask_0000.pgm", kind="hard")
+    h, w = first.pixels.shape
+    masks = np.empty((n, h, w), dtype=np.uint8)
+    masks[0] = first.pixels.astype(np.uint8)
+    for i in range(1, n):
+        masks[i] = render.read_pgm(traj_dir / f"mask_{i:04d}.pgm",
+                                   kind="hard").pixels.astype(np.uint8)
     return TrajectoryRecord(
         frame_rate=frame_rate,
         times=f64[:, 0].copy(),
@@ -335,10 +333,10 @@ class Dataset:
     def trajectory_dir(self, i: int) -> Path:
         return self.root / f"traj_{i:04d}"
 
-    def load_trajectory(self, i: int, load_masks: bool = True) -> TrajectoryRecord:
+    def load_trajectory(self, i: int) -> TrajectoryRecord:
         return read_trajectory(self.trajectory_dir(i),
                                frame_rate=float(self.manifest["frame_rate"]),
-                               seed=i, load_masks=load_masks)
+                               seed=i)
 
     def noise(self) -> NoiseSpec:
         return NoiseSpec.from_dict(self.manifest["noise"])

@@ -12,8 +12,9 @@ recorded, differentiable output; plain arrays give a fast inference path.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -100,10 +101,6 @@ def init_weights(config: VitConfig, rng: np.random.Generator) -> dict[str, np.nd
     return weights
 
 
-def num_parameters(weights: dict[str, np.ndarray]) -> int:
-    return sum(v.size for v in weights.values())
-
-
 def patchify(masks: np.ndarray, patch_size: int) -> np.ndarray:
     """(B, 2, H, W) -> (B, num_patches, 2*p*p), row-major patch order."""
     b, c, h, w = masks.shape
@@ -134,7 +131,7 @@ def forward(config: VitConfig, weights: dict, masks: np.ndarray, theta_norm: np.
     d = config.embed_dim
     nh, dh = config.heads, config.embed_dim // config.heads
 
-    patches = patchify(np.asarray(masks, dtype=ad.get_default_dtype()), config.patch_size)
+    patches = patchify(np.asarray(masks, dtype=np.float64), config.patch_size)
     x = _linear(patches, weights, "patch_embed")                      # (B, N, D)
     cls = ad.broadcast_to(ad.reshape(weights["cls_token"], (1, 1, d)), (b, 1, d))
     x = ad.concatenate([cls, x], axis=1)                              # (B, T, D)
@@ -163,7 +160,7 @@ def forward(config: VitConfig, weights: dict, masks: np.ndarray, theta_norm: np.
     x = _ln(x, weights, "final_ln")
     cls_tok = ad.take(x, (slice(None), 0))                            # (B, D)
     fused = ad.concatenate(
-        [cls_tok, np.asarray(theta_norm, dtype=ad.get_default_dtype())], axis=-1)
+        [cls_tok, np.asarray(theta_norm, dtype=np.float64)], axis=-1)
     hdn = ad.gelu(_linear(fused, weights, "head1"))
     hdn = ad.gelu(_linear(hdn, weights, "head2"))
     return _linear(hdn, weights, "head3")                             # (B, 10)
@@ -199,26 +196,33 @@ def load_weights(path) -> tuple[VitConfig, dict[str, np.ndarray], dict]:
         raise FileNotFoundError(f"weights file not readable: {path}") from exc
     if raw[:4] != WEIGHTS_MAGIC:
         raise ValueError(f"{path}: not a weights container")
-    version, = struct.unpack("<I", raw[4:8])
+    offset = 4
+
+    def read(n: int, what: str) -> bytes:
+        nonlocal offset
+        if offset + n > len(raw):
+            raise ValueError(f"{path}: truncated {what} at byte {offset} "
+                             f"({len(raw) - offset} of {n} bytes left)")
+        chunk = raw[offset:offset + n]
+        offset += n
+        return chunk
+
+    version, = struct.unpack("<I", read(4, "version"))
     if version != WEIGHTS_VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
-    blob_len, = struct.unpack("<I", raw[8:12])
-    meta = json.loads(raw[12:12 + blob_len].decode())
+    blob_len, = struct.unpack("<I", read(4, "header length"))
+    blob = read(blob_len, "header")
+    try:
+        meta = json.loads(blob.decode())
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed header: {exc}") from exc
     config = VitConfig.from_dict(meta.pop("config"))
-    offset = 12 + blob_len
     weights: dict[str, np.ndarray] = {}
-    dtype = ad.get_default_dtype()
     while offset < len(raw):
-        nlen, = struct.unpack("<I", raw[offset:offset + 4])
-        offset += 4
-        name = raw[offset:offset + nlen].decode()
-        offset += nlen
-        rank, = struct.unpack("<I", raw[offset:offset + 4])
-        offset += 4
-        dims = struct.unpack(f"<{rank}Q", raw[offset:offset + 8 * rank])
-        offset += 8 * rank
-        count = int(np.prod(dims)) if rank else 1
-        weights[name] = np.frombuffer(raw[offset:offset + 4 * count],
-                                      dtype="<f4").reshape(dims).astype(dtype)
-        offset += 4 * count
+        nlen, = struct.unpack("<I", read(4, "tensor name length"))
+        name = read(nlen, "tensor name").decode()
+        rank, = struct.unpack("<I", read(4, f"rank of {name}"))
+        dims = struct.unpack(f"<{rank}Q", read(8 * rank, f"shape of {name}"))
+        weights[name] = np.frombuffer(read(4 * math.prod(dims), f"tensor {name}"),
+                                      dtype="<f4").reshape(dims).astype(np.float64)
     return config, weights, meta

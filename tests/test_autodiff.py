@@ -12,7 +12,7 @@ def test_record_mul_product_rule():
     tape = ad.Tape()
     x = ad.leaf(tape, 3.0)
     y = ad.leaf(tape, 4.0)
-    out = ad.record("mul", [x, y])
+    out = ad.mul(x, y)
     assert out.value == 12.0
     grads = ad.backward(out)
     assert grads[x.nid] == 4.0
@@ -22,7 +22,7 @@ def test_record_mul_product_rule():
 def test_record_sigmoid_at_zero():
     tape = ad.Tape()
     x = ad.leaf(tape, 0.0)
-    out = ad.record("sigmoid", [x])
+    out = ad.sigmoid(x)
     assert out.value == 0.5
     assert grad_of(out, x) == 0.25
 
@@ -30,7 +30,7 @@ def test_record_sigmoid_at_zero():
 def test_record_sum_of_ones():
     tape = ad.Tape()
     a = ad.leaf(tape, np.ones((2, 2)))
-    out = ad.record("sum", [a])
+    out = ad.reduce_sum(a)
     assert out.value == 4.0
     np.testing.assert_array_equal(grad_of(out, a), np.ones((2, 2)))
 
@@ -102,7 +102,7 @@ def test_finite_diff_kink_flags_disagreement():
 
 def test_finite_diff_nonfinite_probe_raises():
     def f(x):
-        return ad.log(x)
+        return ad.sqrt(x)
 
     with pytest.raises(FloatingPointError, match="coordinate 0"):
         ad.finite_diff_check(f, np.array([1e-9]), epsilon=1e-5)
@@ -117,10 +117,10 @@ def _check(f, x0, tol=1e-6, eps=1e-6):
 
 
 @pytest.mark.parametrize("name", [
-    "add", "sub", "mul", "div", "exp", "log", "sin", "cos", "sqrt", "power",
+    "add", "sub", "mul", "div", "sin", "cos", "sqrt", "power",
     "sigmoid", "tanh", "softmax", "layer_norm", "matmul", "sum", "mean",
-    "reshape", "transpose", "slice", "concat", "broadcast", "min", "max",
-    "neg", "relu", "clamp", "stack", "gelu",
+    "reshape", "transpose", "slice", "concat", "broadcast",
+    "neg", "clamp", "stack", "gelu",
 ])
 def test_primitive_gradients_match_finite_differences(name):
     x0 = RNG.uniform(0.5, 1.5, size=(3, 4))
@@ -132,8 +132,6 @@ def test_primitive_gradients_match_finite_differences(name):
         "sub": lambda x: ad.reduce_sum(ad.mul(ad.sub(c, x), c)),
         "mul": lambda x: ad.reduce_sum(ad.mul(x, c)),
         "div": lambda x: ad.reduce_sum(ad.div(c, x)),
-        "exp": lambda x: ad.reduce_sum(ad.exp(x)),
-        "log": lambda x: ad.reduce_sum(ad.log(x)),
         "sin": lambda x: ad.reduce_sum(ad.sin(x)),
         "cos": lambda x: ad.reduce_sum(ad.cos(x)),
         "sqrt": lambda x: ad.reduce_sum(ad.sqrt(x)),
@@ -150,15 +148,12 @@ def test_primitive_gradients_match_finite_differences(name):
         "slice": lambda x: ad.reduce_sum(ad.mul(ad.take(x, (slice(1, 3), slice(0, 2))), 1.0)),
         "concat": lambda x: ad.reduce_sum(ad.mul(ad.concatenate([x, c], axis=0), 1.0)),
         "broadcast": lambda x: ad.reduce_sum(ad.broadcast_to(ad.reshape(x, (1, 3, 4)), (5, 3, 4))),
-        "min": lambda x: ad.reduce_min(x),
-        "max": lambda x: ad.reduce_max(x, axis=1).sum(),
         "neg": lambda x: ad.reduce_sum(ad.neg(x)),
-        "relu": lambda x: ad.reduce_sum(ad.relu(ad.sub(x, 1.0))),
         "clamp": lambda x: ad.reduce_sum(ad.clamp(x, 0.7, 1.3)),
         "stack": lambda x: ad.reduce_sum(ad.stack([x, c], axis=1)),
         "gelu": lambda x: ad.reduce_sum(ad.gelu(ad.sub(x, 1.0))),
     }
-    # relu/clamp/min/max are piecewise; keep probes away from their kinks
+    # clamp is piecewise; keep probes away from its kinks
     _check(fns[name], x0)
 
 
@@ -219,16 +214,3 @@ def test_mixed_tapes_rejected():
     with pytest.raises(ValueError, match="different tapes"):
         ad.add(x, y)
 
-
-def test_default_dtype_switch():
-    ad.set_default_dtype(np.float32)
-    try:
-        tape = ad.Tape()
-        x = ad.leaf(tape, [1.0, 2.0])
-        assert x.value.dtype == np.float32
-        y = ad.mul(x, 2.0)
-        assert y.value.dtype == np.float32
-    finally:
-        ad.set_default_dtype(np.float64)
-    with pytest.raises(ValueError):
-        ad.set_default_dtype(np.int32)

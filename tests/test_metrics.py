@@ -137,6 +137,12 @@ def test_rmse_exact_match_and_reductions():
         np.testing.assert_allclose(rep2.mean("joints", "reduction", axis), 0.0, atol=1e-9)
 
 
+def test_evaluate_series_rejects_unpaired_lists():
+    t = make_series(seed=11)
+    with pytest.raises(ValueError):
+        metrics.evaluate_series([t], [t, t], [t, t], cutoff_hz=None)
+
+
 def test_rmse_nrmse_worked_example():
     # truth [1,2,3] vs pred [1,2,4] on one translation axis (in mm)
     times = np.arange(3) / 30.0

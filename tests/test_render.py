@@ -15,14 +15,14 @@ def cam(fx=100.0, size=64, near=0.01, far=10.0):
 # --------------------------------------------------------------- projection
 
 def test_project_optical_axis():
-    kp, behind = render.project_point(cam(fx=100.0, size=64), [0.0, 0.0, 1.0])
-    assert (kp.x, kp.y) == (32.0, 32.0)
+    xy, behind = render.project(cam(fx=100.0, size=64), np.array([0.0, 0.0, 1.0]))
+    assert xy.tolist() == [32.0, 32.0]
     assert not behind
 
 
 def test_project_offset_point():
-    kp, _ = render.project_point(cam(fx=100.0, size=64), [0.1, 0.0, 1.0])
-    assert (kp.x, kp.y) == (42.0, 32.0)
+    xy, _ = render.project(cam(fx=100.0, size=64), np.array([0.1, 0.0, 1.0]))
+    assert xy.tolist() == [42.0, 32.0]
 
 
 def test_project_gradient_is_fx_over_z():
@@ -62,8 +62,23 @@ def quad_mesh(side=1.0, z=1.0, x_shift=0.0):
     return TriMesh(verts, np.array([[0, 1, 2], [0, 2, 3]]))
 
 
+def rasterize(meshes_poses, camera, mode="hard", sigma_r=None):
+    """One image of posed meshes: project, face validity, occupancy."""
+    pts, faces = np.zeros((1, 0, 3)), np.zeros((0, 3), dtype=np.int64)
+    for m, pose in meshes_poses:
+        faces = np.concatenate([faces, m.faces + pts.shape[1]])
+        pts = np.concatenate([pts, pose.apply(m.vertices)[None]], axis=1)
+    xy, _ = render.project(camera, pts)
+    valid = render.face_validity(pts[..., 2], faces, camera, mode)
+    if mode == "hard":
+        img = render.hard_occupancy(xy, faces, valid, camera.width, camera.height)
+    else:
+        img = render.soft_occupancy(xy, faces, valid, camera.width, camera.height, sigma_r)
+    return render.SilhouetteImage(img[0], mode)
+
+
 def test_hard_empty_scene_is_zero():
-    img = render.rasterize_hard([], cam())
+    img = rasterize([], cam())
     assert img.kind == "hard"
     assert img.pixels.sum() == 0.0
 
@@ -71,13 +86,13 @@ def test_hard_empty_scene_is_zero():
 def test_hard_full_frustum_triangle_is_one():
     tri = TriMesh(np.array([[-100, -100, 1.0], [300, -100, 1.0], [-100, 300, 1.0]]),
                   np.array([[0, 1, 2]]))
-    img = render.rasterize_hard([(tri, se3.RigidTransform.identity())], cam())
+    img = rasterize([(tri, se3.RigidTransform.identity())], cam())
     assert img.pixels.min() == 1.0
 
 
 def test_hard_unit_square_area_exact():
     c = cam(fx=100.0, size=128)
-    img = render.rasterize_hard([(quad_mesh(), se3.RigidTransform.identity())], c)
+    img = rasterize([(quad_mesh(), se3.RigidTransform.identity())], c)
     assert img.pixels.sum() == 10000.0
     img.validate()
 
@@ -85,14 +100,14 @@ def test_hard_unit_square_area_exact():
 def test_hard_edge_rule_half_integer_boundary():
     # left edge lands exactly on pixel centers; half-open coverage keeps 100x100
     c = cam(fx=100.0, size=128)
-    img = render.rasterize_hard([(quad_mesh(x_shift=0.005), se3.RigidTransform.identity())], c)
+    img = rasterize([(quad_mesh(x_shift=0.005), se3.RigidTransform.identity())], c)
     assert img.pixels.sum() == 10000.0
 
 
 def test_hard_shared_diagonal_no_seam():
     # rotate the quad so the internal diagonal crosses many pixel centers
     rot = se3.RigidTransform(se3.rotation_about_axis([0, 0, 1], 0.3), [0, 0, 0])
-    img = render.rasterize_hard([(quad_mesh(), rot)], cam(fx=100.0, size=128))
+    img = rasterize([(quad_mesh(), rot)], cam(fx=100.0, size=128))
     from scipy import ndimage
     filled = ndimage.binary_fill_holes(img.pixels > 0.5)
     np.testing.assert_array_equal(filled, img.pixels > 0.5)
@@ -113,7 +128,7 @@ def test_hard_principal_point_shift_translates_mask():
 
 
 def test_hard_behind_near_plane_triangles_dropped():
-    img = render.rasterize_hard([(quad_mesh(z=-1.0), se3.RigidTransform.identity())], cam())
+    img = rasterize([(quad_mesh(z=-1.0), se3.RigidTransform.identity())], cam())
     assert img.pixels.sum() == 0.0
 
 
@@ -217,6 +232,15 @@ def test_soft_saturation_inside_and_outside():
     assert occ[0, 1, 1] < 1e-9              # far outside (beyond halo: exactly 0)
 
 
+def test_soft_zero_area_triangle_covers_nothing():
+    # three collinear vertices on a row of pixel centers, x 10 -> 30: no
+    # pixel center is inside, so none may read 0.5 or more
+    verts = np.array([[[10.0, 20.5], [30.0, 20.5], [20.0, 20.5]]])
+    occ = render.soft_occupancy(verts, np.array([[0, 1, 2]]), np.ones((1, 1), bool),
+                                64, 64, sigma_r=0.41)
+    assert occ.max() < 0.5
+
+
 def test_soft_rejects_bad_temperature():
     with pytest.raises(ValueError):
         render.soft_occupancy(np.zeros((1, 3, 2)), np.array([[0, 1, 2]]),
@@ -238,8 +262,8 @@ def test_soft_closed_box_face_on_matches_front_quad():
     # the side faces and the diagonals inside each face must add no halo
     c = cam(fx=100.0, size=64)
     ident = se3.RigidTransform.identity()
-    closed = render.rasterize_soft([(mesh.box(0.4, 0.4, 1.0, 1.3), ident)], c, sigma_r=0.41)
-    front = render.rasterize_soft([(quad_mesh(side=0.4), ident)], c, sigma_r=0.41)
+    closed = rasterize([(mesh.box(0.4, 0.4, 1.0, 1.3), ident)], c, "soft", sigma_r=0.41)
+    front = rasterize([(quad_mesh(side=0.4), ident)], c, "soft", sigma_r=0.41)
     np.testing.assert_allclose(closed.pixels.sum(), front.pixels.sum(), rtol=0.01)
 
 
@@ -403,24 +427,6 @@ def test_pgm_soft_quantized_to_255(tmp_path):
     render.write_pgm(p, img)
     back = render.read_pgm(p, kind="soft")
     assert np.abs(back.pixels - img.pixels).max() <= 0.5 / 255.0 + 1e-12
-
-
-def test_silf_round_trip_lossless_f32(tmp_path):
-    pix = RNG.uniform(size=(20, 24)).astype(np.float32).astype(float)
-    img = render.SilhouetteImage(pix, "soft")
-    p = tmp_path / "m.silf"
-    render.write_silf(p, img)
-    back = render.read_silf(p, kind="soft")
-    np.testing.assert_array_equal(back.pixels, pix)
-
-
-def test_silf_corrupt_raises_with_path(tmp_path):
-    p = tmp_path / "bad.silf"
-    p.write_bytes(b"SILF\x10\x00\x10\x00short")
-    with pytest.raises(ValueError, match="bad.silf"):
-        render.read_silf(p)
-    with pytest.raises(FileNotFoundError):
-        render.read_silf(tmp_path / "missing.silf")
 
 
 def test_mask_kind_invariants():
