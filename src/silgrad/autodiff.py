@@ -360,28 +360,9 @@ def matmul(a, b):
     def swap(x):
         return np.swapaxes(x, -1, -2)
 
-    def vjp_a(g, av, bv):
-        ga = g @ swap(bv)
-        return _unbroadcast_batch(ga, av.shape)
-
-    def vjp_b(g, av, bv):
-        gb = swap(av) @ g
-        return _unbroadcast_batch(gb, bv.shape)
-
-    return _binary("matmul", a, b, np.matmul, vjp_a, vjp_b)
-
-
-def _unbroadcast_batch(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum matmul gradients over broadcast leading (batch) axes."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i in range(len(shape) - 2) if shape[i] == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
+    # _binary sums each gradient down to its operand's (batch) shape
+    return _binary("matmul", a, b, np.matmul,
+                   lambda g, av, bv: g @ swap(bv), lambda g, av, bv: swap(av) @ g)
 
 
 def reshape(a, shape):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import se3, vit
-from .scene import ToolScene, keypoints_screen, render_masks
+from .scene import ToolScene, render_pose
 from .synth import Dataset, rng_stream
 
 VISIBLE_SLICE = slice(3, 7)
@@ -70,13 +70,11 @@ def render_corrected(scene: ToolScene, theta_hat, q_noisy_first3,
     Joints 1-3 come from the noisy reading; the corrected vector supplies the
     base pose and the four visible joints.
     """
-    rot = se3.euler_to_matrix_diff(ad.take(theta_hat, (..., slice(0, 3))))
+    rot = se3.euler_to_matrix(ad.take(theta_hat, (..., slice(0, 3))))
     trans = ad.take(theta_hat, (..., slice(3, 6)))
     q = ad.concatenate([np.asarray(q_noisy_first3, dtype=np.float64),
                         ad.take(theta_hat, (..., slice(6, 10)))], axis=-1)
-    mask = render_masks(scene, rot, trans, q, "soft", sigma_r)
-    kps, _ = keypoints_screen(scene, rot, trans, q)
-    return mask, kps
+    return render_pose(scene, rot, trans, q, "soft", sigma_r)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +305,12 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
     Returns (model, log) where log holds one record per epoch. Checkpoints
     are written on every validation improvement when ``out_dir`` is given.
     """
+    size = cfg.vit_config.image_size
+    for ds in (train_ds, val_ds):
+        cam = ds.scene.camera
+        if (cam.width, cam.height) != (size, size):
+            raise ValueError(f"{ds.root}: camera is {cam.width}x{cam.height}, "
+                             f"the ViT takes {size}x{size} masks")
     store = build_frame_store(train_ds, threads=threads)
     val_store = build_frame_store(val_ds, threads=threads, stride=cfg.val_stride)
     camera = train_ds.scene.camera

@@ -6,7 +6,9 @@ before its motion, so link ``i`` sits at
 
 :func:`forward_kinematics` is dual-mode and batched: joint values of shape
 (..., J) and base rotation/translation of shape (..., 3, 3)/(..., 3) may be
-plain arrays or DiffValues, and gradients flow to both.
+plain arrays or DiffValues, and gradients flow to both. Everything that
+needs link poses (mesh vertices, keypoints, the end effector) takes them from
+one :func:`forward_kinematics` call, so a rendered pose costs one FK pass.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ def forward_kinematics(chain: KinematicChain, base_rotation, base_translation, q
         r_pre = ad.matmul(r_acc, ro)
         t_pre = ad.add(_rotate_vec(r_acc, to), t_acc)
         if joint.kind == REVOLUTE:
-            rm = se3.rotation_about_axis_diff(joint.axis, qi)
+            rm = se3.rotation_about_axis(joint.axis, qi)
             r_acc = ad.matmul(r_pre, rm)
             t_acc = t_pre
         else:
@@ -137,9 +139,11 @@ def _rotate_vec(r, v):
     return ad.reshape(out, tuple(ad._val(out).shape[:-1]))
 
 
-def keypoints_3d(chain: KinematicChain, base_rotation, base_translation, q):
-    """Anchor points mapped through their owning link's pose, shape (..., K, 3)."""
-    links = forward_kinematics(chain, base_rotation, base_translation, q)
+def keypoints_3d(chain: KinematicChain, links):
+    """Anchor points mapped through their owning link's pose, shape (..., K, 3).
+
+    ``links`` is what :func:`forward_kinematics` returned for ``chain``.
+    """
     pts = []
     for anchor in chain.keypoints:
         r, t = links[anchor.joint_index]

@@ -21,6 +21,7 @@ from . import se3
 from .corrector import VISIBLE_SLICE
 
 CSV_HEADER = "t,x_mm,y_mm,z_mm,roll_deg,pitch_deg,yaw_deg,q4_deg,q5_deg,q6_deg,q7_deg,iters"
+_CSV_COLUMNS = len(CSV_HEADER.split(","))
 
 
 @dataclass
@@ -61,20 +62,14 @@ def hand_eye(base_estimate: se3.RigidTransform, q_noisy: np.ndarray,
     return se3.RigidTransform(r[0], t[0])
 
 
-def _eef_batch(chain, rot_b, trans_b, q) -> tuple[np.ndarray, np.ndarray]:
-    links = kin.forward_kinematics(chain, rot_b, trans_b, q)
-    return links[-1]
-
-
 def series_from_params(chain, theta: np.ndarray, q_noisy: np.ndarray,
                        times: np.ndarray, tag: str,
                        iters: np.ndarray | None = None) -> PoseSeries:
     """Pose series from per-frame 10-D parametrizations (hand-eye composed)."""
-    n = len(theta)
-    rot_b = np.array([se3.euler_to_matrix(theta[i, :3]) for i in range(n)])
     q = q_noisy.copy()
     q[:, VISIBLE_SLICE] = theta[:, 6:10]
-    r, t = _eef_batch(chain, rot_b, theta[:, 3:6], q)
+    r, t = kin.forward_kinematics(chain, se3.euler_to_matrix(theta[:, :3]),
+                                  theta[:, 3:6], q)[-1]
     return PoseSeries(np.asarray(times, dtype=float), r, t, theta[:, 6:10].copy(),
                       tag, iters)
 
@@ -82,8 +77,8 @@ def series_from_params(chain, theta: np.ndarray, q_noisy: np.ndarray,
 def truth_series(chain, base_true: se3.RigidTransform, q_true: np.ndarray,
                  times: np.ndarray) -> PoseSeries:
     n = len(q_true)
-    r, t = _eef_batch(chain, np.broadcast_to(base_true.rotation, (n, 3, 3)),
-                      np.broadcast_to(base_true.translation, (n, 3)), q_true)
+    r, t = kin.forward_kinematics(chain, np.broadcast_to(base_true.rotation, (n, 3, 3)),
+                                  np.broadcast_to(base_true.translation, (n, 3)), q_true)[-1]
     return PoseSeries(np.asarray(times, dtype=float), r, t,
                       q_true[:, VISIBLE_SLICE].copy(), "truth",
                       np.zeros(n, dtype=int))
@@ -132,7 +127,7 @@ def lowpass(series: PoseSeries, cutoff_hz: float = 1.5) -> PoseSeries:
     t_f = filter_forward(series.translations, b, a)
     eul = np.unwrap(series.euler(), axis=0)
     eul_f = filter_forward(eul, b, a)
-    rot_f = np.array([se3.euler_to_matrix(se3.wrap_angle(e)) for e in eul_f])
+    rot_f = se3.euler_to_matrix(se3.wrap_angle(eul_f))
     joints_f = filter_forward(series.joints, b, a)
     return PoseSeries(series.times.copy(), rot_f, t_f, joints_f,
                       series.tag, series.iters)
@@ -276,20 +271,31 @@ def read_pose_csv(path) -> list[PoseSeries]:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"{path}: unexpected pose CSV header")
-        rows = np.array([[float(v) for v in line.split(",")]
-                         for line in fh if line.strip()])
-    if rows.size == 0:
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            fields = line.split(",")
+            if len(fields) != _CSV_COLUMNS:
+                raise ValueError(f"{path}, line {lineno}: {len(fields)} columns, "
+                                 f"expected {_CSV_COLUMNS}")
+            try:
+                rows.append([float(v) for v in fields])
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
+            if not np.all(np.isfinite(rows[-1])):
+                raise ValueError(f"{path}, line {lineno}: non-finite value")
+    if not rows:
         return []
+    rows = np.array(rows)
     starts = [0] + [i for i in range(1, len(rows)) if rows[i, 0] <= rows[i - 1, 0]]
     starts.append(len(rows))
     out = []
     for lo, hi in zip(starts[:-1], starts[1:]):
         chunk = rows[lo:hi]
-        eul_zyx = np.deg2rad(chunk[:, 4:7][:, ::-1])
-        rot = np.array([se3.euler_to_matrix(e) for e in eul_zyx])
         out.append(PoseSeries(
             times=chunk[:, 0],
-            rotations=rot,
+            rotations=se3.euler_to_matrix(np.deg2rad(chunk[:, 4:7][:, ::-1])),
             translations=chunk[:, 1:4] / 1000.0,
             joints=np.deg2rad(chunk[:, 7:11]),
             iters=chunk[:, 11].astype(int),

@@ -3,6 +3,11 @@
 The canonical base places the manipulator pivot up-left of the optical axis
 with the instrument pointing at a work center ~14 cm in front of the camera,
 so sampled configurations keep the articulated head inside the view.
+
+:func:`render_pose` runs forward kinematics once per pose and returns both
+the silhouette and the projected keypoints; :func:`render_masks` returns the
+silhouette alone. Both are batched and dual-mode: with autodiff inputs the
+soft silhouette and the keypoints are differentiable.
 """
 
 from __future__ import annotations
@@ -82,43 +87,38 @@ def reference_scene(image_size: int = 128, camera: render.PinholeCamera | None =
 # ---------------------------------------------------------------------------
 # batched differentiable geometry
 
-def posed_vertices(scene: ToolScene, base_rotation, base_translation, q):
-    """World (camera-frame) mesh vertices, shape (B, V, 3); differentiable."""
-    links = kin.forward_kinematics(scene.chain, base_rotation, base_translation, q)
-    B = ad._val(q).shape[0]
+def _silhouette(scene: ToolScene, links, mode: str, sigma_r: float | None):
+    """Pose the link meshes, project them and rasterize: (B, H, W)."""
     parts = []
     for ji, lo, hi in scene.vert_slices:
         r, t = links[ji]
-        vl = scene.verts_local[lo:hi]
-        world = ad.transpose(ad.matmul(r, vl.T), (0, 2, 1))
-        parts.append(ad.add(world, ad.reshape(t, (B, 1, 3))))
-    return ad.concatenate(parts, axis=1)
-
-
-def screen_geometry(scene: ToolScene, base_rotation, base_translation, q):
-    """Projected vertices (B, V, 2) (differentiable), plain depths (B, V)."""
-    world = posed_vertices(scene, base_rotation, base_translation, q)
-    xy, _ = render.project(scene.camera, world)
-    return xy, ad._val(world)[..., 2]
-
-
-def render_masks(scene: ToolScene, base_rotation, base_translation, q,
-                 mode: str, sigma_r: float | None = None):
-    """Batched silhouettes (B, H, W): binary union for "hard", differentiable
-    soft coverage otherwise."""
-    xy, depths = screen_geometry(scene, base_rotation, base_translation, q)
+        world = ad.transpose(ad.matmul(r, scene.verts_local[lo:hi].T), (0, 2, 1))
+        parts.append(ad.add(world, ad.reshape(t, (-1, 1, 3))))
+    world = ad.concatenate(parts, axis=1)
     cam = scene.camera
-    valid = render.face_validity(depths, scene.faces, cam, mode)
+    xy, _ = render.project(cam, world)
+    valid = render.face_validity(ad._val(world)[..., 2], scene.faces, cam, mode)
     if mode == "hard":
         return render.hard_occupancy(ad._val(xy), scene.faces, valid, cam.width, cam.height)
     return render.soft_occupancy(xy, scene.faces, valid, cam.width, cam.height,
                                  sigma_r if sigma_r is not None else scene.sigma_r)
 
 
-def keypoints_screen(scene: ToolScene, base_rotation, base_translation, q):
-    """Projected keypoints (B, K, 2) (differentiable) plus behind flags."""
-    pts = kin.keypoints_3d(scene.chain, base_rotation, base_translation, q)
-    return render.project(scene.camera, pts)
+def render_masks(scene: ToolScene, base_rotation, base_translation, q,
+                 mode: str, sigma_r: float | None = None):
+    """Batched silhouettes (B, H, W): binary union for "hard", differentiable
+    soft coverage otherwise."""
+    links = kin.forward_kinematics(scene.chain, base_rotation, base_translation, q)
+    return _silhouette(scene, links, mode, sigma_r)
+
+
+def render_pose(scene: ToolScene, base_rotation, base_translation, q,
+                mode: str, sigma_r: float | None = None):
+    """Silhouettes (B, H, W) as :func:`render_masks` gives them, plus the
+    projected keypoints (B, K, 2), from one forward-kinematics pass."""
+    links = kin.forward_kinematics(scene.chain, base_rotation, base_translation, q)
+    kps, _ = render.project(scene.camera, kin.keypoints_3d(scene.chain, links))
+    return _silhouette(scene, links, mode, sigma_r), kps
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ Z-Y-X, stored as a 3-vector ``(z, y, x)`` in radians, so the rotation matrix
 is ``Rz(e0) @ Ry(e1) @ Rx(e2)``. The canonical pitch (Y angle) lies in
 [-pi/2, pi/2].
 
-Besides the plain numpy API, :func:`rotation_about_axis_diff` and
-:func:`euler_to_matrix_diff` accept autodiff values with arbitrary leading
-batch shape, which is how the correction pipeline differentiates through
-base-pose parameters.
+The rotation builders :func:`rotation_about_axis` and :func:`euler_to_matrix`
+are dual-mode and batched: they take plain arrays or autodiff values with any
+leading batch shape, which is how the correction pipeline differentiates
+through base-pose parameters. The rest of the module is plain numpy.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 from . import autodiff as ad
 
 _ORTHO_TOL = 1e-9
+_EYE3 = np.eye(3)
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -27,10 +28,16 @@ def skew(v: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues rotation about a unit axis (plain numpy)."""
+def rotation_about_axis(axis: np.ndarray, theta):
+    """Rodrigues rotation for a fixed unit axis and batched angle.
+
+    ``theta`` has shape (...,); result has shape (..., 3, 3). Works on plain
+    arrays or DiffValues.
+    """
     k = skew(np.asarray(axis, dtype=float))
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+    th = ad.reshape(theta, np.shape(ad._val(theta)) + (1, 1))
+    return ad.add(ad.add(_EYE3, ad.mul(ad.sin(th), k)),
+                  ad.mul(ad.sub(1.0, ad.cos(th)), k @ k))
 
 
 @dataclass(frozen=True)
@@ -96,12 +103,15 @@ class EulerPose:
         return EulerPose(v[:3], v[3:])
 
 
-def euler_to_matrix(euler: np.ndarray) -> np.ndarray:
-    a, b, c = np.asarray(euler, dtype=float)
-    rz = rotation_about_axis([0.0, 0.0, 1.0], a)
-    ry = rotation_about_axis([0.0, 1.0, 0.0], b)
-    rx = rotation_about_axis([1.0, 0.0, 0.0], c)
-    return rz @ ry @ rx
+def euler_to_matrix(euler):
+    """Batched Z-Y-X intrinsic Euler angles to rotation; dual-mode.
+
+    ``euler`` has shape (..., 3); result (..., 3, 3).
+    """
+    rz = rotation_about_axis([0.0, 0.0, 1.0], ad.take(euler, (..., 0)))
+    ry = rotation_about_axis([0.0, 1.0, 0.0], ad.take(euler, (..., 1)))
+    rx = rotation_about_axis([1.0, 0.0, 0.0], ad.take(euler, (..., 2)))
+    return ad.matmul(ad.matmul(rz, ry), rx)
 
 
 def matrix_to_euler(r: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -138,39 +148,3 @@ def transform_to_euler(t: RigidTransform) -> tuple[EulerPose, bool]:
 def wrap_angle(a):
     """Wrap to (-pi, pi]."""
     return -((-np.asarray(a) + np.pi) % (2.0 * np.pi) - np.pi)
-
-
-# ---------------------------------------------------------------------------
-# dual-mode (autodiff-aware) rotation builders
-
-_EYE3 = np.eye(3)
-_AXES = {
-    "x": np.array([1.0, 0.0, 0.0]),
-    "y": np.array([0.0, 1.0, 0.0]),
-    "z": np.array([0.0, 0.0, 1.0]),
-}
-
-
-def rotation_about_axis_diff(axis: np.ndarray, theta):
-    """Rodrigues rotation for a fixed axis and batched angle.
-
-    ``theta`` has shape (...,); result has shape (..., 3, 3). Works on plain
-    arrays or DiffValues.
-    """
-    k = skew(np.asarray(axis, dtype=float))
-    kk = k @ k
-    shp = tuple(np.shape(ad._val(theta))) + (1, 1)
-    th = ad.reshape(theta, shp)
-    return ad.add(ad.add(_EYE3, ad.mul(ad.sin(th), k)),
-                  ad.mul(ad.sub(1.0, ad.cos(th)), kk))
-
-
-def euler_to_matrix_diff(euler):
-    """Batched differentiable Z-Y-X intrinsic Euler to rotation.
-
-    ``euler`` has shape (..., 3); result (..., 3, 3).
-    """
-    rz = rotation_about_axis_diff(_AXES["z"], ad.take(euler, (..., 0)))
-    ry = rotation_about_axis_diff(_AXES["y"], ad.take(euler, (..., 1)))
-    rx = rotation_about_axis_diff(_AXES["x"], ad.take(euler, (..., 2)))
-    return ad.matmul(ad.matmul(rz, ry), rx)

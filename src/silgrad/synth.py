@@ -31,7 +31,7 @@ import yaml
 
 from . import kinematics as kin
 from . import render, se3
-from .scene import ToolScene, load_scene, reference_scene, write_assets
+from .scene import ToolScene, load_scene, reference_scene, render_pose, write_assets
 
 FRAME_RATE = 30.0
 SEGMENT_STEPS = 50
@@ -114,9 +114,7 @@ def _view_points(scene: ToolScene, q: np.ndarray) -> tuple[np.ndarray, np.ndarra
     base = scene.base
     links = kin.forward_kinematics(scene.chain, base.rotation[None],
                                    base.translation[None], q[None])
-    kp = kin.keypoints_3d(scene.chain, base.rotation[None], base.translation[None],
-                          q[None])[0]
-    pts = np.vstack([kp, links[-1][1]])
+    pts = np.vstack([kin.keypoints_3d(scene.chain, links)[0], links[-1][1]])
     xy, _ = render.project(scene.camera, pts)
     return xy, pts[:, 2]
 
@@ -192,7 +190,6 @@ def render_truth(scene: ToolScene, base: se3.RigidTransform,
 
     Raises ValueError naming the first frame whose mask is not finite.
     """
-    from .scene import keypoints_screen, render_masks
     n = len(q)
     masks = np.empty((n, scene.camera.height, scene.camera.width), dtype=np.uint8)
     kps = np.empty((n, len(scene.chain.keypoints), 2), dtype=np.float32)
@@ -200,12 +197,11 @@ def render_truth(scene: ToolScene, base: se3.RigidTransform,
         hi = min(lo + _RENDER_SLAB, n)
         rot = np.broadcast_to(base.rotation, (hi - lo, 3, 3))
         trans = np.broadcast_to(base.translation, (hi - lo, 3))
-        slab = render_masks(scene, rot, trans, q[lo:hi], "hard")
+        slab, xy = render_pose(scene, rot, trans, q[lo:hi], "hard")
         bad = np.flatnonzero(np.isnan(slab).any(axis=(1, 2)))
         if len(bad):
             raise ValueError(f"frame {lo + bad[0]}: non-finite vertex in the hard render")
         masks[lo:hi] = slab.astype(np.uint8)
-        xy, _ = keypoints_screen(scene, rot, trans, q[lo:hi])
         kps[lo:hi] = xy.astype(np.float32)
     return masks, kps
 
@@ -279,6 +275,17 @@ def write_trajectory(traj_dir, rec: TrajectoryRecord) -> None:
                          render.SilhouetteImage(rec.masks[i].astype(float), "hard"))
 
 
+def _read_mask(path: Path, shape: tuple | None) -> np.ndarray:
+    """One ground-truth mask as uint8 {0, 1}; ``shape`` is the first mask's."""
+    pixels = render.read_pgm(path, kind="hard").pixels
+    if shape is not None and pixels.shape != shape:
+        raise ValueError(f"{path}: mask is {pixels.shape[1]}x{pixels.shape[0]}, "
+                         f"the first mask is {shape[1]}x{shape[0]}")
+    if not np.all((pixels == 0.0) | (pixels == 1.0)):
+        raise ValueError(f"{path}: mask holds a value other than 0 and 255")
+    return pixels.astype(np.uint8)
+
+
 def read_trajectory(traj_dir, frame_rate: float = FRAME_RATE,
                     seed: int = 0) -> TrajectoryRecord:
     traj_dir = Path(traj_dir)
@@ -287,26 +294,26 @@ def read_trajectory(traj_dir, frame_rate: float = FRAME_RATE,
         raw = path.read_bytes()
     except OSError as exc:
         raise FileNotFoundError(f"trajectory table missing: {path}") from exc
-    if len(raw) % _FRAME_BYTES:
-        raise ValueError(f"{path}: length {len(raw)} not a multiple of frame size")
+    if not raw or len(raw) % _FRAME_BYTES:
+        raise ValueError(f"{path}: length {len(raw)} is not a positive multiple "
+                         f"of the {_FRAME_BYTES}-byte frame")
     n = len(raw) // _FRAME_BYTES
     body = np.frombuffer(raw, dtype=np.uint8).reshape(n, _FRAME_BYTES)
     f64 = body[:, : _FRAME_F64 * 8].reshape(-1).view("<f8").reshape(n, _FRAME_F64)
     kp = body[:, _FRAME_F64 * 8:].reshape(-1).view("<f4").reshape(n, 6, 2)
+    bad = np.flatnonzero(~np.isfinite(f64).all(axis=1) | ~np.isfinite(kp).all(axis=(1, 2)))
+    if len(bad):
+        raise ValueError(f"{path}: frame {bad[0]} holds a non-finite value")
 
     base_true_rows = f64[:, 15:27]
     base_noisy_rows = f64[:, 27:39]
     for name, rows in (("base_true", base_true_rows), ("base_noisy", base_noisy_rows)):
-        if n and not np.all(rows == rows[0]):
+        if not np.all(rows == rows[0]):
             raise ValueError(f"{path}: {name} varies within the trajectory")
 
-    first = render.read_pgm(traj_dir / "mask_0000.pgm", kind="hard")
-    h, w = first.pixels.shape
-    masks = np.empty((n, h, w), dtype=np.uint8)
-    masks[0] = first.pixels.astype(np.uint8)
+    masks = [_read_mask(traj_dir / "mask_0000.pgm", None)]
     for i in range(1, n):
-        masks[i] = render.read_pgm(traj_dir / f"mask_{i:04d}.pgm",
-                                   kind="hard").pixels.astype(np.uint8)
+        masks.append(_read_mask(traj_dir / f"mask_{i:04d}.pgm", masks[0].shape))
     return TrajectoryRecord(
         frame_rate=frame_rate,
         times=f64[:, 0].copy(),
@@ -314,7 +321,7 @@ def read_trajectory(traj_dir, frame_rate: float = FRAME_RATE,
         q_noisy=f64[:, 8:15].copy(),
         base_true=_unpack_transform(base_true_rows[0]),
         base_noisy=_unpack_transform(base_noisy_rows[0]),
-        masks=masks,
+        masks=np.stack(masks),
         keypoints=np.ascontiguousarray(kp),
         seed=seed,
     )
@@ -334,9 +341,13 @@ class Dataset:
         return self.root / f"traj_{i:04d}"
 
     def load_trajectory(self, i: int) -> TrajectoryRecord:
-        return read_trajectory(self.trajectory_dir(i),
-                               frame_rate=float(self.manifest["frame_rate"]),
-                               seed=i)
+        rec = read_trajectory(self.trajectory_dir(i),
+                              frame_rate=float(self.manifest["frame_rate"]), seed=i)
+        want = int(self.manifest["frames_per_trajectory"])
+        if rec.num_frames != want:
+            raise ValueError(f"{self.trajectory_dir(i) / 'frames.bin'}: {rec.num_frames} "
+                             f"frames, the manifest says {want}")
+        return rec
 
     def noise(self) -> NoiseSpec:
         return NoiseSpec.from_dict(self.manifest["noise"])

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from silgrad import autodiff as ad
-from silgrad import corrector, scene, vit
+from silgrad import corrector, kinematics, synth, vit
 from silgrad.synth import rng_stream
 
 from conftest import frame_loss_of_raw
@@ -230,6 +232,22 @@ def test_zero_correction_renders_noisy_config(tiny_store):
     np.testing.assert_allclose(s_hat, direct, atol=1e-12)
 
 
+@pytest.mark.parametrize("render", ["render_corrected", "render_truth"])
+def test_one_forward_kinematics_pass_per_render(monkeypatch, tiny_store, render):
+    store = tiny_store
+    calls = []
+    fk = kinematics.forward_kinematics
+    monkeypatch.setattr(kinematics, "forward_kinematics",
+                        lambda *args: calls.append(1) or fk(*args))
+    if render == "render_corrected":
+        tape = ad.Tape()
+        theta = ad.leaf(tape, store.theta_noisy[:3])
+        corrector.render_corrected(store.scene, theta, store.q_first3[:3])
+    else:
+        synth.render_truth(store.scene, store.base_true, store.q_true_full[:3])
+    assert len(calls) == 1
+
+
 def test_loss_gradients_flow_to_raw_outputs(tiny_store):
     store = tiny_store
     alpha, beta, gamma = corrector.default_loss_weights(store.scene.camera)
@@ -272,6 +290,17 @@ def test_zero_lr_keeps_weights(tiny_train, tiny_val):
     fresh = vit.init_weights(model.config, rng_stream(5, corrector._TRAIN_STREAM))
     for name in fresh:
         np.testing.assert_array_equal(model.weights[name], fresh[name])
+
+
+def test_train_rejects_image_size_other_than_camera(monkeypatch, tiny_train, tiny_val):
+    def no_store(*args, **kw):
+        raise AssertionError("frame store built before the size check")
+
+    monkeypatch.setattr(corrector, "build_frame_store", no_store)
+    cfg = small_cfg(vit_config=vit.VitConfig(image_size=128, patch_size=16,
+                                             embed_dim=32, heads=2, layers=1))
+    with pytest.raises(ValueError, match=re.escape(str(tiny_train.root))):
+        corrector.train(tiny_train, tiny_val, cfg, log_fn=None)
 
 
 def test_training_deterministic_same_seed(tiny_train, tiny_val):

@@ -24,6 +24,12 @@ def fk_single(chain, base, q):
     return [(r[0], t[0]) for r, t in links]
 
 
+def keypoints_single(chain, base, q):
+    links = kin.forward_kinematics(chain, base.rotation[None], base.translation[None],
+                                   np.asarray(q)[None])
+    return kin.keypoints_3d(chain, links)[0]
+
+
 def test_reference_chain_layout(chain):
     assert chain.num_joints == 7
     kinds = [j.kind for j in chain.joints]
@@ -97,7 +103,7 @@ def test_keypoint_at_link_origin_equals_link_translation(chain):
     base = se3.RigidTransform.identity()
     q = random_config(chain, RNG)[0]
     links = fk_single(chain, base, q)
-    pts = kin.keypoints_3d(chain, base.rotation[None], base.translation[None], q[None])[0]
+    pts = keypoints_single(chain, base, q)
     # anchors 1..3 are frame origins of joints 3..5
     np.testing.assert_allclose(pts[1], links[3][1], atol=1e-12)
     np.testing.assert_allclose(pts[2], links[4][1], atol=1e-12)
@@ -108,8 +114,8 @@ def test_keypoints_rigid_equivariance(chain):
     q = random_config(chain, RNG)[0]
     base = se3.RigidTransform.identity()
     delta = se3.RigidTransform(se3.rotation_about_axis([0, 0, 1], 1.1), [0.01, 0.02, 0.03])
-    pts = kin.keypoints_3d(chain, base.rotation[None], base.translation[None], q[None])[0]
-    moved = kin.keypoints_3d(chain, delta.rotation[None], delta.translation[None], q[None])[0]
+    pts = keypoints_single(chain, base, q)
+    moved = keypoints_single(chain, delta, q)
     np.testing.assert_allclose(moved, pts @ delta.rotation.T + delta.translation, atol=1e-9)
 
 
@@ -133,9 +139,9 @@ def test_fk_gradient_wrt_base_euler_pose(chain):
     w = RNG.normal(size=(6, 3))
 
     def f(p):
-        r = se3.euler_to_matrix_diff(ad.take(p, (..., slice(0, 3))))
+        r = se3.euler_to_matrix(ad.take(p, (..., slice(0, 3))))
         t = ad.take(p, (..., slice(3, 6)))
-        pts = kin.keypoints_3d(chain, r, t, q[None])
+        pts = kin.keypoints_3d(chain, kin.forward_kinematics(chain, r, t, q[None]))
         return ad.reduce_sum(ad.mul(pts, w))
 
     rep = ad.finite_diff_check(f, pose0, epsilon=1e-6, tolerance=1e-6)

@@ -1,11 +1,12 @@
 """Corrupt input files: every reader raises with the file's path."""
 
 import re
+import shutil
 
 import numpy as np
 import pytest
 
-from silgrad import render, vit
+from silgrad import metrics, render, scene, synth, vit
 
 
 def _weights(tmp_path):
@@ -19,6 +20,24 @@ def _pgm(tmp_path):
     p = tmp_path / "ref.pgm"
     render.write_pgm(p, render.SilhouetteImage(np.ones((4, 4)), "hard"))
     return p.read_bytes()
+
+
+def _pose_csv(tmp_path):
+    p = tmp_path / "ref.csv"
+    n = 3
+    series = metrics.PoseSeries(np.arange(n) / 30.0, np.tile(np.eye(3), (n, 1, 1)),
+                                np.zeros((n, 3)), np.zeros((n, 4)))
+    metrics.write_pose_csv(p, [series])
+    return p.read_bytes()
+
+
+def _row(line, edit):
+    """Apply ``edit`` to the ``line``-th line (1-based) of a text file."""
+    def corrupt(b):
+        lines = b.split(b"\n")
+        lines[line - 1] = edit(lines[line - 1])
+        return b"\n".join(lines)
+    return corrupt
 
 
 # name: (reader, valid bytes, corruption or None for a missing file, error)
@@ -36,7 +55,15 @@ CASES = {
     "pgm-short-payload": (render.read_pgm, _pgm, lambda b: b[:-3], ValueError),
     "pgm-magic": (render.read_pgm, _pgm, lambda b: b"P2" + b[2:], ValueError),
     "pgm-missing": (render.read_pgm, _pgm, None, FileNotFoundError),
+    "pose-csv-short-row": (metrics.read_pose_csv, _pose_csv,
+                           _row(3, lambda r: r.rsplit(b",", 1)[0]), ValueError),
+    "pose-csv-not-a-number": (metrics.read_pose_csv, _pose_csv,
+                              _row(3, lambda r: b"x" + r), ValueError),
+    "pose-csv-nan": (metrics.read_pose_csv, _pose_csv,
+                     _row(3, lambda r: r.replace(b",0,", b",nan,", 1)), ValueError),
 }
+# what the message must name right after the path, beyond the path itself
+AFTER_PATH = {case: ", line 3:" for case in CASES if case.startswith("pose-csv")}
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -45,5 +72,38 @@ def test_corrupt_file_raises_with_path(tmp_path, case):
     path = tmp_path / f"{case}.bin"
     if corrupt is not None:
         path.write_bytes(corrupt(make(tmp_path)))
-    with pytest.raises(error, match=re.escape(str(path))):
+    with pytest.raises(error, match=re.escape(str(path) + AFTER_PATH.get(case, ""))):
         reader(path)
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("dataset")
+    synth.generate_dataset(root, "t", 1, 0.1, 3, scene=scene.reference_scene(64),
+                           frames_per_trajectory=3)
+    return root
+
+
+def _nan_at(offset):
+    return lambda b: b[:offset] + np.float64(np.nan).tobytes() + b[offset + 8:]
+
+
+# name: (file in the trajectory directory, corruption of its bytes)
+TRAJECTORY_CASES = {
+    "mask-value-128": ("mask_0001.pgm", lambda b: b[:-1] + bytes([128])),
+    "mask-size": ("mask_0002.pgm", lambda b: b.replace(b"\n64 64\n", b"\n32 64\n", 1)),
+    "frames-nan": ("frames.bin", _nan_at(synth._FRAME_BYTES + 8)),
+    "frames-count": ("frames.bin", lambda b: b[:-synth._FRAME_BYTES]),
+    "frames-empty": ("frames.bin", lambda b: b""),
+}
+
+
+@pytest.mark.parametrize("case", TRAJECTORY_CASES)
+def test_corrupt_trajectory_raises_with_path(tmp_path, dataset, case):
+    name, corrupt = TRAJECTORY_CASES[case]
+    root = tmp_path / "dataset"
+    shutil.copytree(dataset, root)
+    path = root / "traj_0000" / name
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        synth.read_dataset(root).load_trajectory(0)

@@ -338,7 +338,7 @@ def test_soft_gradients_match_finite_differences_ten_params():
 
     def f(pn):
         p = ad.add(ad.mul(pn, scale), params0)[None]
-        r = se3.euler_to_matrix_diff(ad.take(p, (..., slice(0, 3))))
+        r = se3.euler_to_matrix(ad.take(p, (..., slice(0, 3))))
         t = ad.take(p, (..., slice(3, 6)))
         q = ad.concatenate([np.tile(q_first, (1, 1)), ad.take(p, (..., slice(6, 10)))],
                            axis=-1)
@@ -393,10 +393,19 @@ def test_soft_tool_scene_matches_all_pairs(monkeypatch):
     rng = np.random.default_rng(11)
     q = np.stack([visible_config(rng) for _ in range(2)])
     rot = np.repeat(sc.base.rotation[None], 2, axis=0)
-    xy, depths = scene.screen_geometry(sc, rot, np.repeat(sc.base.translation[None], 2, axis=0), q)
-    valid = render.face_validity(depths, sc.faces, sc.camera, "soft")
-    o, o_ref, s_lo = _assert_soft_matches_all_pairs(monkeypatch, ad._val(xy), sc.faces,
-                                                    valid, 64, 64, sc.sigma_r)
+    # the projected vertices and face validity scene.render_masks rasterizes
+    seen = {}
+    soft = render.soft_occupancy
+
+    def record(xy, faces, valid, *rest):
+        seen.update(xy=ad._val(xy), valid=valid)
+        return soft(xy, faces, valid, *rest)
+
+    with monkeypatch.context() as m:
+        m.setattr(render, "soft_occupancy", record)
+        scene.render_masks(sc, rot, np.repeat(sc.base.translation[None], 2, axis=0), q, "soft")
+    o, o_ref, s_lo = _assert_soft_matches_all_pairs(monkeypatch, seen["xy"], sc.faces,
+                                                    seen["valid"], 64, 64, sc.sigma_r)
     # farther pixels stay saturated: both within sigmoid(-h^2/sigma_r) of 0 or 1
     assert np.abs(o - o_ref).max() <= 1.01 * s_lo
 

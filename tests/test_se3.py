@@ -91,19 +91,31 @@ def test_wrap_angle():
     np.testing.assert_allclose(se3.wrap_angle(0.5), 0.5)
 
 
-def test_rotation_about_axis_diff_matches_plain():
-    th = RNG.uniform(-np.pi, np.pi, size=(5,))
-    batch = se3.rotation_about_axis_diff([0, 0, 1], th)
-    for i, a in enumerate(th):
-        np.testing.assert_allclose(batch[i], se3.rotation_about_axis([0, 0, 1], a), atol=1e-12)
+def test_rotation_about_axis_batched_matches_scipy_rotvec():
+    axis = RNG.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    th = RNG.uniform(-np.pi, np.pi, size=(4, 5))
+    batch = se3.rotation_about_axis(axis, th)
+    assert batch.shape == (4, 5, 3, 3)
+    ref = Rotation.from_rotvec(th.reshape(-1, 1) * axis).as_matrix()
+    np.testing.assert_allclose(batch.reshape(-1, 3, 3), ref, atol=1e-12)
+    np.testing.assert_array_equal(se3.rotation_about_axis(axis, th[1, 2]), batch[1, 2])
 
 
-def test_euler_to_matrix_diff_gradients():
+def test_euler_to_matrix_batched_matches_single():
+    e = RNG.uniform(-np.pi, np.pi, size=(3, 4, 3))
+    batch = se3.euler_to_matrix(e)
+    assert batch.shape == (3, 4, 3, 3)
+    for idx in np.ndindex(3, 4):
+        np.testing.assert_array_equal(batch[idx], se3.euler_to_matrix(e[idx]))
+
+
+def test_euler_to_matrix_gradients():
     e0 = RNG.uniform(-1.0, 1.0, size=(2, 3))
     w = RNG.normal(size=(2, 3, 3))
 
     def f(e):
-        return ad.reduce_sum(ad.mul(se3.euler_to_matrix_diff(e), w))
+        return ad.reduce_sum(ad.mul(se3.euler_to_matrix(e), w))
 
     rep = ad.finite_diff_check(f, e0, epsilon=1e-6, tolerance=1e-6)
     assert rep.passed, rep
