@@ -70,8 +70,9 @@ class Tape:
 class DiffValue:
     """A value (scalar or dense array) tracked on a tape.
 
-    ``value`` is always a numpy array (0-d for scalars). A DiffValue with
-    ``requires_grad`` references a live tape node by id.
+    ``value`` is always a numpy array (0-d for scalars); ``nid`` is its node
+    on ``tape``. A DiffValue has no operators: arithmetic goes through the
+    functional ops of this module, which also accept plain arrays.
     """
 
     __slots__ = ("value", "tape", "nid")
@@ -81,80 +82,13 @@ class DiffValue:
         self.tape = tape
         self.nid = nid
 
-    @property
-    def shape(self):
-        return self.value.shape
-
-    @property
-    def ndim(self):
-        return self.value.ndim
-
-    @property
-    def requires_grad(self) -> bool:
-        return self.tape is not None
-
     def __repr__(self):
         return f"DiffValue(shape={self.value.shape}, nid={self.nid})"
 
-    # arithmetic sugar; all dispatch to the functional ops below
-    def __add__(self, other):
-        return add(self, other)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def __getitem__(self, idx):
-        return take(self, idx)
-
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-
-def leaf(tape: Tape, value, requires_grad: bool = True):
+def leaf(tape: Tape, value):
     """Lift a numpy value onto the tape as a differentiable float64 leaf."""
-    arr = np.asarray(value, dtype=np.float64)
-    if not requires_grad:
-        return arr
-    return tape.add_leaf(arr)
+    return tape.add_leaf(np.asarray(value, dtype=np.float64))
 
 
 def _is_dv(x) -> bool:
@@ -446,7 +380,7 @@ def from_op(out_value: np.ndarray, parents: list, vjp):
 # backward / finite_diff_check
 
 def backward(loss) -> dict[int, np.ndarray]:
-    """Gradients of a scalar loss w.r.t. every requires-grad leaf.
+    """Gradients of a scalar loss w.r.t. each leaf it depends on.
 
     Returns a map node-id -> gradient array. Fan-out accumulates by
     summation; nodes are visited exactly once, in reverse tape order.

@@ -84,7 +84,11 @@ def _loss_and_grad(scene: ToolScene, theta: np.ndarray, q_first3: np.ndarray,
 def optimize_frame(scene: ToolScene, init: np.ndarray, m_ref: np.ndarray,
                    kp_ref: np.ndarray, q_first3: np.ndarray,
                    config: BaselineConfig) -> tuple[np.ndarray, int, float, bool]:
-    """Returns (best parameters, iterations used, best loss, failed flag)."""
+    """Returns (best parameters, iterations used, best loss, failed flag).
+
+    An iteration whose loss or gradient is not finite halves the step; five
+    in a row end the frame as failed.
+    """
     if not np.all(np.isfinite(init)):
         raise ValueError("initial parameters must be finite")
     alpha, threshold = config.resolve(scene.camera)
@@ -108,7 +112,7 @@ def optimize_frame(scene: ToolScene, init: np.ndarray, m_ref: np.ndarray,
             best_loss, best_theta = loss, theta.copy()
         if loss <= threshold:
             return best_theta, iterations, best_loss, False
-        if grad is None or not np.all(np.isfinite(grad)):
+        if not np.isfinite(loss) or grad is None or not np.all(np.isfinite(grad)):
             factor *= 0.5
             consecutive_failures += 1
             if consecutive_failures >= 5:
@@ -131,10 +135,18 @@ def track_trajectory(scene: ToolScene, theta_noisy: np.ndarray,
 
     theta_noisy: (N, 10) noisy parametrization per frame; masks_ref: (N,H,W);
     keypoints_ref: (N,6,2). Returns (theta series (N,10), iteration counts,
-    final losses, failure flags).
+    final losses, failure flags). Raises ValueError naming the first frame
+    with a non-finite input.
     """
     config = config or BaselineConfig()
     n = len(theta_noisy)
+    inputs = {"theta": theta_noisy, "joints": q_noisy_full, "mask": masks_ref,
+              "keypoints": keypoints_ref}
+    bad = np.stack([~np.isfinite(a).reshape(n, -1).all(axis=1) for a in inputs.values()])
+    frames = np.flatnonzero(bad.any(axis=0))
+    if len(frames):
+        names = [k for k, b in zip(inputs, bad[:, frames[0]]) if b]
+        raise ValueError(f"frame {frames[0]}: non-finite {' and '.join(names)}")
     out = np.empty((n, 10))
     iters = np.empty(n, dtype=int)
     losses = np.empty(n)

@@ -211,7 +211,16 @@ def read_chain(path) -> KinematicChain:
         data = yaml.safe_load(path.read_text())
     except OSError as exc:
         raise FileNotFoundError(f"chain file not readable: {path}") from exc
-    return chain_from_dict(data)
+    except yaml.YAMLError as exc:
+        raise ValueError(f"{path}: not valid YAML") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: not a YAML mapping")
+    try:
+        return chain_from_dict(data)
+    except KeyError as exc:
+        raise ValueError(f"{path}: no {exc} entry") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,11 @@ class TriMesh:
         object.__setattr__(self, "faces", np.asarray(self.faces, dtype=np.int64).reshape(-1, 3))
 
     def validate(self) -> None:
-        if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= len(self.vertices)):
+        if not len(self.faces):
+            raise ValueError("mesh has no faces")
+        if not np.all(np.isfinite(self.vertices)):
+            raise ValueError("non-finite vertex coordinate")
+        if self.faces.min() < 0 or self.faces.max() >= len(self.vertices):
             raise ValueError("face indices out of range")
         tri = self.vertices[self.faces]
         areas = 0.5 * np.linalg.norm(
@@ -51,15 +55,21 @@ def read_mesh(path) -> TriMesh:
         parts = line.split()
         if not parts or parts[0].startswith("#"):
             continue
-        if parts[0] == "v" and len(parts) == 4:
-            verts.append([float(v) for v in parts[1:]])
-        elif parts[0] == "f" and len(parts) == 4:
-            faces.append([int(v) - 1 for v in parts[1:]])
-        else:
-            raise ValueError(f"{path}:{ln}: unrecognized record {parts[0]!r}")
+        try:
+            if parts[0] == "v" and len(parts) == 4:
+                verts.append([float(v) for v in parts[1:]])
+            elif parts[0] == "f" and len(parts) == 4:
+                faces.append([int(v) - 1 for v in parts[1:]])
+            else:
+                raise ValueError(f"unrecognized record {parts[0]!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: {exc}") from None
     mesh = TriMesh(np.array(verts, dtype=float).reshape(-1, 3),
                    np.array(faces, dtype=np.int64).reshape(-1, 3))
-    mesh.validate()
+    try:
+        mesh.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return mesh
 
 

@@ -50,18 +50,6 @@ class PoseSeries:
         return np.array([se3.matrix_to_euler(r)[0] for r in self.rotations])
 
 
-def hand_eye(base_estimate: se3.RigidTransform, q_noisy: np.ndarray,
-             q_corrected_visible: np.ndarray, chain: kin.KinematicChain) -> se3.RigidTransform:
-    """Camera-frame end-effector pose: base estimate composed with FK where
-    joints 1-3 are the noisy readings and 4-7 the corrected values."""
-    q = np.asarray(q_noisy, dtype=float).copy()
-    q[VISIBLE_SLICE] = q_corrected_visible
-    links = kin.forward_kinematics(chain, base_estimate.rotation[None],
-                                   base_estimate.translation[None], q[None])
-    r, t = links[-1]
-    return se3.RigidTransform(r[0], t[0])
-
-
 def series_from_params(chain, theta: np.ndarray, q_noisy: np.ndarray,
                        times: np.ndarray, tag: str,
                        iters: np.ndarray | None = None) -> PoseSeries:

@@ -106,24 +106,6 @@ def project(camera: PinholeCamera, points):
     return ad.stack([u, v], axis=-1), behind
 
 
-@dataclass(frozen=True)
-class SilhouetteImage:
-    pixels: np.ndarray  # (H, W) in [0, 1]
-    kind: str           # "hard" | "soft"
-
-    def __post_init__(self):
-        object.__setattr__(self, "pixels", np.asarray(self.pixels, dtype=float))
-        if self.kind not in ("hard", "soft"):
-            raise ValueError(f"unknown mask kind {self.kind!r}")
-
-    def validate(self) -> None:
-        p = self.pixels
-        if p.min() < 0.0 or p.max() > 1.0:
-            raise ValueError("mask values outside [0, 1]")
-        if self.kind == "hard" and not np.all((p == 0.0) | (p == 1.0)):
-            raise ValueError("hard mask contains non-binary values")
-
-
 # ---------------------------------------------------------------------------
 # pixel-triangle pair enumeration
 
@@ -417,7 +399,8 @@ def soft_occupancy(verts2d, faces: np.ndarray, valid: np.ndarray,
     def vjp(g):
         gz = g.reshape(-1)[pix]
         w = np.concatenate([gz * wa[:, 0], gz * wa[:, 1], gz * wb[:, 0], gz * wb[:, 1]])
-        grad = np.bincount(idx, weights=w, minlength=B * V * 2)
+        # an empty ``weights`` makes bincount return int64
+        grad = np.bincount(idx, weights=w, minlength=B * V * 2).astype(np.float64, copy=False)
         grad[bad] = np.nan
         return (grad.reshape(B, V, 2),)
 
@@ -443,17 +426,23 @@ def default_sigma_r(width: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# mask files: 8-bit binary PGM
+# mask files: 8-bit binary PGM, 0 (background) or 255 (tool) per pixel
 
-def write_pgm(path, image: SilhouetteImage) -> None:
-    data = np.round(np.clip(image.pixels, 0.0, 1.0) * 255.0).astype(np.uint8)
+def write_pgm(path, mask: np.ndarray) -> None:
+    """Write an (H, W) {0, 1} mask as 0/255 bytes."""
+    data = np.where(mask, 255, 0).astype(np.uint8)
     h, w = data.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode())
         fh.write(data.tobytes())
 
 
-def read_pgm(path, kind: str | None = None) -> SilhouetteImage:
+def read_pgm(path) -> np.ndarray:
+    """Read a mask written by :func:`write_pgm` as (H, W) uint8 {0, 1}.
+
+    Raises ValueError naming the path for a malformed header, a short
+    payload or a byte other than 0 and 255.
+    """
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -472,8 +461,7 @@ def read_pgm(path, kind: str | None = None) -> SilhouetteImage:
     body = parts[3]
     if maxval != 255 or len(body) < w * h:
         raise ValueError(f"{path}: unsupported or truncated PGM payload")
-    pix = np.frombuffer(body[: w * h], dtype=np.uint8).reshape(h, w) / 255.0
-    if kind is None:
-        kind = "hard" if np.all((pix == 0.0) | (pix == 1.0)) else "soft"
-    return SilhouetteImage(pix, kind)
-
+    pix = np.frombuffer(body[: w * h], dtype=np.uint8).reshape(h, w)
+    if not np.all((pix == 0) | (pix == 255)):
+        raise ValueError(f"{path}: mask holds a value other than 0 and 255")
+    return (pix == 255).astype(np.uint8)

@@ -12,7 +12,7 @@ soft silhouette and the keypoints are differentiable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -50,10 +50,10 @@ class ToolScene:
     base: se3.RigidTransform
     camera: render.PinholeCamera
 
-    # flattened geometry, derived once
-    verts_local: np.ndarray = None    # (V, 3)
-    faces: np.ndarray = None          # (T, 3)
-    vert_slices: tuple = None         # [(joint_index, lo, hi)] vertex ranges
+    # flattened geometry, derived once from chain and meshes
+    verts_local: np.ndarray = field(init=False)    # (V, 3)
+    faces: np.ndarray = field(init=False)          # (T, 3)
+    vert_slices: tuple = field(init=False)         # [(joint_index, lo, hi)] vertex ranges
 
     def __post_init__(self):
         verts, faces, slices = [], [], []

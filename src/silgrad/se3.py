@@ -19,7 +19,6 @@ import numpy as np
 
 from . import autodiff as ad
 
-_ORTHO_TOL = 1e-9
 _EYE3 = np.eye(3)
 
 

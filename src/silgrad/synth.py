@@ -23,7 +23,7 @@ Dataset directory layout::
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -65,12 +65,6 @@ class NoiseSpec:
         }
 
     @staticmethod
-    def from_dict(d: dict) -> "NoiseSpec":
-        return NoiseSpec(np.asarray(d["transform_translation_halfwidth"]),
-                         np.asarray(d["transform_euler_halfwidth"]),
-                         np.asarray(d["joint_sigma"]))
-
-    @staticmethod
     def zero() -> "NoiseSpec":
         return NoiseSpec(np.zeros(3), np.zeros(3), np.zeros(7))
 
@@ -86,15 +80,15 @@ def default_noise_spec() -> NoiseSpec:
 
 @dataclass
 class TrajectoryRecord:
-    frame_rate: float
-    times: np.ndarray          # (N,)
+    """One trajectory's frames, as generated or as read back from disk."""
+
+    times: np.ndarray          # (N,) seconds at FRAME_RATE
     q_true: np.ndarray         # (N, 7)
     q_noisy: np.ndarray        # (N, 7)
     base_true: se3.RigidTransform    # constant over the trajectory
     base_noisy: se3.RigidTransform   # sampled once per trajectory
     masks: np.ndarray          # (N, H, W) uint8 in {0, 1}, rendered at truth
     keypoints: np.ndarray      # (N, 6, 2) float32, projected at truth
-    seed: int                  # stream index under the dataset's global seed
 
     @property
     def num_frames(self) -> int:
@@ -206,13 +200,11 @@ def render_truth(scene: ToolScene, base: se3.RigidTransform,
     return masks, kps
 
 
-def generate_trajectory(duration_s: float, scene: ToolScene, noise: NoiseSpec,
-                        global_seed: int, index: int = 0,
-                        frame_rate: float = FRAME_RATE,
-                        frames_override: int | None = None) -> TrajectoryRecord:
+def generate_trajectory(frames: int, scene: ToolScene, noise: NoiseSpec,
+                        global_seed: int, index: int = 0) -> TrajectoryRecord:
+    """``frames`` frames at FRAME_RATE from stream ``index`` of ``global_seed``."""
     rng = rng_stream(global_seed, index)
-    n = frames_override if frames_override is not None else int(round(duration_s * frame_rate))
-    if n < 1:
+    if frames < 1:
         raise ValueError("trajectory must contain at least one frame")
 
     base_true = scene.base
@@ -225,21 +217,19 @@ def generate_trajectory(duration_s: float, scene: ToolScene, noise: NoiseSpec,
     base_noisy = se3.euler_to_transform(se3.EulerPose(pose.euler + d_euler,
                                                       pose.translation + d_trans))
 
-    q_true = _joint_path(scene, n, rng)
-    jn = rng.standard_normal((n, scene.chain.num_joints)) * noise.joint_sigma
+    q_true = _joint_path(scene, frames, rng)
+    jn = rng.standard_normal((frames, scene.chain.num_joints)) * noise.joint_sigma
     q_noisy = q_true + jn
 
     masks, kps = render_truth(scene, base_true, q_true)
     return TrajectoryRecord(
-        frame_rate=frame_rate,
-        times=np.arange(n, dtype=float) / frame_rate,
+        times=np.arange(frames, dtype=float) / FRAME_RATE,
         q_true=q_true,
         q_noisy=q_noisy,
         base_true=base_true,
         base_noisy=base_noisy,
         masks=masks,
         keypoints=kps,
-        seed=index,
     )
 
 
@@ -271,23 +261,19 @@ def write_trajectory(traj_dir, rec: TrajectoryRecord) -> None:
         body[:, _FRAME_F64 * 8:] = kp.view(np.uint8).reshape(n, -1)
         fh.write(body.tobytes())
     for i in range(n):
-        render.write_pgm(traj_dir / f"mask_{i:04d}.pgm",
-                         render.SilhouetteImage(rec.masks[i].astype(float), "hard"))
+        render.write_pgm(traj_dir / f"mask_{i:04d}.pgm", rec.masks[i])
 
 
 def _read_mask(path: Path, shape: tuple | None) -> np.ndarray:
     """One ground-truth mask as uint8 {0, 1}; ``shape`` is the first mask's."""
-    pixels = render.read_pgm(path, kind="hard").pixels
-    if shape is not None and pixels.shape != shape:
-        raise ValueError(f"{path}: mask is {pixels.shape[1]}x{pixels.shape[0]}, "
+    mask = render.read_pgm(path)
+    if shape is not None and mask.shape != shape:
+        raise ValueError(f"{path}: mask is {mask.shape[1]}x{mask.shape[0]}, "
                          f"the first mask is {shape[1]}x{shape[0]}")
-    if not np.all((pixels == 0.0) | (pixels == 1.0)):
-        raise ValueError(f"{path}: mask holds a value other than 0 and 255")
-    return pixels.astype(np.uint8)
+    return mask
 
 
-def read_trajectory(traj_dir, frame_rate: float = FRAME_RATE,
-                    seed: int = 0) -> TrajectoryRecord:
+def read_trajectory(traj_dir) -> TrajectoryRecord:
     traj_dir = Path(traj_dir)
     path = traj_dir / "frames.bin"
     try:
@@ -315,7 +301,6 @@ def read_trajectory(traj_dir, frame_rate: float = FRAME_RATE,
     for i in range(1, n):
         masks.append(_read_mask(traj_dir / f"mask_{i:04d}.pgm", masks[0].shape))
     return TrajectoryRecord(
-        frame_rate=frame_rate,
         times=f64[:, 0].copy(),
         q_true=f64[:, 1:8].copy(),
         q_noisy=f64[:, 8:15].copy(),
@@ -323,7 +308,6 @@ def read_trajectory(traj_dir, frame_rate: float = FRAME_RATE,
         base_noisy=_unpack_transform(base_noisy_rows[0]),
         masks=np.stack(masks),
         keypoints=np.ascontiguousarray(kp),
-        seed=seed,
     )
 
 
@@ -341,28 +325,12 @@ class Dataset:
         return self.root / f"traj_{i:04d}"
 
     def load_trajectory(self, i: int) -> TrajectoryRecord:
-        rec = read_trajectory(self.trajectory_dir(i),
-                              frame_rate=float(self.manifest["frame_rate"]), seed=i)
+        rec = read_trajectory(self.trajectory_dir(i))
         want = int(self.manifest["frames_per_trajectory"])
         if rec.num_frames != want:
             raise ValueError(f"{self.trajectory_dir(i) / 'frames.bin'}: {rec.num_frames} "
                              f"frames, the manifest says {want}")
         return rec
-
-    def noise(self) -> NoiseSpec:
-        return NoiseSpec.from_dict(self.manifest["noise"])
-
-
-def _camera_dict(cam: render.PinholeCamera) -> dict:
-    return {"fx": cam.fx, "fy": cam.fy, "cx": cam.cx, "cy": cam.cy,
-            "width": cam.width, "height": cam.height,
-            "near": cam.near, "far": cam.far}
-
-
-def _camera_from_dict(d: dict) -> render.PinholeCamera:
-    return render.PinholeCamera(d["fx"], d["fy"], d["cx"], d["cy"],
-                                int(d["width"]), int(d["height"]),
-                                d["near"], d["far"])
 
 
 def generate_dataset(out_dir, split: str, trajectories: int, duration_s: float,
@@ -387,7 +355,7 @@ def generate_dataset(out_dir, split: str, trajectories: int, duration_s: float,
         "frames_per_trajectory": int(frames),
         "frame_rate": FRAME_RATE,
         "duration_s": float(duration_s),
-        "camera": _camera_dict(scene.camera),
+        "camera": asdict(scene.camera),
         "chain": f"assets/{Path('psm_simplified.yaml')}",
         "noise": noise.to_dict(),
         "seed": int(seed),
@@ -395,8 +363,7 @@ def generate_dataset(out_dir, split: str, trajectories: int, duration_s: float,
     (out / "manifest").write_text(yaml.safe_dump(manifest, sort_keys=False))
 
     def build(i: int):
-        rec = generate_trajectory(duration_s, scene, noise, seed, index=i,
-                                  frames_override=frames)
+        rec = generate_trajectory(frames, scene, noise, seed, index=i)
         write_trajectory(out / f"traj_{i:04d}", rec)
 
     if threads > 1:
@@ -415,9 +382,20 @@ def read_dataset(root) -> Dataset:
         manifest = yaml.safe_load(path.read_text())
     except OSError as exc:
         raise FileNotFoundError(f"dataset manifest missing: {path}") from exc
-    if manifest["trajectories"] < 1 or manifest["frames_per_trajectory"] < 1:
-        raise ValueError(f"{path}: counts must be positive")
-    camera = _camera_from_dict(manifest["camera"])
+    except yaml.YAMLError as exc:
+        raise ValueError(f"{path}: not valid YAML") from exc
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: not a YAML mapping")
+    for key in ("trajectories", "frames_per_trajectory", "camera", "chain"):
+        if key not in manifest:
+            raise ValueError(f"{path}: no {key!r} entry")
+    for key in ("trajectories", "frames_per_trajectory"):
+        if not isinstance(manifest[key], int) or manifest[key] < 1:
+            raise ValueError(f"{path}: {key} must be a positive integer")
+    try:
+        camera = render.PinholeCamera(**manifest["camera"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: camera: {exc}") from None
     chain_path = root / manifest["chain"]
     if not chain_path.exists():
         raise FileNotFoundError(f"dataset chain file missing: {chain_path}")

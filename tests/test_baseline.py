@@ -63,6 +63,32 @@ def test_rejects_nonfinite_init(tiny_store):
                           store.q_first3[0], bl.BaselineConfig())
 
 
+def test_nonfinite_loss_counts_as_failure(tiny_store):
+    # a NaN pixel far from the tool makes the loss NaN while the gradient,
+    # which only reads pixels near the outline, stays finite
+    store = tiny_store
+    m_ref = store.masks_ref[0].astype(float)
+    m_ref[0, 0] = np.nan
+    cfg = bl.BaselineConfig(max_iterations=20)
+    theta, iters, loss, failed = bl.optimize_frame(
+        store.scene, store.theta_noisy[0], m_ref, store.keypoints[0],
+        store.q_first3[0], cfg)
+    assert failed
+    assert iters == 5
+    np.testing.assert_array_equal(theta, store.theta_noisy[0])
+
+
+@pytest.mark.parametrize("name", ["theta", "joints", "mask", "keypoints"])
+def test_track_trajectory_names_nonfinite_frame(tiny_store, name):
+    store = tiny_store
+    inputs = {"theta": store.theta_noisy[:3].copy(), "joints": store.q_noisy_full[:3].copy(),
+              "mask": store.masks_ref[:3].astype(float), "keypoints": store.keypoints[:3].copy()}
+    inputs[name][1].flat[5] = np.nan
+    with pytest.raises(ValueError, match=f"frame 1: non-finite {name}"):
+        bl.track_trajectory(store.scene, inputs["theta"], inputs["joints"], inputs["mask"],
+                            inputs["keypoints"], bl.BaselineConfig())
+
+
 def test_local_convergence_translation_only(tiny_store):
     # noiseless frame perturbed 5 mm in translation: recover to < 1 mm
     store = tiny_store

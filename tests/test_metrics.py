@@ -26,18 +26,39 @@ def make_series(n=90, tag="truth", seed=0, fs=30.0):
 
 # ----------------------------------------------------------------- hand-eye
 
+def hand_eye(base, q_noisy, q_visible):
+    """One frame's end-effector pose as series_from_params gives it: joints
+    1-3 from ``q_noisy``, 4-7 from ``q_visible``."""
+    pose, _ = se3.transform_to_euler(base)
+    theta = np.concatenate([pose.as_vector(), q_visible])[None]
+    s = metrics.series_from_params(CHAIN, theta, q_noisy[None], np.zeros(1), "x")
+    return se3.RigidTransform(s.rotations[0], s.translations[0])
+
+
+def compose_chain(base, q):
+    """The end-effector pose as a product of rigid transforms, one offset and
+    one motion per joint: a reference that does not run forward_kinematics."""
+    acc = base
+    for joint, qi in zip(CHAIN.joints, q):
+        if joint.kind == kin.REVOLUTE:
+            motion = se3.RigidTransform(se3.rotation_about_axis(joint.axis, qi), np.zeros(3))
+        else:
+            motion = se3.RigidTransform(np.eye(3), joint.axis * qi)
+        acc = se3.compose(se3.compose(acc, joint.offset), motion)
+    return acc
+
+
 def test_hand_eye_zero_noise_is_exact():
     base = se3.RigidTransform(se3.rotation_about_axis([0, 1, 0], 0.4), [0.06, 0.05, 0.04])
     q = np.array([0.1, -0.2, 0.15, 0.5, 0.2, -0.3, 0.6])
-    direct = kin.forward_kinematics(CHAIN, base.rotation[None], base.translation[None],
-                                    q[None])[-1]
-    he = metrics.hand_eye(base, q, q[3:7], CHAIN)
-    np.testing.assert_allclose(he.rotation, direct[0][0], atol=1e-9)
-    np.testing.assert_allclose(he.translation, direct[1][0], atol=1e-9)
+    direct = compose_chain(base, q)
+    he = hand_eye(base, q, q[3:7])
+    np.testing.assert_allclose(he.rotation, direct.rotation, atol=1e-9)
+    np.testing.assert_allclose(he.translation, direct.translation, atol=1e-9)
 
 
 def test_hand_eye_identity_base_zero_joints():
-    he = metrics.hand_eye(se3.RigidTransform.identity(), np.zeros(7), np.zeros(4), CHAIN)
+    he = hand_eye(se3.RigidTransform.identity(), np.zeros(7), np.zeros(4))
     acc = se3.RigidTransform.identity()
     for j in CHAIN.joints:
         acc = se3.compose(acc, j.offset)
@@ -49,10 +70,9 @@ def test_hand_eye_isolates_single_noisy_joint():
     q_true = np.array([0.2, -0.1, 0.12, 0.3, 0.1, -0.2, 0.5])
     q_noisy = q_true.copy()
     q_noisy[0] += 0.01  # only joint 1 perturbed
-    he = metrics.hand_eye(base, q_noisy, q_true[3:7], CHAIN)
-    expect = kin.forward_kinematics(CHAIN, base.rotation[None], base.translation[None],
-                                    q_noisy[None])[-1]
-    np.testing.assert_allclose(he.translation, expect[1][0], atol=1e-12)
+    he = hand_eye(base, q_noisy, q_true[3:7])
+    expect = compose_chain(base, q_noisy)
+    np.testing.assert_allclose(he.translation, expect.translation, atol=1e-12)
 
 
 # ------------------------------------------------------------------- filter
@@ -239,7 +259,7 @@ def test_series_from_params_matches_hand_eye():
     theta = np.concatenate([np.tile(pose.as_vector(), (5, 1)),
                             q_noisy[:, 3:7] + 0.01], axis=1)
     s = metrics.series_from_params(CHAIN, theta, q_noisy, np.arange(5) / 30.0, "corrected")
-    he = metrics.hand_eye(base, q_noisy[2], theta[2, 6:10], CHAIN)
+    he = compose_chain(base, np.concatenate([q_noisy[2, :3], theta[2, 6:10]]))
     np.testing.assert_allclose(s.translations[2], he.translation, atol=1e-9)
     np.testing.assert_allclose(s.rotations[2], he.rotation, atol=1e-9)
 

@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from silgrad import metrics, render, scene, synth, vit
+from silgrad import kinematics, mesh, metrics, render, scene, synth, vit
 
 
 def _weights(tmp_path):
@@ -18,7 +18,19 @@ def _weights(tmp_path):
 
 def _pgm(tmp_path):
     p = tmp_path / "ref.pgm"
-    render.write_pgm(p, render.SilhouetteImage(np.ones((4, 4)), "hard"))
+    render.write_pgm(p, np.ones((4, 4), dtype=np.uint8))
+    return p.read_bytes()
+
+
+def _mesh(tmp_path):
+    p = tmp_path / "ref.mesh"
+    mesh.write_mesh(p, mesh.box(0.01, 0.01, 0.0, 0.02))
+    return p.read_bytes()
+
+
+def _chain(tmp_path):
+    p = tmp_path / "ref.yaml"
+    kinematics.write_chain(p, kinematics.reference_chain())
     return p.read_bytes()
 
 
@@ -55,6 +67,18 @@ CASES = {
     "pgm-short-payload": (render.read_pgm, _pgm, lambda b: b[:-3], ValueError),
     "pgm-magic": (render.read_pgm, _pgm, lambda b: b"P2" + b[2:], ValueError),
     "pgm-missing": (render.read_pgm, _pgm, None, FileNotFoundError),
+    "pgm-value-128": (render.read_pgm, _pgm, lambda b: b[:-1] + bytes([128]), ValueError),
+    "mesh-nan-vertex": (mesh.read_mesh, _mesh, _row(1, lambda r: b"v nan 0 0"), ValueError),
+    "mesh-empty": (mesh.read_mesh, _mesh, lambda b: b"", ValueError),
+    "mesh-face-index": (mesh.read_mesh, _mesh, lambda b: b + b"f 1 2 999\n", ValueError),
+    "mesh-not-a-number": (mesh.read_mesh, _mesh, lambda b: b.replace(b"v ", b"v x", 1),
+                          ValueError),
+    "chain-missing-key": (kinematics.read_chain, _chain,
+                          lambda b: b.replace(b"limits:", b"limitz:", 1), ValueError),
+    "chain-empty": (kinematics.read_chain, _chain, lambda b: b"", ValueError),
+    "chain-joint-kind": (kinematics.read_chain, _chain,
+                         lambda b: b.replace(b"kind: revolute", b"kind: spherical", 1),
+                         ValueError),
     "pose-csv-short-row": (metrics.read_pose_csv, _pose_csv,
                            _row(3, lambda r: r.rsplit(b",", 1)[0]), ValueError),
     "pose-csv-not-a-number": (metrics.read_pose_csv, _pose_csv,
@@ -64,6 +88,7 @@ CASES = {
 }
 # what the message must name right after the path, beyond the path itself
 AFTER_PATH = {case: ", line 3:" for case in CASES if case.startswith("pose-csv")}
+AFTER_PATH["mesh-not-a-number"] = ":1:"
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -88,13 +113,19 @@ def _nan_at(offset):
     return lambda b: b[:offset] + np.float64(np.nan).tobytes() + b[offset + 8:]
 
 
-# name: (file in the trajectory directory, corruption of its bytes)
+# name: (file under the dataset root, corruption of its bytes)
 TRAJECTORY_CASES = {
-    "mask-value-128": ("mask_0001.pgm", lambda b: b[:-1] + bytes([128])),
-    "mask-size": ("mask_0002.pgm", lambda b: b.replace(b"\n64 64\n", b"\n32 64\n", 1)),
-    "frames-nan": ("frames.bin", _nan_at(synth._FRAME_BYTES + 8)),
-    "frames-count": ("frames.bin", lambda b: b[:-synth._FRAME_BYTES]),
-    "frames-empty": ("frames.bin", lambda b: b""),
+    "mask-value-128": ("traj_0000/mask_0001.pgm", lambda b: b[:-1] + bytes([128])),
+    "mask-size": ("traj_0000/mask_0002.pgm",
+                  lambda b: b.replace(b"\n64 64\n", b"\n32 64\n", 1)),
+    "frames-nan": ("traj_0000/frames.bin", _nan_at(synth._FRAME_BYTES + 8)),
+    "frames-count": ("traj_0000/frames.bin", lambda b: b[:-synth._FRAME_BYTES]),
+    "frames-empty": ("traj_0000/frames.bin", lambda b: b""),
+    "manifest-missing-key": ("manifest",
+                             lambda b: b.replace(b"trajectories:", b"trajectoriez:", 1)),
+    "manifest-empty": ("manifest", lambda b: b""),
+    "manifest-count-not-a-number": ("manifest", lambda b: b.replace(
+        b"frames_per_trajectory: 3", b"frames_per_trajectory: three", 1)),
 }
 
 
@@ -103,7 +134,7 @@ def test_corrupt_trajectory_raises_with_path(tmp_path, dataset, case):
     name, corrupt = TRAJECTORY_CASES[case]
     root = tmp_path / "dataset"
     shutil.copytree(dataset, root)
-    path = root / "traj_0000" / name
+    path = root / name
     path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(ValueError, match=re.escape(str(path))):
         synth.read_dataset(root).load_trajectory(0)

@@ -47,7 +47,7 @@ def test_sample_target_errors_when_camera_looks_away():
 
 
 def test_trajectory_frame_count_and_structure():
-    rec = synth.generate_trajectory(2.0, SCENE, synth.default_noise_spec(), 5)
+    rec = synth.generate_trajectory(60, SCENE, synth.default_noise_spec(), 5)
     assert rec.num_frames == 60
     assert rec.masks.shape == (60, 64, 64)
     assert rec.keypoints.shape == (60, 6, 2)
@@ -61,30 +61,30 @@ def test_duration_30s_gives_900_frames():
 
 
 def test_zero_noise_reproduces_truth_exactly():
-    rec = synth.generate_trajectory(1.0, SCENE, synth.NoiseSpec.zero(), 3)
+    rec = synth.generate_trajectory(30, SCENE, synth.NoiseSpec.zero(), 3)
     np.testing.assert_array_equal(rec.q_noisy, rec.q_true)
     assert rec.base_noisy.allclose(rec.base_true, atol=0.0)
 
 
 def test_trajectory_determinism_same_seed():
-    a = synth.generate_trajectory(1.5, SCENE, synth.default_noise_spec(), 42, index=7)
-    b = synth.generate_trajectory(1.5, SCENE, synth.default_noise_spec(), 42, index=7)
+    a = synth.generate_trajectory(45, SCENE, synth.default_noise_spec(), 42, index=7)
+    b = synth.generate_trajectory(45, SCENE, synth.default_noise_spec(), 42, index=7)
     assert np.array_equal(a.q_true, b.q_true)
     assert np.array_equal(a.q_noisy, b.q_noisy)
     assert np.array_equal(a.masks, b.masks)
     assert np.array_equal(a.keypoints, b.keypoints)
     assert a.base_noisy.allclose(b.base_noisy, atol=0.0)
-    c = synth.generate_trajectory(1.5, SCENE, synth.default_noise_spec(), 42, index=8)
+    c = synth.generate_trajectory(45, SCENE, synth.default_noise_spec(), 42, index=8)
     assert not np.array_equal(a.q_true, c.q_true)
 
 
 def test_eef_in_image_every_frame():
-    rec = synth.generate_trajectory(3.0, SCENE, synth.default_noise_spec(), 9)
+    rec = synth.generate_trajectory(90, SCENE, synth.default_noise_spec(), 9)
     assert synth._segment_in_view(SCENE, rec.q_true)
 
 
 def test_segment_stitching_continuous():
-    rec = synth.generate_trajectory(4.0, SCENE, synth.NoiseSpec.zero(), 13)
+    rec = synth.generate_trajectory(120, SCENE, synth.NoiseSpec.zero(), 13)
     steps = np.abs(np.diff(rec.q_true, axis=0)).max(axis=1)
     # interior joins deduplicate the shared endpoint: no jump exceeds the
     # largest single interpolation step by construction
@@ -93,7 +93,7 @@ def test_segment_stitching_continuous():
 
 
 def test_masks_match_regenerated_hard_render():
-    rec = synth.generate_trajectory(1.0, SCENE, synth.default_noise_spec(), 21)
+    rec = synth.generate_trajectory(30, SCENE, synth.default_noise_spec(), 21)
     masks, kps = synth.render_truth(SCENE, rec.base_true, rec.q_true)
     np.testing.assert_array_equal(masks, rec.masks)
     np.testing.assert_array_equal(kps, rec.keypoints)
@@ -107,9 +107,9 @@ def test_render_truth_names_nonfinite_frame():
 
 
 def test_round_trip_bit_exact(tmp_path):
-    rec = synth.generate_trajectory(1.0, SCENE, synth.default_noise_spec(), 77, index=3)
+    rec = synth.generate_trajectory(30, SCENE, synth.default_noise_spec(), 77, index=3)
     synth.write_trajectory(tmp_path / "t", rec)
-    back = synth.read_trajectory(tmp_path / "t", seed=3)
+    back = synth.read_trajectory(tmp_path / "t")
     np.testing.assert_array_equal(back.times, rec.times)
     np.testing.assert_array_equal(back.q_true, rec.q_true)
     np.testing.assert_array_equal(back.q_noisy, rec.q_noisy)
