@@ -13,7 +13,6 @@ through the soft rasterizer and forward kinematics into the network.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,8 +62,7 @@ def apply_correction(raw, theta_noisy, k, chain, squash: str = "centered"):
     return ad.concatenate([pose, joints], axis=-1)
 
 
-def render_corrected(scene: ToolScene, theta_hat, q_noisy_first3,
-                     sigma_r: float | None = None):
+def render_corrected(scene: ToolScene, theta_hat, q_noisy_first3):
     """Soft mask (B,H,W) and projected keypoints (B,6,2) at the corrected pose.
 
     Joints 1-3 come from the noisy reading; the corrected vector supplies the
@@ -74,7 +72,7 @@ def render_corrected(scene: ToolScene, theta_hat, q_noisy_first3,
     trans = ad.take(theta_hat, (..., slice(3, 6)))
     q = ad.concatenate([np.asarray(q_noisy_first3, dtype=np.float64),
                         ad.take(theta_hat, (..., slice(6, 10)))], axis=-1)
-    return render_pose(scene, rot, trans, q, "soft", sigma_r)
+    return render_pose(scene, rot, trans, q, "soft")
 
 
 # ---------------------------------------------------------------------------
@@ -126,25 +124,15 @@ def noisy_theta_vector(rec) -> np.ndarray:
     return np.concatenate([head, rec.q_noisy[:, VISIBLE_SLICE]], axis=1)
 
 
-def build_frame_store(ds: Dataset, threads: int = 1, stride: int = 1) -> FrameStore:
+def build_frame_store(ds: Dataset, stride: int = 1) -> FrameStore:
     """Load a split into memory; renders the uncorrected prediction masks."""
     from .synth import render_truth
 
-    def load(i):
-        rec = ds.load_trajectory(i)
+    recs = [ds.load_trajectory(i) for i in range(ds.num_trajectories)]
+    parts = {k: [] for k in ("mr", "mn", "tn", "q3", "qv", "qn", "qt", "kp", "tj", "tm")}
+    for i, rec in enumerate(recs):
         sel = slice(0, rec.num_frames, stride)
         noisy_masks, _ = render_truth(ds.scene, rec.base_noisy, rec.q_noisy[sel])
-        return rec, sel, noisy_masks
-
-    indices = range(ds.num_trajectories)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            loaded = list(pool.map(load, indices))
-    else:
-        loaded = [load(i) for i in indices]
-
-    parts = {k: [] for k in ("mr", "mn", "tn", "q3", "qv", "qn", "qt", "kp", "tj", "tm")}
-    for i, (rec, sel, noisy_masks) in enumerate(loaded):
         parts["mr"].append(rec.masks[sel])
         parts["mn"].append(noisy_masks)
         parts["tn"].append(noisy_theta_vector(rec)[sel])
@@ -166,7 +154,7 @@ def build_frame_store(ds: Dataset, threads: int = 1, stride: int = 1) -> FrameSt
         q_true_full=np.concatenate(parts["qt"]),
         keypoints=np.concatenate(parts["kp"]),
         traj_of=np.concatenate(parts["tj"]),
-        base_true=loaded[0][0].base_true,
+        base_true=recs[0].base_true,
         times=np.concatenate(parts["tm"]),
     )
 
@@ -179,10 +167,10 @@ class CorrectorModel:
     config: vit.VitConfig
     weights: dict
     k: np.ndarray
-    squash: str = "centered"
-    alpha: float = 0.0
-    beta: float = 0.05
-    gamma: float = 500.0
+    squash: str
+    alpha: float
+    beta: float
+    gamma: float
 
     def save(self, path) -> None:
         vit.save_weights(path, self.config, self.weights, extra={
@@ -193,12 +181,19 @@ class CorrectorModel:
 
     @staticmethod
     def load(path) -> "CorrectorModel":
+        """Raises ValueError naming the path for a missing or malformed entry."""
         config, weights, meta = vit.load_weights(path)
-        return CorrectorModel(config, weights, np.asarray(meta["k"]),
-                              meta.get("squash", "centered"),
-                              float(meta.get("alpha", 0.0)),
-                              float(meta.get("beta", 0.05)),
-                              float(meta.get("gamma", 500.0)))
+        for key in ("k", "squash", "alpha", "beta", "gamma"):
+            if key not in meta:
+                raise ValueError(f"{path}: no {key!r} entry")
+        try:
+            k = np.asarray(meta["k"], dtype=np.float64).reshape(10)
+            gains = [float(meta[key]) for key in ("alpha", "beta", "gamma")]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed k or loss weight: {exc}") from exc
+        if meta["squash"] not in ("centered", "literal"):
+            raise ValueError(f"{path}: unknown squashing mode {meta['squash']!r}")
+        return CorrectorModel(config, weights, k, meta["squash"], *gains)
 
 
 def stack_mask_channels(m_ref: np.ndarray, m_noisy: np.ndarray) -> np.ndarray:
@@ -299,7 +294,7 @@ def evaluate_loss(model: CorrectorModel, store: FrameStore, idx: np.ndarray,
 
 
 def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
-          out_dir=None, threads: int = 1, log_fn=print):
+          out_dir=None, log_fn=print):
     """Adam training with early stopping on validation loss.
 
     Returns (model, log) where log holds one record per epoch. Checkpoints
@@ -311,8 +306,8 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
         if (cam.width, cam.height) != (size, size):
             raise ValueError(f"{ds.root}: camera is {cam.width}x{cam.height}, "
                              f"the ViT takes {size}x{size} masks")
-    store = build_frame_store(train_ds, threads=threads)
-    val_store = build_frame_store(val_ds, threads=threads, stride=cfg.val_stride)
+    store = build_frame_store(train_ds)
+    val_store = build_frame_store(val_ds, stride=cfg.val_stride)
     camera = train_ds.scene.camera
     alpha = cfg.alpha if cfg.alpha is not None else default_loss_weights(camera)[0]
     k = default_scale(train_ds.scene.chain)
@@ -373,7 +368,7 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
             best_weights = {name: w.copy() for name, w in weights.items()}
             stale = 0
             if out_dir is not None:
-                model.save(out_dir / "checkpoint.sgwt")
+                model.save(out_dir / "checkpoint.npz")
         else:
             stale += 1
             if stale >= cfg.patience:
@@ -381,5 +376,5 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
 
     model.weights = best_weights
     if out_dir is not None:
-        model.save(out_dir / "model.sgwt")
+        model.save(out_dir / "model.npz")
     return model, log

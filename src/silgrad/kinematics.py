@@ -63,6 +63,10 @@ class KinematicChain:
         for j in self.joints:
             if j.kind not in (REVOLUTE, PRISMATIC):
                 raise ValueError(f"joint {j.name}: unknown kind {j.kind!r}")
+            numbers = np.concatenate([j.offset.rotation.ravel(), j.offset.translation,
+                                      j.axis, [j.lower, j.upper]])
+            if not np.isfinite(numbers).all():
+                raise ValueError(f"joint {j.name}: non-finite offset, axis or limit")
             if abs(np.linalg.norm(j.axis) - 1.0) > 1e-9:
                 raise ValueError(f"joint {j.name}: axis is not unit-norm")
             if not j.lower < j.upper:
@@ -70,6 +74,8 @@ class KinematicChain:
         for k in self.keypoints:
             if not 0 <= k.joint_index < len(self.joints):
                 raise ValueError(f"keypoint references joint {k.joint_index} out of range")
+            if not np.isfinite(k.point).all():
+                raise ValueError(f"keypoint on joint {k.joint_index}: non-finite point")
 
     @property
     def num_joints(self) -> int:

@@ -52,7 +52,6 @@ and exposed as a single fused autodiff op.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -424,44 +423,3 @@ def default_sigma_r(width: int) -> float:
     """Fixed soft-rasterizer temperature: 1e-4 * W^2 square pixels."""
     return 1e-4 * float(width) ** 2
 
-
-# ---------------------------------------------------------------------------
-# mask files: 8-bit binary PGM, 0 (background) or 255 (tool) per pixel
-
-def write_pgm(path, mask: np.ndarray) -> None:
-    """Write an (H, W) {0, 1} mask as 0/255 bytes."""
-    data = np.where(mask, 255, 0).astype(np.uint8)
-    h, w = data.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode())
-        fh.write(data.tobytes())
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read a mask written by :func:`write_pgm` as (H, W) uint8 {0, 1}.
-
-    Raises ValueError naming the path for a malformed header, a short
-    payload or a byte other than 0 and 255.
-    """
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise FileNotFoundError(f"mask file not readable: {path}") from exc
-    parts = raw.split(b"\n", 3)
-    if len(parts) < 4 or parts[0] != b"P5":
-        raise ValueError(f"{path}: not a binary PGM")
-    try:
-        w, h = (int(v) for v in parts[1].split())
-        maxval = int(parts[2])
-    except ValueError as exc:
-        raise ValueError(f"{path}: malformed PGM header") from exc
-    if w <= 0 or h <= 0:
-        raise ValueError(f"{path}: PGM size {w}x{h} is not positive")
-    body = parts[3]
-    if maxval != 255 or len(body) < w * h:
-        raise ValueError(f"{path}: unsupported or truncated PGM payload")
-    pix = np.frombuffer(body[: w * h], dtype=np.uint8).reshape(h, w)
-    if not np.all((pix == 0) | (pix == 255)):
-        raise ValueError(f"{path}: mask holds a value other than 0 and 255")
-    return (pix == 255).astype(np.uint8)

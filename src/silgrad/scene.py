@@ -87,7 +87,7 @@ def reference_scene(image_size: int = 128, camera: render.PinholeCamera | None =
 # ---------------------------------------------------------------------------
 # batched differentiable geometry
 
-def _silhouette(scene: ToolScene, links, mode: str, sigma_r: float | None):
+def _silhouette(scene: ToolScene, links, mode: str):
     """Pose the link meshes, project them and rasterize: (B, H, W)."""
     parts = []
     for ji, lo, hi in scene.vert_slices:
@@ -101,24 +101,22 @@ def _silhouette(scene: ToolScene, links, mode: str, sigma_r: float | None):
     if mode == "hard":
         return render.hard_occupancy(ad._val(xy), scene.faces, valid, cam.width, cam.height)
     return render.soft_occupancy(xy, scene.faces, valid, cam.width, cam.height,
-                                 sigma_r if sigma_r is not None else scene.sigma_r)
+                                 scene.sigma_r)
 
 
-def render_masks(scene: ToolScene, base_rotation, base_translation, q,
-                 mode: str, sigma_r: float | None = None):
+def render_masks(scene: ToolScene, base_rotation, base_translation, q, mode: str):
     """Batched silhouettes (B, H, W): binary union for "hard", differentiable
     soft coverage otherwise."""
     links = kin.forward_kinematics(scene.chain, base_rotation, base_translation, q)
-    return _silhouette(scene, links, mode, sigma_r)
+    return _silhouette(scene, links, mode)
 
 
-def render_pose(scene: ToolScene, base_rotation, base_translation, q,
-                mode: str, sigma_r: float | None = None):
+def render_pose(scene: ToolScene, base_rotation, base_translation, q, mode: str):
     """Silhouettes (B, H, W) as :func:`render_masks` gives them, plus the
     projected keypoints (B, K, 2), from one forward-kinematics pass."""
     links = kin.forward_kinematics(scene.chain, base_rotation, base_translation, q)
     kps, _ = render.project(scene.camera, kin.keypoints_3d(scene.chain, links))
-    return _silhouette(scene, links, mode, sigma_r), kps
+    return _silhouette(scene, links, mode), kps
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,11 @@ Dataset directory layout::
 
     <out>/manifest            YAML: split, counts, camera, chain, noise, seed
     <out>/assets/             chain description + mesh files (self-contained)
-    <out>/traj_0000/frames.bin    per frame, little-endian:
-                                  t f64, q_true 7xf64, q_noisy 7xf64,
-                                  base_true 12xf64 (row-major R then t),
-                                  base_noisy 12xf64, keypoints 12xf32
-    <out>/traj_0000/mask_0000.pgm ground-truth hard masks
+    <out>/traj_0000.npy       one record per frame (numpy .npy, structured):
+                              t f8, q_true 7 f8, q_noisy 7 f8,
+                              base_true 12 f8 (row-major R then t),
+                              base_noisy 12 f8, keypoints (6, 2) f4,
+                              mask (H, W) u1 in {0, 1} (ground truth)
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ SEGMENT_STEPS = 50
 MAX_REJECTIONS = 10000
 _VIEW_MARGIN = 0.1
 _RENDER_SLAB = 128
-
-_FRAME_F64 = 1 + 7 + 7 + 12 + 12
-_FRAME_BYTES = _FRAME_F64 * 8 + 12 * 4
 
 
 @dataclass(frozen=True)
@@ -240,74 +237,69 @@ def _pack_transform(t: se3.RigidTransform) -> np.ndarray:
     return np.concatenate([t.rotation.reshape(9), t.translation])
 
 
-def _unpack_transform(row: np.ndarray) -> se3.RigidTransform:
-    return se3.RigidTransform(row[:9].reshape(3, 3), row[9:12])
+def _frame_dtype(mask_shape: tuple) -> np.dtype:
+    return np.dtype([("t", "<f8"), ("q_true", "<f8", (7,)), ("q_noisy", "<f8", (7,)),
+                     ("base_true", "<f8", (12,)), ("base_noisy", "<f8", (12,)),
+                     ("keypoints", "<f4", (6, 2)), ("mask", "u1", mask_shape)])
 
 
-def write_trajectory(traj_dir, rec: TrajectoryRecord) -> None:
-    traj_dir = Path(traj_dir)
-    traj_dir.mkdir(parents=True, exist_ok=True)
-    n = rec.num_frames
-    f64 = np.empty((n, _FRAME_F64))
-    f64[:, 0] = rec.times
-    f64[:, 1:8] = rec.q_true
-    f64[:, 8:15] = rec.q_noisy
-    f64[:, 15:27] = _pack_transform(rec.base_true)
-    f64[:, 27:39] = _pack_transform(rec.base_noisy)
-    kp = rec.keypoints.reshape(n, 12).astype("<f4")
-    with open(traj_dir / "frames.bin", "wb") as fh:
-        body = np.empty((n, _FRAME_BYTES), dtype=np.uint8)
-        body[:, : _FRAME_F64 * 8] = f64.astype("<f8").view(np.uint8).reshape(n, -1)
-        body[:, _FRAME_F64 * 8:] = kp.view(np.uint8).reshape(n, -1)
-        fh.write(body.tobytes())
-    for i in range(n):
-        render.write_pgm(traj_dir / f"mask_{i:04d}.pgm", rec.masks[i])
+def write_trajectory(path, rec: TrajectoryRecord) -> None:
+    frames = np.empty(rec.num_frames, _frame_dtype(rec.masks.shape[1:]))
+    frames["t"] = rec.times
+    frames["q_true"] = rec.q_true
+    frames["q_noisy"] = rec.q_noisy
+    frames["base_true"] = _pack_transform(rec.base_true)
+    frames["base_noisy"] = _pack_transform(rec.base_noisy)
+    frames["keypoints"] = rec.keypoints
+    frames["mask"] = rec.masks
+    with open(path, "wb") as fh:
+        np.save(fh, frames)
 
 
-def _read_mask(path: Path, shape: tuple | None) -> np.ndarray:
-    """One ground-truth mask as uint8 {0, 1}; ``shape`` is the first mask's."""
-    mask = render.read_pgm(path)
-    if shape is not None and mask.shape != shape:
-        raise ValueError(f"{path}: mask is {mask.shape[1]}x{mask.shape[0]}, "
-                         f"the first mask is {shape[1]}x{shape[0]}")
-    return mask
-
-
-def read_trajectory(traj_dir) -> TrajectoryRecord:
-    traj_dir = Path(traj_dir)
-    path = traj_dir / "frames.bin"
+def read_trajectory(path) -> TrajectoryRecord:
+    """One trajectory file, checked: non-empty, finite, one base pose per
+    trajectory and {0, 1} masks. Raises ValueError naming the path."""
+    path = Path(path)
     try:
-        raw = path.read_bytes()
+        # np.load would take anything else for an .npz or a pickle
+        with open(path, "rb") as fh:
+            is_npy = fh.read(6) == np.lib.format.MAGIC_PREFIX
+        # memory-mapped, so a header that overclaims the frame count fails
+        # on the file size instead of allocating the claimed array
+        frames = np.load(path, mmap_mode="r") if is_npy else None
     except OSError as exc:
-        raise FileNotFoundError(f"trajectory table missing: {path}") from exc
-    if not raw or len(raw) % _FRAME_BYTES:
-        raise ValueError(f"{path}: length {len(raw)} is not a positive multiple "
-                         f"of the {_FRAME_BYTES}-byte frame")
-    n = len(raw) // _FRAME_BYTES
-    body = np.frombuffer(raw, dtype=np.uint8).reshape(n, _FRAME_BYTES)
-    f64 = body[:, : _FRAME_F64 * 8].reshape(-1).view("<f8").reshape(n, _FRAME_F64)
-    kp = body[:, _FRAME_F64 * 8:].reshape(-1).view("<f4").reshape(n, 6, 2)
-    bad = np.flatnonzero(~np.isfinite(f64).all(axis=1) | ~np.isfinite(kp).all(axis=(1, 2)))
+        raise FileNotFoundError(f"trajectory file not readable: {path}") from exc
+    except (ValueError, EOFError) as exc:
+        raise ValueError(f"{path}: not a trajectory file: {exc}") from exc
+    if frames is None:
+        raise ValueError(f"{path}: not an .npy file")
+    fields = frames.dtype.fields or {}
+    mask_shape = fields["mask"][0].shape if "mask" in fields else ()
+    if frames.ndim != 1 or len(mask_shape) != 2 or frames.dtype != _frame_dtype(mask_shape):
+        raise ValueError(f"{path}: not a trajectory record array")
+    if not len(frames):
+        raise ValueError(f"{path}: no frames")
+    finite = np.isfinite(frames["keypoints"]).all(axis=(1, 2)) & np.isfinite(frames["t"])
+    for name in ("q_true", "q_noisy", "base_true", "base_noisy"):
+        finite &= np.isfinite(frames[name]).all(axis=1)
+    bad = np.flatnonzero(~finite)
     if len(bad):
         raise ValueError(f"{path}: frame {bad[0]} holds a non-finite value")
-
-    base_true_rows = f64[:, 15:27]
-    base_noisy_rows = f64[:, 27:39]
-    for name, rows in (("base_true", base_true_rows), ("base_noisy", base_noisy_rows)):
-        if not np.all(rows == rows[0]):
+    for name in ("base_true", "base_noisy"):
+        if not np.all(frames[name] == frames[name][0]):
             raise ValueError(f"{path}: {name} varies within the trajectory")
-
-    masks = [_read_mask(traj_dir / "mask_0000.pgm", None)]
-    for i in range(1, n):
-        masks.append(_read_mask(traj_dir / f"mask_{i:04d}.pgm", masks[0].shape))
+    masks = np.array(frames["mask"])
+    if (masks > 1).any():
+        raise ValueError(f"{path}: mask holds a value other than 0 and 1")
+    base_true, base_noisy = (np.array(frames[name][0]) for name in ("base_true", "base_noisy"))
     return TrajectoryRecord(
-        times=f64[:, 0].copy(),
-        q_true=f64[:, 1:8].copy(),
-        q_noisy=f64[:, 8:15].copy(),
-        base_true=_unpack_transform(base_true_rows[0]),
-        base_noisy=_unpack_transform(base_noisy_rows[0]),
-        masks=np.stack(masks),
-        keypoints=np.ascontiguousarray(kp),
+        times=np.array(frames["t"]),
+        q_true=np.array(frames["q_true"]),
+        q_noisy=np.array(frames["q_noisy"]),
+        base_true=se3.RigidTransform(base_true[:9], base_true[9:]),
+        base_noisy=se3.RigidTransform(base_noisy[:9], base_noisy[9:]),
+        masks=masks,
+        keypoints=np.array(frames["keypoints"]),
     )
 
 
@@ -321,15 +313,20 @@ class Dataset:
     def num_trajectories(self) -> int:
         return int(self.manifest["trajectories"])
 
-    def trajectory_dir(self, i: int) -> Path:
-        return self.root / f"traj_{i:04d}"
+    def trajectory_path(self, i: int) -> Path:
+        return self.root / f"traj_{i:04d}.npy"
 
     def load_trajectory(self, i: int) -> TrajectoryRecord:
-        rec = read_trajectory(self.trajectory_dir(i))
+        path = self.trajectory_path(i)
+        rec = read_trajectory(path)
         want = int(self.manifest["frames_per_trajectory"])
         if rec.num_frames != want:
-            raise ValueError(f"{self.trajectory_dir(i) / 'frames.bin'}: {rec.num_frames} "
-                             f"frames, the manifest says {want}")
+            raise ValueError(f"{path}: {rec.num_frames} frames, the manifest says {want}")
+        cam = self.scene.camera
+        h, w = rec.masks.shape[1:]
+        if (w, h) != (cam.width, cam.height):
+            raise ValueError(f"{path}: masks are {w}x{h}, the camera is "
+                             f"{cam.width}x{cam.height}")
         return rec
 
 
@@ -353,8 +350,6 @@ def generate_dataset(out_dir, split: str, trajectories: int, duration_s: float,
         "split": split,
         "trajectories": int(trajectories),
         "frames_per_trajectory": int(frames),
-        "frame_rate": FRAME_RATE,
-        "duration_s": float(duration_s),
         "camera": asdict(scene.camera),
         "chain": f"assets/{Path('psm_simplified.yaml')}",
         "noise": noise.to_dict(),
@@ -364,7 +359,7 @@ def generate_dataset(out_dir, split: str, trajectories: int, duration_s: float,
 
     def build(i: int):
         rec = generate_trajectory(frames, scene, noise, seed, index=i)
-        write_trajectory(out / f"traj_{i:04d}", rec)
+        write_trajectory(out / f"traj_{i:04d}.npy", rec)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -400,8 +395,8 @@ def read_dataset(root) -> Dataset:
     if not chain_path.exists():
         raise FileNotFoundError(f"dataset chain file missing: {chain_path}")
     ds_scene = load_scene(chain_path, camera)
-    for i in range(int(manifest["trajectories"])):
-        td = root / f"traj_{i:04d}"
-        if not (td / "frames.bin").exists():
-            raise FileNotFoundError(f"dataset trajectory missing: {td}/frames.bin")
-    return Dataset(root=root, manifest=manifest, scene=ds_scene)
+    ds = Dataset(root=root, manifest=manifest, scene=ds_scene)
+    for i in range(ds.num_trajectories):
+        if not ds.trajectory_path(i).exists():
+            raise FileNotFoundError(f"dataset trajectory missing: {ds.trajectory_path(i)}")
+    return ds

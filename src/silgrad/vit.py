@@ -12,17 +12,13 @@ recorded, differentiable output; plain arrays give a fast inference path.
 from __future__ import annotations
 
 import json
-import math
-import struct
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-
-WEIGHTS_MAGIC = b"SGWT"
-WEIGHTS_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -37,6 +33,9 @@ class VitConfig:
     config_dim: int = 10  # fused configuration vector length
 
     def __post_init__(self):
+        if min(self.image_size, self.patch_size, self.embed_dim, self.heads, self.layers,
+               self.mlp_ratio, self.config_dim, *self.head_widths) < 1:
+            raise ValueError("every size must be positive")
         if self.image_size % self.patch_size:
             raise ValueError("image size must be divisible by patch size")
         if self.embed_dim % self.heads:
@@ -167,62 +166,51 @@ def forward(config: VitConfig, weights: dict, masks: np.ndarray, theta_norm: np.
 
 
 # ---------------------------------------------------------------------------
-# weights container (little-endian, f32 tensor payloads)
+# weights file: numpy .npz archive, one float64 array per tensor plus ``meta``,
+# a 0-d string array holding the JSON header {"config": ..., **extra}
 
 def save_weights(path, config: VitConfig, weights: dict[str, np.ndarray],
                  extra: dict | None = None) -> None:
-    meta = {"config": config.to_dict(), **(extra or {})}
-    blob = json.dumps(meta, sort_keys=True).encode()
+    meta = json.dumps({"config": config.to_dict(), **(extra or {})}, sort_keys=True)
     with open(path, "wb") as fh:
-        fh.write(WEIGHTS_MAGIC)
-        fh.write(struct.pack("<I", WEIGHTS_VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for name in sorted(weights):
-            data = np.asarray(weights[name], dtype="<f4")
-            nm = name.encode()
-            fh.write(struct.pack("<I", len(nm)))
-            fh.write(nm)
-            fh.write(struct.pack("<I", data.ndim))
-            fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
-            fh.write(data.tobytes())
+        np.savez(fh, meta=np.array(meta),
+                 **{name: np.asarray(w, dtype=np.float64) for name, w in weights.items()})
 
 
 def load_weights(path) -> tuple[VitConfig, dict[str, np.ndarray], dict]:
+    """Config, weights and the header's other entries. The tensors must be
+    those of ``init_weights(config)``, each finite float64 of its shape.
+    Raises ValueError or FileNotFoundError naming the path."""
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        # through our own handle: np.load leaks the one it opens when the
+        # zip directory is unreadable
+        with open(path, "rb") as fh:
+            archive = np.load(fh)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("a single array, not an .npz archive")
+            with archive:
+                weights = {name: archive[name] for name in archive.files}
     except OSError as exc:
         raise FileNotFoundError(f"weights file not readable: {path}") from exc
-    if raw[:4] != WEIGHTS_MAGIC:
-        raise ValueError(f"{path}: not a weights container")
-    offset = 4
-
-    def read(n: int, what: str) -> bytes:
-        nonlocal offset
-        if offset + n > len(raw):
-            raise ValueError(f"{path}: truncated {what} at byte {offset} "
-                             f"({len(raw) - offset} of {n} bytes left)")
-        chunk = raw[offset:offset + n]
-        offset += n
-        return chunk
-
-    version, = struct.unpack("<I", read(4, "version"))
-    if version != WEIGHTS_VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    blob_len, = struct.unpack("<I", read(4, "header length"))
-    blob = read(blob_len, "header")
+    # MemoryError: a tensor header that claims more values than memory holds
+    except (ValueError, EOFError, MemoryError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: not a weights archive: {exc}") from exc
+    blob = weights.pop("meta", None)
+    if blob is None or blob.shape != () or blob.dtype.kind != "U":
+        raise ValueError(f"{path}: no 'meta' string")
     try:
-        meta = json.loads(blob.decode())
-    except ValueError as exc:
-        raise ValueError(f"{path}: malformed header: {exc}") from exc
-    config = VitConfig.from_dict(meta.pop("config"))
-    weights: dict[str, np.ndarray] = {}
-    while offset < len(raw):
-        nlen, = struct.unpack("<I", read(4, "tensor name length"))
-        name = read(nlen, "tensor name").decode()
-        rank, = struct.unpack("<I", read(4, f"rank of {name}"))
-        dims = struct.unpack(f"<{rank}Q", read(8 * rank, f"shape of {name}"))
-        weights[name] = np.frombuffer(read(4 * math.prod(dims), f"tensor {name}"),
-                                      dtype="<f4").reshape(dims).astype(np.float64)
+        meta = json.loads(str(blob))
+        config = VitConfig.from_dict(meta.pop("config"))
+        expected = init_weights(config, np.random.default_rng(0))
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed meta: {exc!r}") from exc
+    if weights.keys() != expected.keys():
+        raise ValueError(f"{path}: missing or unexpected tensors "
+                         f"{sorted(weights.keys() ^ expected.keys())}")
+    for name, w in weights.items():
+        if w.shape != expected[name].shape or w.dtype != np.float64 \
+                or not np.isfinite(w).all():
+            raise ValueError(f"{path}: tensor {name!r} is not finite float64 "
+                             f"of shape {expected[name].shape}")
     return config, weights, meta

@@ -1,25 +1,71 @@
 """Corrupt input files: every reader raises with the file's path."""
 
+import io
+import json
 import re
 import shutil
+import zipfile
 
 import numpy as np
 import pytest
 
-from silgrad import kinematics, mesh, metrics, render, scene, synth, vit
+from silgrad import corrector, kinematics, mesh, metrics, scene, synth, vit
 
 
-def _weights(tmp_path):
-    p = tmp_path / "ref.sgwt"
-    cfg = vit.VitConfig()
-    vit.save_weights(p, cfg, vit.init_weights(cfg, np.random.default_rng(0)))
+def _model(tmp_path):
+    p = tmp_path / "ref.npz"
+    cfg = vit.VitConfig(image_size=32, patch_size=8, embed_dim=32, heads=2, layers=1)
+    corrector.CorrectorModel(cfg, vit.init_weights(cfg, np.random.default_rng(0)),
+                             np.full(10, 0.1), "centered", 0.25, 0.05, 500.0).save(p)
     return p.read_bytes()
 
 
-def _pgm(tmp_path):
-    p = tmp_path / "ref.pgm"
-    render.write_pgm(p, np.ones((4, 4), dtype=np.uint8))
-    return p.read_bytes()
+def _archive(edit):
+    """Corrupt a weights archive by editing its arrays (name -> array)."""
+    def corrupt(b):
+        with np.load(io.BytesIO(b)) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        edit(arrays)
+        out = io.BytesIO()
+        np.savez(out, **arrays)
+        return out.getvalue()
+    return corrupt
+
+
+def _drop(name):
+    return _archive(lambda arrays: arrays.pop(name))
+
+
+def _overclaim(b):
+    """An .npy header that claims 99,999,999,999 records over the same payload."""
+    frames = np.load(io.BytesIO(b))
+    out = io.BytesIO()
+    header = np.lib.format.header_data_from_array_1_0(frames)
+    np.lib.format.write_array_header_1_0(out, {**header, "shape": (99_999_999_999,)})
+    return out.getvalue() + frames.tobytes()
+
+
+def _overclaim_tensor(b):
+    """A weights archive whose head3.b header overclaims its values."""
+    out = io.BytesIO()
+    with zipfile.ZipFile(io.BytesIO(b)) as src, zipfile.ZipFile(out, "w") as dst:
+        for info in src.infolist():
+            data = src.read(info)
+            dst.writestr(info, _overclaim(data) if info.filename == "head3.b.npy" else data)
+    return out.getvalue()
+
+
+def _meta(edit):
+    """Corrupt a weights archive by editing its JSON header (a dict)."""
+    def edit_archive(arrays):
+        meta = json.loads(str(arrays["meta"]))
+        edit(meta)
+        arrays["meta"] = np.array(json.dumps(meta))
+    return _archive(edit_archive)
+
+
+def _drop_meta(key):
+    return _meta(lambda meta: meta.pop(key))
 
 
 def _mesh(tmp_path):
@@ -54,20 +100,30 @@ def _row(line, edit):
 
 # name: (reader, valid bytes, corruption or None for a missing file, error)
 CASES = {
-    "weights-short-tensor": (vit.load_weights, _weights, lambda b: b[:-100], ValueError),
-    "weights-short-header": (vit.load_weights, _weights, lambda b: b[:10], ValueError),
-    "weights-header-json": (vit.load_weights, _weights,
-                            lambda b: b[:12] + b"!" + b[13:], ValueError),
-    "weights-magic": (vit.load_weights, _weights, lambda b: b"SGWX" + b[4:], ValueError),
-    "weights-missing": (vit.load_weights, _weights, None, FileNotFoundError),
-    "pgm-negative-width": (render.read_pgm, _pgm,
-                           lambda b: b.replace(b"\n4 4\n", b"\n-4 4\n", 1), ValueError),
-    "pgm-zero-size": (render.read_pgm, _pgm,
-                      lambda b: b.replace(b"\n4 4\n", b"\n0 0\n", 1), ValueError),
-    "pgm-short-payload": (render.read_pgm, _pgm, lambda b: b[:-3], ValueError),
-    "pgm-magic": (render.read_pgm, _pgm, lambda b: b"P2" + b[2:], ValueError),
-    "pgm-missing": (render.read_pgm, _pgm, None, FileNotFoundError),
-    "pgm-value-128": (render.read_pgm, _pgm, lambda b: b[:-1] + bytes([128]), ValueError),
+    "weights-short-tensor": (vit.load_weights, _model, lambda b: b[:-100], ValueError),
+    "weights-short-header": (vit.load_weights, _model, lambda b: b[:10], ValueError),
+    "weights-empty": (vit.load_weights, _model, lambda b: b"", ValueError),
+    "weights-magic": (vit.load_weights, _model, lambda b: b"SGWX" + b[4:], ValueError),
+    "weights-missing": (vit.load_weights, _model, None, FileNotFoundError),
+    "weights-no-meta": (vit.load_weights, _model, _drop("meta"), ValueError),
+    "weights-header-json": (vit.load_weights, _model, _archive(
+        lambda arrays: arrays.update(meta=np.array("{config"))), ValueError),
+    "weights-header-overclaims": (vit.load_weights, _model, _overclaim_tensor, ValueError),
+    "weights-no-head3-b": (vit.load_weights, _model, _drop("head3.b"), ValueError),
+    "weights-head3-w-shape": (vit.load_weights, _model, _archive(
+        lambda arrays: arrays.update({"head3.w": np.zeros((3, 3))})), ValueError),
+    "weights-config-zero-patch": (vit.load_weights, _model, _meta(
+        lambda meta: meta["config"].update(patch_size=0)), ValueError),
+    "model-no-k": (corrector.CorrectorModel.load, _model, _drop_meta("k"), ValueError),
+    "model-no-squash": (corrector.CorrectorModel.load, _model, _drop_meta("squash"),
+                        ValueError),
+    "model-no-alpha": (corrector.CorrectorModel.load, _model, _drop_meta("alpha"), ValueError),
+    "model-no-beta": (corrector.CorrectorModel.load, _model, _drop_meta("beta"), ValueError),
+    "model-no-gamma": (corrector.CorrectorModel.load, _model, _drop_meta("gamma"), ValueError),
+    "model-k-length": (corrector.CorrectorModel.load, _model,
+                       _meta(lambda meta: meta.update(k=meta["k"][:9])), ValueError),
+    "model-squash-unknown": (corrector.CorrectorModel.load, _model,
+                             _meta(lambda meta: meta.update(squash="tanh")), ValueError),
     "mesh-nan-vertex": (mesh.read_mesh, _mesh, _row(1, lambda r: b"v nan 0 0"), ValueError),
     "mesh-empty": (mesh.read_mesh, _mesh, lambda b: b"", ValueError),
     "mesh-face-index": (mesh.read_mesh, _mesh, lambda b: b + b"f 1 2 999\n", ValueError),
@@ -79,6 +135,12 @@ CASES = {
     "chain-joint-kind": (kinematics.read_chain, _chain,
                          lambda b: b.replace(b"kind: revolute", b"kind: spherical", 1),
                          ValueError),
+    "chain-nan-offset": (kinematics.read_chain, _chain, lambda b: b.replace(
+        b"translation:\n    - 0.0", b"translation:\n    - .nan", 1), ValueError),
+    "chain-nan-axis": (kinematics.read_chain, _chain,
+                       lambda b: b.replace(b"axis:\n  - 0.0", b"axis:\n  - .nan", 1), ValueError),
+    "chain-nan-keypoint": (kinematics.read_chain, _chain, lambda b: b.replace(
+        b"point:\n  - 0.0", b"point:\n  - .nan", 1), ValueError),
     "pose-csv-short-row": (metrics.read_pose_csv, _pose_csv,
                            _row(3, lambda r: r.rsplit(b",", 1)[0]), ValueError),
     "pose-csv-not-a-number": (metrics.read_pose_csv, _pose_csv,
@@ -109,18 +171,58 @@ def dataset(tmp_path_factory):
     return root
 
 
-def _nan_at(offset):
-    return lambda b: b[:offset] + np.float64(np.nan).tobytes() + b[offset + 8:]
+def _records(edit):
+    """Corrupt a trajectory file by editing a copy of its frame records;
+    ``edit`` returns the records to write back."""
+    def corrupt(b):
+        return _npy(edit(np.load(io.BytesIO(b))))
+    return corrupt
+
+
+def _npy(frames):
+    out = io.BytesIO()
+    np.save(out, frames)
+    return out.getvalue()
+
+
+def _set(field, index, value):
+    def edit(frames):
+        frames[field][index] = value
+        return frames
+    return edit
+
+
+def _crop_masks(frames):
+    """The same frames with 64 x 32 masks."""
+    dtype = np.dtype([(name, frames.dtype[name].base,
+                       (64, 32) if name == "mask" else frames.dtype[name].shape)
+                      for name in frames.dtype.names])
+    out = np.zeros(len(frames), dtype)
+    for name in frames.dtype.names:
+        out[name] = frames[name][..., :32] if name == "mask" else frames[name]
+    return out
+
+
+def _as_npz(b):
+    """The same frame records inside an .npz archive."""
+    out = io.BytesIO()
+    np.savez(out, frames=np.load(io.BytesIO(b)))
+    return out.getvalue()
 
 
 # name: (file under the dataset root, corruption of its bytes)
 TRAJECTORY_CASES = {
-    "mask-value-128": ("traj_0000/mask_0001.pgm", lambda b: b[:-1] + bytes([128])),
-    "mask-size": ("traj_0000/mask_0002.pgm",
-                  lambda b: b.replace(b"\n64 64\n", b"\n32 64\n", 1)),
-    "frames-nan": ("traj_0000/frames.bin", _nan_at(synth._FRAME_BYTES + 8)),
-    "frames-count": ("traj_0000/frames.bin", lambda b: b[:-synth._FRAME_BYTES]),
-    "frames-empty": ("traj_0000/frames.bin", lambda b: b""),
+    "mask-value-2": ("traj_0000.npy", _records(_set("mask", (1, 0, 0), 2))),
+    "mask-value-128": ("traj_0000.npy", _records(_set("mask", (2, 5, 7), 128))),
+    "mask-size": ("traj_0000.npy", _records(_crop_masks)),
+    "frames-nan": ("traj_0000.npy", _records(_set("q_true", (1, 0), np.nan))),
+    "frames-count": ("traj_0000.npy", _records(lambda frames: frames[:-1])),
+    "frames-empty": ("traj_0000.npy", _records(lambda frames: frames[:0])),
+    "frames-header-overclaims": ("traj_0000.npy", _overclaim),
+    "frames-zero-bytes": ("traj_0000.npy", lambda b: b""),
+    "frames-not-records": ("traj_0000.npy", lambda b: _npy(np.zeros((3, 4)))),
+    "frames-npz-archive": ("traj_0000.npy", _as_npz),
+    "frames-zip-magic": ("traj_0000.npy", lambda b: b"PK\x03\x04" + bytes(100)),
     "manifest-missing-key": ("manifest",
                              lambda b: b.replace(b"trajectories:", b"trajectoriez:", 1)),
     "manifest-empty": ("manifest", lambda b: b""),

@@ -5,8 +5,6 @@ from silgrad import autodiff as ad
 from silgrad import mesh, render, scene, se3
 from silgrad.mesh import TriMesh
 
-RNG = np.random.default_rng(99)
-
 
 def cam(fx=100.0, size=64, near=0.01, far=10.0):
     return render.PinholeCamera(fx, fx, size / 2.0, size / 2.0, size, size, near, far)
@@ -313,6 +311,7 @@ def visible_config(rng):
 
 
 def test_soft_converges_to_hard_mask():
+    # soft > 0.5 is the hard inside test whatever the temperature
     sc = scene.reference_scene(64)
     rng = np.random.default_rng(404)
     ious = []
@@ -321,7 +320,7 @@ def test_soft_converges_to_hard_mask():
         hard = scene.render_masks(sc, sc.base.rotation[None], sc.base.translation[None],
                                   q, "hard")[0]
         soft = scene.render_masks(sc, sc.base.rotation[None], sc.base.translation[None],
-                                  q, "soft", sigma_r=1e-6)[0]
+                                  q, "soft")[0]
         soft_bin = soft > 0.5
         hard_bin = hard > 0.5
         union = np.logical_or(soft_bin, hard_bin).sum()
@@ -445,15 +444,3 @@ def test_soft_random_triangles_match_all_pairs(monkeypatch, sigma_r):
     faces = np.arange(3 * len(tris)).reshape(-1, 3)
     _assert_soft_matches_all_pairs(monkeypatch, tris.reshape(1, -1, 2), faces,
                                    np.ones((1, len(tris)), bool), width, height, sigma_r)
-
-
-# ------------------------------------------------------------- mask files
-
-def test_pgm_round_trip_hard(tmp_path):
-    mask = (RNG.uniform(size=(32, 24)) > 0.6).astype(np.uint8)
-    p = tmp_path / "m.pgm"
-    render.write_pgm(p, mask)
-    assert p.read_bytes()[:13] == b"P5\n24 32\n255\n"
-    back = render.read_pgm(p)
-    assert back.dtype == np.uint8
-    np.testing.assert_array_equal(back, mask)

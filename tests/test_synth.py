@@ -108,8 +108,8 @@ def test_render_truth_names_nonfinite_frame():
 
 def test_round_trip_bit_exact(tmp_path):
     rec = synth.generate_trajectory(30, SCENE, synth.default_noise_spec(), 77, index=3)
-    synth.write_trajectory(tmp_path / "t", rec)
-    back = synth.read_trajectory(tmp_path / "t")
+    synth.write_trajectory(tmp_path / "t.npy", rec)
+    back = synth.read_trajectory(tmp_path / "t.npy")
     np.testing.assert_array_equal(back.times, rec.times)
     np.testing.assert_array_equal(back.q_true, rec.q_true)
     np.testing.assert_array_equal(back.q_noisy, rec.q_noisy)
@@ -126,11 +126,18 @@ def test_dataset_round_trip_and_validation(tmp_path):
     rec = ds.load_trajectory(0)
     assert rec.num_frames == 30
     assert ds.scene.camera.width == 64
-    # corrupting the table length is detected with the path in the message
-    victim = tmp_path / "d" / "traj_0000" / "frames.bin"
+    # a generated split is the manifest, the assets and one file per trajectory
+    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == [
+        "assets", "manifest", "traj_0000.npy"]
+    assert "frame_rate" not in ds.manifest and "duration_s" not in ds.manifest
+    # corrupting the file length is detected with the path in the message
+    victim = tmp_path / "d" / "traj_0000.npy"
     victim.write_bytes(victim.read_bytes()[:-7])
-    with pytest.raises(ValueError, match="frames.bin"):
+    with pytest.raises(ValueError, match="traj_0000.npy"):
         ds.load_trajectory(0)
+    victim.unlink()
+    with pytest.raises(FileNotFoundError, match="traj_0000.npy"):
+        synth.read_dataset(tmp_path / "d")
     with pytest.raises(FileNotFoundError):
         synth.read_dataset(tmp_path / "nope")
 
@@ -139,12 +146,9 @@ def test_dataset_threads_bit_identical(tmp_path):
     a = synth.generate_dataset(tmp_path / "a", "val", 3, 0.5, seed=6, scene=SCENE, threads=1)
     b = synth.generate_dataset(tmp_path / "b", "val", 3, 0.5, seed=6, scene=SCENE, threads=3)
     for i in range(3):
-        fa = (tmp_path / "a" / f"traj_{i:04d}" / "frames.bin").read_bytes()
-        fb = (tmp_path / "b" / f"traj_{i:04d}" / "frames.bin").read_bytes()
+        fa = (tmp_path / "a" / f"traj_{i:04d}.npy").read_bytes()
+        fb = (tmp_path / "b" / f"traj_{i:04d}.npy").read_bytes()
         assert fa == fb
-        ma = (tmp_path / "a" / f"traj_{i:04d}" / "mask_0005.pgm").read_bytes()
-        mb = (tmp_path / "b" / f"traj_{i:04d}" / "mask_0005.pgm").read_bytes()
-        assert ma == mb
 
 
 def test_joint_noise_unbiased_and_sigma_calibrated():
