@@ -14,10 +14,8 @@ one :func:`forward_kinematics` call, so a rendered pose costs one FK pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import autodiff as ad
 from . import se3
@@ -155,78 +153,6 @@ def keypoints_3d(chain: KinematicChain, links):
         r, t = links[anchor.joint_index]
         pts.append(ad.add(_rotate_vec(r, anchor.point), t))
     return ad.stack(pts, axis=-2)
-
-
-# ---------------------------------------------------------------------------
-# chain description file (YAML key-value tree)
-
-def chain_to_dict(chain: KinematicChain) -> dict:
-    joints = []
-    for j in chain.joints:
-        pose, _ = se3.transform_to_euler(j.offset)
-        joints.append({
-            "name": j.name,
-            "kind": j.kind,
-            "axis": [float(v) for v in j.axis],
-            "offset": {
-                "euler_zyx": [float(v) for v in pose.euler],
-                "translation": [float(v) for v in pose.translation],
-            },
-            "limits": [float(j.lower), float(j.upper)],
-            "mesh": j.mesh,
-        })
-    return {
-        "name": chain.name,
-        "joints": joints,
-        "keypoints": [
-            {"joint": int(k.joint_index), "point": [float(v) for v in k.point]}
-            for k in chain.keypoints
-        ],
-    }
-
-
-def chain_from_dict(data: dict) -> KinematicChain:
-    joints = []
-    for item in data["joints"]:
-        off = item.get("offset", {})
-        pose = se3.EulerPose(off.get("euler_zyx", [0, 0, 0]),
-                             off.get("translation", [0, 0, 0]))
-        joints.append(Joint(
-            name=item["name"],
-            kind=item["kind"],
-            axis=np.asarray(item["axis"], dtype=float),
-            offset=se3.euler_to_transform(pose),
-            lower=float(item["limits"][0]),
-            upper=float(item["limits"][1]),
-            mesh=item.get("mesh"),
-        ))
-    keypoints = [KeypointAnchor(int(k["joint"]), np.asarray(k["point"], dtype=float))
-                 for k in data.get("keypoints", [])]
-    chain = KinematicChain(data["name"], tuple(joints), tuple(keypoints))
-    chain.validate()
-    return chain
-
-
-def write_chain(path, chain: KinematicChain) -> None:
-    Path(path).write_text(yaml.safe_dump(chain_to_dict(chain), sort_keys=False))
-
-
-def read_chain(path) -> KinematicChain:
-    path = Path(path)
-    try:
-        data = yaml.safe_load(path.read_text())
-    except OSError as exc:
-        raise FileNotFoundError(f"chain file not readable: {path}") from exc
-    except yaml.YAMLError as exc:
-        raise ValueError(f"{path}: not valid YAML") from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: not a YAML mapping")
-    try:
-        return chain_from_dict(data)
-    except KeyError as exc:
-        raise ValueError(f"{path}: no {exc} entry") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,12 @@
-"""Triangle meshes: container, ASCII file format, and procedural tool parts.
-
-File format is a minimal subset of Wavefront OBJ: ``v x y z`` vertex lines
-and ``f i j k`` face lines with 1-based indices. Vertices are in the owning
-link's local frame, meters.
+"""Triangle meshes: the container and the procedural parts of the simplified
+tool. Vertices are in the owning link's local frame, meters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-
-_MIN_FACE_AREA = 1e-12  # m^2
 
 
 @dataclass(frozen=True)
@@ -23,54 +17,6 @@ class TriMesh:
     def __post_init__(self):
         object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=float).reshape(-1, 3))
         object.__setattr__(self, "faces", np.asarray(self.faces, dtype=np.int64).reshape(-1, 3))
-
-    def validate(self) -> None:
-        if not len(self.faces):
-            raise ValueError("mesh has no faces")
-        if not np.all(np.isfinite(self.vertices)):
-            raise ValueError("non-finite vertex coordinate")
-        if self.faces.min() < 0 or self.faces.max() >= len(self.vertices):
-            raise ValueError("face indices out of range")
-        tri = self.vertices[self.faces]
-        areas = 0.5 * np.linalg.norm(
-            np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
-        if np.any(areas <= _MIN_FACE_AREA):
-            raise ValueError("degenerate face (area below 1e-12 m^2)")
-
-
-def write_mesh(path, mesh: TriMesh) -> None:
-    lines = [f"v {x:.9g} {y:.9g} {z:.9g}" for x, y, z in mesh.vertices]
-    lines += [f"f {i + 1} {j + 1} {k + 1}" for i, j, k in mesh.faces]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_mesh(path) -> TriMesh:
-    verts, faces = [], []
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise FileNotFoundError(f"mesh file not readable: {path}") from exc
-    for ln, line in enumerate(text.splitlines(), 1):
-        parts = line.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        try:
-            if parts[0] == "v" and len(parts) == 4:
-                verts.append([float(v) for v in parts[1:]])
-            elif parts[0] == "f" and len(parts) == 4:
-                faces.append([int(v) - 1 for v in parts[1:]])
-            else:
-                raise ValueError(f"unrecognized record {parts[0]!r}")
-        except ValueError as exc:
-            raise ValueError(f"{path}:{ln}: {exc}") from None
-    mesh = TriMesh(np.array(verts, dtype=float).reshape(-1, 3),
-                   np.array(faces, dtype=np.int64).reshape(-1, 3))
-    try:
-        mesh.validate()
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return mesh
 
 
 # ---------------------------------------------------------------------------

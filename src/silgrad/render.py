@@ -51,6 +51,7 @@ and exposed as a single fused autodiff op.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,10 +74,14 @@ class PinholeCamera:
     far: float = 1.0
 
     def __post_init__(self):
+        if not np.isfinite([self.fx, self.fy, self.cx, self.cy]).all():
+            raise ValueError("intrinsics must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
         if not 0 < self.near < self.far:
             raise ValueError("require 0 < near < far")
+        if not all(isinstance(n, numbers.Integral) for n in (self.width, self.height)):
+            raise ValueError("image width and height must be integers")
         if self.width < 16 or self.height < 16:
             raise ValueError("image must be at least 16x16")
 

@@ -7,13 +7,14 @@ so sampled configurations keep the articulated head inside the view.
 :func:`render_pose` runs forward kinematics once per pose and returns both
 the silhouette and the projected keypoints; :func:`render_masks` returns the
 silhouette alone. Both are batched and dual-mode: with autodiff inputs the
-soft silhouette and the keypoints are differentiable.
+soft silhouette and the keypoints are differentiable. :func:`geometry_digest`
+identifies the geometry a generated dataset was rendered from.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -25,8 +26,6 @@ from . import se3
 
 WORK_CENTER = np.array([0.0, 0.0, 0.14])
 RCM_POSITION = np.array([0.06, 0.05, 0.04])
-
-CHAIN_FILE = "psm_simplified.yaml"
 
 
 def look_rotation(z_dir: np.ndarray, up=(0.0, 1.0, 0.0)) -> np.ndarray:
@@ -84,6 +83,31 @@ def reference_scene(image_size: int = 128, camera: render.PinholeCamera | None =
     )
 
 
+def geometry_digest(scene: ToolScene) -> str:
+    """SHA-256 (hex) of everything but the camera that a render depends on:
+    each joint's kind, axis, offset and limits, the keypoints, the flattened
+    meshes and the base pose."""
+    h = hashlib.sha256()
+
+    # Floats are hashed at float32, so a one-ulp libm difference between
+    # machines leaves the digest alone, while float32 still resolves about
+    # 0.5 nm at tool scale and any real geometry change moves it.
+    def floats(*values):
+        h.update(np.concatenate([np.ravel(v) for v in values]).astype("<f4").tobytes())
+
+    for joint in scene.chain.joints:
+        h.update(joint.kind.encode() + b"\0")
+        floats(joint.axis, joint.offset.rotation, joint.offset.translation,
+               [joint.lower, joint.upper])
+    for anchor in scene.chain.keypoints:
+        h.update(np.int64(anchor.joint_index).tobytes())
+        floats(anchor.point)
+    floats(scene.verts_local, scene.base.rotation, scene.base.translation)
+    h.update(scene.faces.astype("<i8").tobytes())
+    h.update(np.array(scene.vert_slices, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
 # ---------------------------------------------------------------------------
 # batched differentiable geometry
 
@@ -117,29 +141,3 @@ def render_pose(scene: ToolScene, base_rotation, base_translation, q, mode: str)
     links = kin.forward_kinematics(scene.chain, base_rotation, base_translation, q)
     kps, _ = render.project(scene.camera, kin.keypoints_3d(scene.chain, links))
     return _silhouette(scene, links, mode), kps
-
-
-# ---------------------------------------------------------------------------
-# asset directory
-
-def write_assets(out_dir, scene: ToolScene | None = None) -> Path:
-    """Write the chain description plus mesh files; returns the chain path."""
-    scene = scene or reference_scene()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, m in scene.meshes.items():
-        meshmod.write_mesh(out / f"{name}.mesh", m)
-    chain_path = out / CHAIN_FILE
-    kin.write_chain(chain_path, scene.chain)
-    return chain_path
-
-
-def load_scene(chain_path, camera: render.PinholeCamera,
-               base: se3.RigidTransform | None = None) -> ToolScene:
-    chain_path = Path(chain_path)
-    chain = kin.read_chain(chain_path)
-    meshes = {}
-    for joint in chain.joints:
-        if joint.mesh is not None and joint.mesh not in meshes:
-            meshes[joint.mesh] = meshmod.read_mesh(chain_path.parent / f"{joint.mesh}.mesh")
-    return ToolScene(chain=chain, meshes=meshes, base=base or reference_base(), camera=camera)

@@ -7,12 +7,17 @@ coordinates) plus i.i.d. per-frame Gaussian joint noise. Ground-truth hard
 masks and 2-D keypoints are rendered at the true configuration.
 
 Every trajectory owns a counter-based RNG stream keyed by (global seed,
-trajectory index), so parallel and serial generation agree bit-exactly.
+trajectory index), so a trajectory does not depend on how many others are
+generated before it, and the same seed writes the same bytes.
+
+A dataset carries no copy of the scene: the manifest records the camera and
+the :func:`~silgrad.scene.geometry_digest` of the built-in tool, and
+:func:`read_dataset` rebuilds it with ``reference_scene(camera=...)``.
 
 Dataset directory layout::
 
-    <out>/manifest            YAML: split, counts, camera, chain, noise, seed
-    <out>/assets/             chain description + mesh files (self-contained)
+    <out>/manifest            JSON: split, counts, camera, geometry digest,
+                              noise, seed
     <out>/traj_0000.npy       one record per frame (numpy .npy, structured):
                               t f8, q_true 7 f8, q_noisy 7 f8,
                               base_true 12 f8 (row-major R then t),
@@ -22,16 +27,15 @@ Dataset directory layout::
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import kinematics as kin
 from . import render, se3
-from .scene import ToolScene, load_scene, reference_scene, render_pose, write_assets
+from .scene import ToolScene, geometry_digest, reference_scene, render_pose
 
 FRAME_RATE = 30.0
 SEGMENT_STEPS = 50
@@ -285,19 +289,25 @@ def read_trajectory(path) -> TrajectoryRecord:
     bad = np.flatnonzero(~finite)
     if len(bad):
         raise ValueError(f"{path}: frame {bad[0]} holds a non-finite value")
+    bases = {}
     for name in ("base_true", "base_noisy"):
         if not np.all(frames[name] == frames[name][0]):
             raise ValueError(f"{path}: {name} varies within the trajectory")
+        packed = np.array(frames[name][0])
+        bases[name] = se3.RigidTransform(packed[:9], packed[9:])
+        try:
+            bases[name].validate()
+        except ValueError as exc:
+            raise ValueError(f"{path}: {name}: {exc}") from None
     masks = np.array(frames["mask"])
     if (masks > 1).any():
         raise ValueError(f"{path}: mask holds a value other than 0 and 1")
-    base_true, base_noisy = (np.array(frames[name][0]) for name in ("base_true", "base_noisy"))
     return TrajectoryRecord(
         times=np.array(frames["t"]),
         q_true=np.array(frames["q_true"]),
         q_noisy=np.array(frames["q_noisy"]),
-        base_true=se3.RigidTransform(base_true[:9], base_true[9:]),
-        base_noisy=se3.RigidTransform(base_noisy[:9], base_noisy[9:]),
+        base_true=bases["base_true"],
+        base_noisy=bases["base_noisy"],
         masks=masks,
         keypoints=np.array(frames["keypoints"]),
     )
@@ -333,16 +343,19 @@ class Dataset:
 def generate_dataset(out_dir, split: str, trajectories: int, duration_s: float,
                      seed: int, scene: ToolScene | None = None,
                      noise: NoiseSpec | None = None,
-                     frames_per_trajectory: int | None = None,
-                     threads: int = 1) -> Dataset:
-    """Generate and persist a dataset split; returns the readable handle."""
+                     frames_per_trajectory: int | None = None) -> Dataset:
+    """Generate and persist a dataset split; returns the readable handle.
+    ``scene`` must have the built-in geometry, since the split records only
+    its camera and geometry digest; ValueError before any write otherwise."""
     if trajectories < 1:
         raise ValueError("trajectory count must be positive")
     scene = scene or reference_scene(64)
+    geometry = geometry_digest(scene)
+    if geometry != geometry_digest(reference_scene(camera=scene.camera)):
+        raise ValueError("scene geometry differs from the built-in tool")
     noise = noise or default_noise_spec()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_assets(out / "assets", scene)
 
     frames = frames_per_trajectory if frames_per_trajectory is not None \
         else int(round(duration_s * FRAME_RATE))
@@ -351,22 +364,14 @@ def generate_dataset(out_dir, split: str, trajectories: int, duration_s: float,
         "trajectories": int(trajectories),
         "frames_per_trajectory": int(frames),
         "camera": asdict(scene.camera),
-        "chain": f"assets/{Path('psm_simplified.yaml')}",
+        "geometry": geometry,
         "noise": noise.to_dict(),
         "seed": int(seed),
     }
-    (out / "manifest").write_text(yaml.safe_dump(manifest, sort_keys=False))
-
-    def build(i: int):
+    (out / "manifest").write_text(json.dumps(manifest, indent=2) + "\n")
+    for i in range(trajectories):
         rec = generate_trajectory(frames, scene, noise, seed, index=i)
         write_trajectory(out / f"traj_{i:04d}.npy", rec)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(build, range(trajectories)))
-    else:
-        for i in range(trajectories):
-            build(i)
     return read_dataset(out)
 
 
@@ -374,27 +379,26 @@ def read_dataset(root) -> Dataset:
     root = Path(root)
     path = root / "manifest"
     try:
-        manifest = yaml.safe_load(path.read_text())
+        manifest = json.loads(path.read_text())
     except OSError as exc:
         raise FileNotFoundError(f"dataset manifest missing: {path}") from exc
-    except yaml.YAMLError as exc:
-        raise ValueError(f"{path}: not valid YAML") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(manifest, dict):
-        raise ValueError(f"{path}: not a YAML mapping")
-    for key in ("trajectories", "frames_per_trajectory", "camera", "chain"):
+        raise ValueError(f"{path}: not a JSON object")
+    for key in ("trajectories", "frames_per_trajectory", "camera", "geometry"):
         if key not in manifest:
             raise ValueError(f"{path}: no {key!r} entry")
     for key in ("trajectories", "frames_per_trajectory"):
-        if not isinstance(manifest[key], int) or manifest[key] < 1:
+        if type(manifest[key]) is not int or manifest[key] < 1:
             raise ValueError(f"{path}: {key} must be a positive integer")
     try:
         camera = render.PinholeCamera(**manifest["camera"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: camera: {exc}") from None
-    chain_path = root / manifest["chain"]
-    if not chain_path.exists():
-        raise FileNotFoundError(f"dataset chain file missing: {chain_path}")
-    ds_scene = load_scene(chain_path, camera)
+    ds_scene = reference_scene(camera=camera)
+    if manifest["geometry"] != geometry_digest(ds_scene):
+        raise ValueError(f"{path}: the geometry digest does not match the built-in tool")
     ds = Dataset(root=root, manifest=manifest, scene=ds_scene)
     for i in range(ds.num_trajectories):
         if not ds.trajectory_path(i).exists():

@@ -158,25 +158,3 @@ def test_every_eef_coordinate_differentiable(chain):
 
         rep = ad.finite_diff_check(f, q0, epsilon=1e-6, tolerance=1e-6)
         assert rep.passed, (coord, rep)
-
-
-def test_chain_file_round_trip(tmp_path, chain):
-    path = tmp_path / "chain.yaml"
-    kin.write_chain(path, chain)
-    back = kin.read_chain(path)
-    assert back.name == chain.name
-    assert [j.name for j in back.joints] == [j.name for j in chain.joints]
-    for ja, jb in zip(back.joints, chain.joints):
-        assert ja.kind == jb.kind
-        assert ja.mesh == jb.mesh
-        np.testing.assert_allclose(ja.axis, jb.axis, atol=1e-12)
-        np.testing.assert_allclose(ja.offset.translation, jb.offset.translation, atol=1e-12)
-        assert (ja.lower, ja.upper) == (jb.lower, jb.upper)
-    for ka, kb in zip(back.keypoints, chain.keypoints):
-        assert ka.joint_index == kb.joint_index
-        np.testing.assert_allclose(ka.point, kb.point, atol=1e-12)
-
-
-def test_read_chain_missing_file():
-    with pytest.raises(FileNotFoundError):
-        kin.read_chain("/nonexistent/chain.yaml")

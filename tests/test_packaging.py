@@ -13,8 +13,6 @@ tomllib = pytest.importorskip("tomllib")
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 SRC = PYPROJECT.parent / "src"
-# import name -> distribution name, where the two differ
-DISTRIBUTIONS = {"yaml": "pyyaml"}
 
 
 def test_every_script_entry_point_imports_to_a_callable():
@@ -30,7 +28,7 @@ def _declared():
 
 
 def _imported():
-    """Distribution names of the third-party modules imported under src/."""
+    """Top-level names of the third-party modules imported under src/."""
     names = set()
     for path in SRC.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -39,7 +37,7 @@ def _imported():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names.add(node.module.split(".")[0])
     local = {p.name for p in SRC.iterdir() if p.is_dir()}
-    return {DISTRIBUTIONS.get(n, n) for n in names - local - set(sys.stdlib_module_names)}
+    return names - local - set(sys.stdlib_module_names)
 
 
 def test_every_third_party_import_is_declared():

@@ -9,7 +9,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from silgrad import corrector, kinematics, mesh, metrics, scene, synth, vit
+from silgrad import corrector, metrics, scene, synth, vit
 
 
 def _model(tmp_path):
@@ -68,18 +68,6 @@ def _drop_meta(key):
     return _meta(lambda meta: meta.pop(key))
 
 
-def _mesh(tmp_path):
-    p = tmp_path / "ref.mesh"
-    mesh.write_mesh(p, mesh.box(0.01, 0.01, 0.0, 0.02))
-    return p.read_bytes()
-
-
-def _chain(tmp_path):
-    p = tmp_path / "ref.yaml"
-    kinematics.write_chain(p, kinematics.reference_chain())
-    return p.read_bytes()
-
-
 def _pose_csv(tmp_path):
     p = tmp_path / "ref.csv"
     n = 3
@@ -124,23 +112,6 @@ CASES = {
                        _meta(lambda meta: meta.update(k=meta["k"][:9])), ValueError),
     "model-squash-unknown": (corrector.CorrectorModel.load, _model,
                              _meta(lambda meta: meta.update(squash="tanh")), ValueError),
-    "mesh-nan-vertex": (mesh.read_mesh, _mesh, _row(1, lambda r: b"v nan 0 0"), ValueError),
-    "mesh-empty": (mesh.read_mesh, _mesh, lambda b: b"", ValueError),
-    "mesh-face-index": (mesh.read_mesh, _mesh, lambda b: b + b"f 1 2 999\n", ValueError),
-    "mesh-not-a-number": (mesh.read_mesh, _mesh, lambda b: b.replace(b"v ", b"v x", 1),
-                          ValueError),
-    "chain-missing-key": (kinematics.read_chain, _chain,
-                          lambda b: b.replace(b"limits:", b"limitz:", 1), ValueError),
-    "chain-empty": (kinematics.read_chain, _chain, lambda b: b"", ValueError),
-    "chain-joint-kind": (kinematics.read_chain, _chain,
-                         lambda b: b.replace(b"kind: revolute", b"kind: spherical", 1),
-                         ValueError),
-    "chain-nan-offset": (kinematics.read_chain, _chain, lambda b: b.replace(
-        b"translation:\n    - 0.0", b"translation:\n    - .nan", 1), ValueError),
-    "chain-nan-axis": (kinematics.read_chain, _chain,
-                       lambda b: b.replace(b"axis:\n  - 0.0", b"axis:\n  - .nan", 1), ValueError),
-    "chain-nan-keypoint": (kinematics.read_chain, _chain, lambda b: b.replace(
-        b"point:\n  - 0.0", b"point:\n  - .nan", 1), ValueError),
     "pose-csv-short-row": (metrics.read_pose_csv, _pose_csv,
                            _row(3, lambda r: r.rsplit(b",", 1)[0]), ValueError),
     "pose-csv-not-a-number": (metrics.read_pose_csv, _pose_csv,
@@ -150,7 +121,6 @@ CASES = {
 }
 # what the message must name right after the path, beyond the path itself
 AFTER_PATH = {case: ", line 3:" for case in CASES if case.startswith("pose-csv")}
-AFTER_PATH["mesh-not-a-number"] = ":1:"
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -210,6 +180,19 @@ def _as_npz(b):
     return out.getvalue()
 
 
+def _manifest(edit):
+    """Corrupt a manifest by editing its JSON object (a dict)."""
+    def corrupt(b):
+        manifest = json.loads(b)
+        edit(manifest)
+        return json.dumps(manifest).encode()
+    return corrupt
+
+
+def _camera(**fields):
+    return _manifest(lambda manifest: manifest["camera"].update(fields))
+
+
 # name: (file under the dataset root, corruption of its bytes)
 TRAJECTORY_CASES = {
     "mask-value-2": ("traj_0000.npy", _records(_set("mask", (1, 0, 0), 2))),
@@ -223,11 +206,19 @@ TRAJECTORY_CASES = {
     "frames-not-records": ("traj_0000.npy", lambda b: _npy(np.zeros((3, 4)))),
     "frames-npz-archive": ("traj_0000.npy", _as_npz),
     "frames-zip-magic": ("traj_0000.npy", lambda b: b"PK\x03\x04" + bytes(100)),
-    "manifest-missing-key": ("manifest",
-                             lambda b: b.replace(b"trajectories:", b"trajectoriez:", 1)),
+    "frames-base-not-rotation": ("traj_0000.npy",
+                                 _records(_set("base_noisy", (slice(None), slice(9)), 0.0))),
+    "frames-base-scaled": ("traj_0000.npy", _records(_set(
+        "base_true", (slice(None), slice(9)), (2 * np.eye(3)).ravel()))),
+    "manifest-missing-key": ("manifest", _manifest(lambda manifest: manifest.pop("trajectories"))),
     "manifest-empty": ("manifest", lambda b: b""),
-    "manifest-count-not-a-number": ("manifest", lambda b: b.replace(
-        b"frames_per_trajectory: 3", b"frames_per_trajectory: three", 1)),
+    "manifest-not-json": ("manifest", lambda b: b[:len(b) // 2]),
+    "manifest-count-not-a-number": ("manifest", _manifest(
+        lambda manifest: manifest.update(frames_per_trajectory="three"))),
+    "manifest-geometry": ("manifest", _manifest(
+        lambda manifest: manifest.update(geometry="0" * 64))),
+    "manifest-camera-nan": ("manifest", _camera(fx=float("nan"))),
+    "manifest-camera-width": ("manifest", _camera(width=64.5)),
 }
 
 

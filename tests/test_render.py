@@ -49,6 +49,11 @@ def test_camera_validation():
         render.PinholeCamera(100, 100, 32, 32, 8, 8)
     with pytest.raises(ValueError):
         render.PinholeCamera(100, 100, 32, 32, 64, 64, near=2.0, far=1.0)
+    good = dict(fx=100.0, fy=100.0, cx=32.0, cy=32.0, width=64, height=64)
+    for bad in (dict(fx=np.nan), dict(cx=np.nan), dict(cy=np.inf), dict(width=64.5),
+                dict(height=64.0)):
+        with pytest.raises(ValueError):
+            render.PinholeCamera(**(good | bad))
 
 
 # ------------------------------------------------------------- hard raster

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from silgrad import render, scene, se3, synth
+from silgrad import mesh, scene, se3, synth
 
 SCENE = scene.reference_scene(64)
 
@@ -126,9 +126,8 @@ def test_dataset_round_trip_and_validation(tmp_path):
     rec = ds.load_trajectory(0)
     assert rec.num_frames == 30
     assert ds.scene.camera.width == 64
-    # a generated split is the manifest, the assets and one file per trajectory
-    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == [
-        "assets", "manifest", "traj_0000.npy"]
+    # a generated split is the manifest and one file per trajectory
+    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == ["manifest", "traj_0000.npy"]
     assert "frame_rate" not in ds.manifest and "duration_s" not in ds.manifest
     # corrupting the file length is detected with the path in the message
     victim = tmp_path / "d" / "traj_0000.npy"
@@ -142,13 +141,48 @@ def test_dataset_round_trip_and_validation(tmp_path):
         synth.read_dataset(tmp_path / "nope")
 
 
-def test_dataset_threads_bit_identical(tmp_path):
-    a = synth.generate_dataset(tmp_path / "a", "val", 3, 0.5, seed=6, scene=SCENE, threads=1)
-    b = synth.generate_dataset(tmp_path / "b", "val", 3, 0.5, seed=6, scene=SCENE, threads=3)
-    for i in range(3):
-        fa = (tmp_path / "a" / f"traj_{i:04d}.npy").read_bytes()
-        fb = (tmp_path / "b" / f"traj_{i:04d}.npy").read_bytes()
-        assert fa == fb
+def test_dataset_same_seed_bit_identical(tmp_path):
+    synth.generate_dataset(tmp_path / "a", "val", 3, 0.5, seed=6, scene=SCENE)
+    synth.generate_dataset(tmp_path / "b", "val", 3, 0.5, seed=6, scene=SCENE)
+    for name in ["manifest"] + [f"traj_{i:04d}.npy" for i in range(3)]:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_dataset_scene_is_the_generating_scene(tmp_path):
+    synth.generate_dataset(tmp_path / "d", "t", 1, 0.1, seed=2, scene=SCENE)
+    ds = synth.read_dataset(tmp_path / "d")
+    np.testing.assert_array_equal(ds.scene.verts_local, SCENE.verts_local)
+    np.testing.assert_array_equal(ds.scene.faces, SCENE.faces)
+    assert ds.scene.vert_slices == SCENE.vert_slices
+    assert ds.scene.base.allclose(SCENE.base, atol=0.0)
+    assert ds.scene.camera == SCENE.camera
+    assert ds.manifest["geometry"] == scene.geometry_digest(SCENE)
+
+
+def _thick_shaft():
+    meshes = {**SCENE.meshes, "shaft": mesh.cylinder(0.0045, -0.080, 0.004, segments=20)}
+    return scene.ToolScene(SCENE.chain, meshes, SCENE.base, SCENE.camera)
+
+
+def _moved_base():
+    base = se3.RigidTransform(SCENE.base.rotation, SCENE.base.translation + [1e-6, 0.0, 0.0])
+    return scene.ToolScene(SCENE.chain, SCENE.meshes, base, SCENE.camera)
+
+
+@pytest.mark.parametrize("make", [_moved_base, _thick_shaft])
+def test_dataset_rejects_other_geometry_before_writing(tmp_path, make):
+    with pytest.raises(ValueError, match="geometry"):
+        synth.generate_dataset(tmp_path / "d", "t", 1, 0.1, seed=2, scene=make())
+    assert not (tmp_path / "d").exists()
+
+
+def test_geometry_digest_ignores_camera_and_last_bits():
+    digest = scene.geometry_digest(SCENE)
+    assert scene.geometry_digest(scene.reference_scene(128)) == digest
+    nudged = se3.RigidTransform(SCENE.base.rotation,
+                                np.nextafter(SCENE.base.translation, np.inf))
+    assert scene.geometry_digest(
+        scene.ToolScene(SCENE.chain, SCENE.meshes, nudged, SCENE.camera)) == digest
 
 
 def test_joint_noise_unbiased_and_sigma_calibrated():
