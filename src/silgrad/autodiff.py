@@ -178,20 +178,12 @@ def div(a, b):
                    lambda g, av, bv: g / bv, lambda g, av, bv: -g * av / (bv * bv))
 
 
-def neg(a):
-    return _unary(a, np.negative, lambda av, out: lambda g: -g)
-
-
 def sin(a):
     return _unary(a, np.sin, lambda av, out: lambda g: g * np.cos(av))
 
 
 def cos(a):
     return _unary(a, np.cos, lambda av, out: lambda g: -g * np.sin(av))
-
-
-def sqrt(a):
-    return _unary(a, np.sqrt, lambda av, out: lambda g: g * 0.5 / out)
 
 
 def power(a, p):

@@ -46,23 +46,22 @@ class BaselineConfig:
     loss_threshold: float | None = None   # None: scaled default for the camera
     step_size: float = 0.5
     step_scale: np.ndarray = field(default_factory=lambda: _STEP_SCALE.copy())
-    alpha: float | None = None            # None: shared corrector default
     beta: float = 0.05
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.loss_threshold is not None and self.loss_threshold < 0:
-            raise ValueError("loss threshold must be nonnegative")
-        if self.step_size <= 0:
-            raise ValueError("step size must be positive")
+        if self.loss_threshold is not None and not 0 <= self.loss_threshold < np.inf:
+            raise ValueError("loss_threshold must be finite and nonnegative")
+        if not 0 < self.step_size < np.inf:
+            raise ValueError("step_size must be finite and positive")
 
     def resolve(self, camera) -> tuple[float, float]:
-        alpha = self.alpha if self.alpha is not None \
-            else corrector.default_loss_weights(camera)[0]
+        """(alpha, threshold): the corrector's silhouette weight and the
+        loss threshold, defaulted for the camera when unset."""
         thr = self.loss_threshold if self.loss_threshold is not None \
             else default_threshold(camera)
-        return alpha, thr
+        return corrector.default_loss_weights(camera)[0], thr
 
 
 def _loss_and_grad(scene: ToolScene, theta: np.ndarray, q_first3: np.ndarray,

@@ -104,8 +104,6 @@ class FrameStore:
     masks_ref: np.ndarray     # (N, H, W) uint8, ground-truth masks
     masks_noisy: np.ndarray   # (N, H, W) uint8, rendered at the noisy config
     theta_noisy: np.ndarray   # (N, 10)
-    q_first3: np.ndarray      # (N, 3) noisy non-visible joints
-    q_true_vis: np.ndarray    # (N, 4)
     q_noisy_full: np.ndarray  # (N, 7)
     q_true_full: np.ndarray   # (N, 7)
     keypoints: np.ndarray     # (N, 6, 2) truth
@@ -120,7 +118,7 @@ class FrameStore:
 def noisy_theta_vector(rec) -> np.ndarray:
     """Per-frame 10-vector from a trajectory's noisy base pose and joints."""
     pose, _ = se3.transform_to_euler(rec.base_noisy)
-    head = np.tile(pose.as_vector(), (rec.num_frames, 1))
+    head = np.tile(pose, (rec.num_frames, 1))
     return np.concatenate([head, rec.q_noisy[:, VISIBLE_SLICE]], axis=1)
 
 
@@ -129,15 +127,13 @@ def build_frame_store(ds: Dataset, stride: int = 1) -> FrameStore:
     from .synth import render_truth
 
     recs = [ds.load_trajectory(i) for i in range(ds.num_trajectories)]
-    parts = {k: [] for k in ("mr", "mn", "tn", "q3", "qv", "qn", "qt", "kp", "tj", "tm")}
+    parts = {k: [] for k in ("mr", "mn", "tn", "qn", "qt", "kp", "tj", "tm")}
     for i, rec in enumerate(recs):
         sel = slice(0, rec.num_frames, stride)
         noisy_masks, _ = render_truth(ds.scene, rec.base_noisy, rec.q_noisy[sel])
         parts["mr"].append(rec.masks[sel])
         parts["mn"].append(noisy_masks)
         parts["tn"].append(noisy_theta_vector(rec)[sel])
-        parts["q3"].append(rec.q_noisy[sel, :3])
-        parts["qv"].append(rec.q_true[sel, VISIBLE_SLICE])
         parts["qn"].append(rec.q_noisy[sel])
         parts["qt"].append(rec.q_true[sel])
         parts["kp"].append(rec.keypoints[sel].astype(float))
@@ -148,8 +144,6 @@ def build_frame_store(ds: Dataset, stride: int = 1) -> FrameStore:
         masks_ref=np.concatenate(parts["mr"]),
         masks_noisy=np.concatenate(parts["mn"]),
         theta_noisy=np.concatenate(parts["tn"]),
-        q_first3=np.concatenate(parts["q3"]),
-        q_true_vis=np.concatenate(parts["qv"]),
         q_noisy_full=np.concatenate(parts["qn"]),
         q_true_full=np.concatenate(parts["qt"]),
         keypoints=np.concatenate(parts["kp"]),
@@ -191,6 +185,11 @@ class CorrectorModel:
             gains = [float(meta[key]) for key in ("alpha", "beta", "gamma")]
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed k or loss weight: {exc}") from exc
+        if not np.all((k > 0) & (k < np.inf)):
+            raise ValueError(f"{path}: 'k' must be finite and positive")
+        for key, gain in zip(("alpha", "beta", "gamma"), gains):
+            if not np.isfinite(gain):
+                raise ValueError(f"{path}: {key!r} must be finite")
         if meta["squash"] not in ("centered", "literal"):
             raise ValueError(f"{path}: unknown squashing mode {meta['squash']!r}")
         return CorrectorModel(config, weights, k, meta["squash"], *gains)
@@ -200,15 +199,14 @@ def stack_mask_channels(m_ref: np.ndarray, m_noisy: np.ndarray) -> np.ndarray:
     return np.stack([m_ref, m_noisy], axis=1).astype(np.float64)
 
 
-def infer(model: CorrectorModel, store: FrameStore, idx=None, chain=None) -> np.ndarray:
+def infer(model: CorrectorModel, store: FrameStore, idx=None) -> np.ndarray:
     """One forward pass + squashing per frame; no renderer involved."""
     if idx is None:
         idx = np.arange(len(store))
-    chain = chain or store.scene.chain
     masks = stack_mask_channels(store.masks_ref[idx], store.masks_noisy[idx])
     theta_noisy = store.theta_noisy[idx]
     raw = vit.forward(model.config, model.weights, masks, theta_noisy / model.k)
-    return apply_correction(raw, theta_noisy, model.k, chain, model.squash)
+    return apply_correction(raw, theta_noisy, model.k, store.scene.chain, model.squash)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +218,6 @@ class TrainConfig:
     batch_size: int = 10
     lr: float = 1e-4
     weight_decay: float = 1e-4
-    alpha: float | None = None   # default computed from the camera
     beta: float = 0.05
     gamma: float = 500.0
     seed: int = 0
@@ -264,10 +261,11 @@ def batch_loss(model_cfg: vit.VitConfig, weights: dict, store: FrameStore,
     theta_noisy = store.theta_noisy[idx]
     raw = vit.forward(model_cfg, weights, masks, theta_noisy / k)
     theta_hat = apply_correction(raw, theta_noisy, k, store.scene.chain, squash)
-    s_hat, kp_hat = render_corrected(store.scene, theta_hat, store.q_first3[idx])
+    s_hat, kp_hat = render_corrected(store.scene, theta_hat, store.q_noisy_full[idx, :3])
     lr_part = loss_render(s_hat, store.masks_ref[idx].astype(np.float64))
     lk_part = loss_keypoints(kp_hat, store.keypoints[idx])
-    lj_part = loss_joint(ad.take(theta_hat, (..., slice(6, 10))), store.q_true_vis[idx])
+    lj_part = loss_joint(ad.take(theta_hat, (..., slice(6, 10))),
+                         store.q_true_full[idx, VISIBLE_SLICE])
     total = ad.reduce_mean(loss_total(alpha, beta, gamma, lr_part, lk_part, lj_part))
     parts = {
         "render": float(np.mean(ad._val(lr_part))),
@@ -309,7 +307,7 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
     store = build_frame_store(train_ds)
     val_store = build_frame_store(val_ds, stride=cfg.val_stride)
     camera = train_ds.scene.camera
-    alpha = cfg.alpha if cfg.alpha is not None else default_loss_weights(camera)[0]
+    alpha = default_loss_weights(camera)[0]
     k = default_scale(train_ds.scene.chain)
 
     rng = rng_stream(cfg.seed, _TRAIN_STREAM)

@@ -87,9 +87,6 @@ class KinematicChain:
     def upper_limits(self) -> np.ndarray:
         return np.array([j.upper for j in self.joints])
 
-    def clamp(self, q: np.ndarray) -> np.ndarray:
-        return np.clip(q, self.lower_limits, self.upper_limits)
-
 
 def forward_kinematics(chain: KinematicChain, base_rotation, base_translation, q):
     """Per-link poses for batched joint values.

@@ -1,4 +1,4 @@
-"""Evaluation: hand-eye pose series, smoothing, error tables, throughput.
+"""Evaluation: hand-eye pose series, smoothing, error tables, pose CSV.
 
 The benchmarked quantity is the end-effector pose in the camera frame,
 composed from a base-transform estimate and forward kinematics where the
@@ -11,7 +11,6 @@ intrinsic Z-Y-X convention.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,8 +76,8 @@ def truth_series(chain, base_true: se3.RigidTransform, q_true: np.ndarray,
 
 def butterworth_biquad(cutoff_hz: float, fs: float) -> tuple[np.ndarray, np.ndarray]:
     """Second-order Butterworth coefficients via the bilinear transform."""
-    if cutoff_hz <= 0:
-        raise ValueError("cutoff must be positive")
+    if not cutoff_hz > 0:
+        raise ValueError(f"cutoff_hz must be positive, got {cutoff_hz}")
     if cutoff_hz >= fs / 2.0:
         raise ValueError(f"cutoff {cutoff_hz} Hz at or above Nyquist ({fs / 2} Hz)")
     k = np.tan(np.pi * cutoff_hz / fs)
@@ -289,43 +288,3 @@ def read_pose_csv(path) -> list[PoseSeries]:
             iters=chunk[:, 11].astype(int),
         ))
     return out
-
-
-# ---------------------------------------------------------------------------
-# throughput benchmark
-
-@dataclass
-class BenchResult:
-    method: str
-    inference_fps_mean: float
-    inference_fps_std: float
-    iterations_mean: float
-    iterations_std: float
-    frame_fps_mean: float
-    frame_fps_std: float
-
-
-def bench_calls(method: str, call, n_samples: int, warmup: int = 100,
-                iterations: np.ndarray | None = None) -> BenchResult:
-    """Time ``call(i)`` per sample; reports calls over total time, +/- the
-    per-call time's relative spread carried onto that rate.
-
-    ``iterations`` (per-frame counts from a tracking run) turns the
-    per-iteration rate into a frame rate for iterative methods.
-    """
-    for i in range(warmup):
-        call(i)
-    dt = np.empty(n_samples)
-    for i in range(n_samples):
-        t0 = time.perf_counter()
-        call(i)
-        dt[i] = time.perf_counter() - t0
-    mean_dt = max(dt.mean(), 1e-9)
-    fps = 1.0 / mean_dt
-    fps_std = fps * dt.std() / mean_dt
-    if iterations is None:
-        return BenchResult(method, fps, fps_std, 1.0, 0.0, fps, fps_std)
-    it_mean = float(np.mean(iterations))
-    it_std = float(np.std(iterations))
-    return BenchResult(method, fps, fps_std, it_mean, it_std,
-                       fps / it_mean, fps_std / it_mean)

@@ -86,11 +86,11 @@ class PinholeCamera:
             raise ValueError("image must be at least 16x16")
 
 
-def default_camera(size: int = 128, near: float = 0.01, far: float = 1.0) -> PinholeCamera:
+def default_camera(size: int = 128) -> PinholeCamera:
     """Default intrinsics: 150 px focal length at the 128 px reference size,
     scaled with resolution so the framing is resolution-invariant."""
     f = 150.0 * size / 128.0
-    return PinholeCamera(f, f, size / 2.0, size / 2.0, size, size, near, far)
+    return PinholeCamera(f, f, size / 2.0, size / 2.0, size, size)
 
 
 def project(camera: PinholeCamera, points):

@@ -28,11 +28,12 @@ WORK_CENTER = np.array([0.0, 0.0, 0.14])
 RCM_POSITION = np.array([0.06, 0.05, 0.04])
 
 
-def look_rotation(z_dir: np.ndarray, up=(0.0, 1.0, 0.0)) -> np.ndarray:
-    """Rotation whose +Z column points along ``z_dir``."""
+def look_rotation(z_dir: np.ndarray) -> np.ndarray:
+    """Rotation whose +Z column points along ``z_dir``, with +X orthogonal to
+    the camera's +Y."""
     z = np.asarray(z_dir, dtype=float)
     z = z / np.linalg.norm(z)
-    x = np.cross(np.asarray(up, dtype=float), z)
+    x = np.cross(np.array([0.0, 1.0, 0.0]), z)
     x = x / np.linalg.norm(x)
     y = np.cross(z, x)
     return np.column_stack([x, y, z])

@@ -3,7 +3,8 @@
 Convention, used everywhere in this package: Euler angles are intrinsic
 Z-Y-X, stored as a 3-vector ``(z, y, x)`` in radians, so the rotation matrix
 is ``Rz(e0) @ Ry(e1) @ Rx(e2)``. The canonical pitch (Y angle) lies in
-[-pi/2, pi/2].
+[-pi/2, pi/2]. A pose is the 6-vector ``[z, y, x angles, translation in m]``,
+the first six entries of the correction pipeline's 10-D configuration.
 
 The rotation builders :func:`rotation_about_axis` and :func:`euler_to_matrix`
 are dual-mode and batched: they take plain arrays or autodiff values with any
@@ -81,27 +82,6 @@ def invert(t: RigidTransform) -> RigidTransform:
     return RigidTransform(rt, -rt @ t.translation)
 
 
-@dataclass(frozen=True)
-class EulerPose:
-    """6-D pose: intrinsic Z-Y-X Euler angles (rad) and translation (m)."""
-
-    euler: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "euler", np.asarray(self.euler, dtype=float).reshape(3))
-        object.__setattr__(self, "translation", np.asarray(self.translation, dtype=float).reshape(3))
-
-    def as_vector(self) -> np.ndarray:
-        """10-D parametrization prefix order: 3 Euler then 3 translation."""
-        return np.concatenate([self.euler, self.translation])
-
-    @staticmethod
-    def from_vector(v: np.ndarray) -> "EulerPose":
-        v = np.asarray(v, dtype=float).reshape(6)
-        return EulerPose(v[:3], v[3:])
-
-
 def euler_to_matrix(euler):
     """Batched Z-Y-X intrinsic Euler angles to rotation; dual-mode.
 
@@ -135,13 +115,16 @@ def matrix_to_euler(r: np.ndarray) -> tuple[np.ndarray, bool]:
     return np.array([a, float(b), c]), False
 
 
-def euler_to_transform(pose: EulerPose) -> RigidTransform:
-    return RigidTransform(euler_to_matrix(pose.euler), pose.translation)
+def euler_to_transform(pose: np.ndarray) -> RigidTransform:
+    """Transform from a 6-vector pose ``[z, y, x angles, translation]``."""
+    pose = np.asarray(pose, dtype=float)
+    return RigidTransform(euler_to_matrix(pose[:3]), pose[3:])
 
 
-def transform_to_euler(t: RigidTransform) -> tuple[EulerPose, bool]:
+def transform_to_euler(t: RigidTransform) -> tuple[np.ndarray, bool]:
+    """6-vector pose ``[z, y, x angles, translation]`` and the gimbal flag."""
     angles, locked = matrix_to_euler(t.rotation)
-    return EulerPose(angles, t.translation), locked
+    return np.concatenate([angles, t.translation]), locked
 
 
 def wrap_angle(a):

@@ -54,8 +54,8 @@ class NoiseSpec:
         for name in ("transform_translation_halfwidth", "transform_euler_halfwidth",
                      "joint_sigma"):
             v = np.asarray(getattr(self, name), dtype=float)
-            if np.any(v < 0):
-                raise ValueError(f"{name} must be nonnegative")
+            if not np.all(np.isfinite(v) & (v >= 0)):
+                raise ValueError(f"{name} must be finite and nonnegative")
             object.__setattr__(self, name, v)
 
     def to_dict(self) -> dict:
@@ -64,10 +64,6 @@ class NoiseSpec:
             "transform_euler_halfwidth": self.transform_euler_halfwidth.tolist(),
             "joint_sigma": self.joint_sigma.tolist(),
         }
-
-    @staticmethod
-    def zero() -> "NoiseSpec":
-        return NoiseSpec(np.zeros(3), np.zeros(3), np.zeros(7))
 
 
 def default_noise_spec() -> NoiseSpec:
@@ -215,8 +211,7 @@ def generate_trajectory(frames: int, scene: ToolScene, noise: NoiseSpec,
     d_trans = rng.uniform(-noise.transform_translation_halfwidth,
                           noise.transform_translation_halfwidth) \
         if noise.transform_translation_halfwidth.any() else np.zeros(3)
-    base_noisy = se3.euler_to_transform(se3.EulerPose(pose.euler + d_euler,
-                                                      pose.translation + d_trans))
+    base_noisy = se3.euler_to_transform(pose + np.concatenate([d_euler, d_trans]))
 
     q_true = _joint_path(scene, frames, rng)
     jn = rng.standard_normal((frames, scene.chain.num_joints)) * noise.joint_sigma
@@ -368,10 +363,13 @@ def generate_dataset(out_dir, split: str, trajectories: int, duration_s: float,
         "noise": noise.to_dict(),
         "seed": int(seed),
     }
-    (out / "manifest").write_text(json.dumps(manifest, indent=2) + "\n")
+    # the manifest goes last, so a run that fails partway leaves no manifest
+    # naming trajectories that were never written
+    (out / "manifest").unlink(missing_ok=True)
     for i in range(trajectories):
         rec = generate_trajectory(frames, scene, noise, seed, index=i)
         write_trajectory(out / f"traj_{i:04d}.npy", rec)
+    (out / "manifest").write_text(json.dumps(manifest, indent=2) + "\n")
     return read_dataset(out)
 
 

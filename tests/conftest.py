@@ -37,11 +37,12 @@ def frame_loss_of_raw(store, i, alpha, beta, gamma, k, squash="centered"):
         theta_hat = corrector.apply_correction(raw_b, store.theta_noisy[i:i + 1],
                                                k, store.scene.chain, squash)
         s_hat, kp_hat = corrector.render_corrected(store.scene, theta_hat,
-                                                   store.q_first3[i:i + 1])
+                                                   store.q_noisy_full[i:i + 1, :3])
         lr_part = corrector.loss_render(s_hat, store.masks_ref[i:i + 1].astype(float))
         lk_part = corrector.loss_keypoints(kp_hat, store.keypoints[i:i + 1])
-        lj_part = corrector.loss_joint(ad.take(theta_hat, (..., slice(6, 10))),
-                                       store.q_true_vis[i:i + 1])
+        lj_part = corrector.loss_joint(
+            ad.take(theta_hat, (..., slice(6, 10))),
+            store.q_true_full[i:i + 1, corrector.VISIBLE_SLICE])
         total = corrector.loss_total(alpha, beta, gamma, lr_part, lk_part, lj_part)
         return ad.reduce_sum(total)
     return f

@@ -7,7 +7,7 @@ from silgrad import corrector, se3
 
 def truth_params(store, i):
     pose, _ = se3.transform_to_euler(store.base_true)
-    return np.concatenate([pose.as_vector(), store.q_true_vis[i]])
+    return np.concatenate([pose, store.q_true_full[i, corrector.VISIBLE_SLICE]])
 
 
 def test_config_validation():
@@ -15,8 +15,12 @@ def test_config_validation():
         bl.BaselineConfig(max_iterations=0)
     with pytest.raises(ValueError):
         bl.BaselineConfig(step_size=0.0)
-    with pytest.raises(ValueError):
-        bl.BaselineConfig(loss_threshold=-1.0)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="loss_threshold"):
+            bl.BaselineConfig(loss_threshold=bad)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="step_size"):
+            bl.BaselineConfig(step_size=bad)
 
 
 def test_init_at_truth_terminates_first_iteration(tiny_store):
@@ -35,7 +39,7 @@ def test_iteration_cap_honored(tiny_store):
     cfg = bl.BaselineConfig(max_iterations=7, loss_threshold=1e-9)
     theta, iters, loss, failed = bl.optimize_frame(
         store.scene, store.theta_noisy[0], store.masks_ref[0],
-        store.keypoints[0], store.q_first3[0], cfg)
+        store.keypoints[0], store.q_noisy_full[0, :3], cfg)
     assert iters == 7
 
 
@@ -45,12 +49,12 @@ def test_best_so_far_never_worse_than_init(tiny_store):
     for i in (0, 9, 17):
         init = store.theta_noisy[i]
         alpha, thr = cfg.resolve(store.scene.camera)
-        init_loss, _ = bl._loss_and_grad(store.scene, init, store.q_first3[i],
+        init_loss, _ = bl._loss_and_grad(store.scene, init, store.q_noisy_full[i, :3],
                                          store.masks_ref[i].astype(float),
                                          store.keypoints[i], alpha, cfg.beta)
         theta, iters, loss, failed = bl.optimize_frame(
             store.scene, init, store.masks_ref[i], store.keypoints[i],
-            store.q_first3[i], cfg)
+            store.q_noisy_full[i, :3], cfg)
         assert loss <= init_loss + 1e-12
 
 
@@ -60,7 +64,7 @@ def test_rejects_nonfinite_init(tiny_store):
     bad[2] = np.nan
     with pytest.raises(ValueError):
         bl.optimize_frame(store.scene, bad, store.masks_ref[0], store.keypoints[0],
-                          store.q_first3[0], bl.BaselineConfig())
+                          store.q_noisy_full[0, :3], bl.BaselineConfig())
 
 
 def test_nonfinite_loss_counts_as_failure(tiny_store):
@@ -72,7 +76,7 @@ def test_nonfinite_loss_counts_as_failure(tiny_store):
     cfg = bl.BaselineConfig(max_iterations=20)
     theta, iters, loss, failed = bl.optimize_frame(
         store.scene, store.theta_noisy[0], m_ref, store.keypoints[0],
-        store.q_first3[0], cfg)
+        store.q_noisy_full[0, :3], cfg)
     assert failed
     assert iters == 5
     np.testing.assert_array_equal(theta, store.theta_noisy[0])
@@ -106,8 +110,8 @@ def test_local_convergence_translation_only(tiny_store):
 
 def test_track_trajectory_zero_noise_single_iterations(scene64, tmp_path):
     from silgrad import synth
-    ds = synth.generate_dataset(tmp_path / "z", "val", 1, 1.0, seed=4,
-                                scene=scene64, noise=synth.NoiseSpec.zero())
+    ds = synth.generate_dataset(tmp_path / "z", "val", 1, 1.0, seed=4, scene=scene64,
+                                noise=synth.NoiseSpec(np.zeros(3), np.zeros(3), np.zeros(7)))
     store = corrector.build_frame_store(ds)
     thetas, iters, losses, flags = bl.track_trajectory(
         store.scene, store.theta_noisy, store.q_noisy_full, store.masks_ref,
@@ -139,6 +143,6 @@ def test_warm_start_reduces_total_iterations(tiny_store):
     for i in sel:
         _, it, _, _ = bl.optimize_frame(store.scene, store.theta_noisy[i],
                                         store.masks_ref[i], store.keypoints[i],
-                                        store.q_first3[i], cfg)
+                                        store.q_noisy_full[i, :3], cfg)
         cold_total += it
     assert warm_iters.sum() < cold_total

@@ -214,7 +214,7 @@ def test_loss_total_weighting():
 def truth_theta(store, i):
     import silgrad.se3 as se3
     pose, _ = se3.transform_to_euler(store.base_true)
-    return np.concatenate([pose.as_vector(), store.q_true_vis[i]])
+    return np.concatenate([pose, store.q_true_full[i, corrector.VISIBLE_SLICE]])
 
 
 def test_render_corrected_at_truth_matches_reference(tiny_store):
@@ -237,13 +237,13 @@ def test_zero_correction_renders_noisy_config(tiny_store):
     out = corrector.apply_correction(np.zeros((1, 10)), store.theta_noisy[i][None],
                                      corrector.default_scale(store.scene.chain),
                                      store.scene.chain)
-    s_hat, _ = corrector.render_corrected(store.scene, out, store.q_first3[i][None])
+    s_hat, _ = corrector.render_corrected(store.scene, out, store.q_noisy_full[i, :3][None])
     rot = store.scene.base  # recompute directly from the noisy parametrization
     import silgrad.se3 as se3
     from silgrad.scene import render_masks
     e = store.theta_noisy[i]
     r = se3.euler_to_matrix(e[:3])[None]
-    q = np.concatenate([store.q_first3[i], store.theta_noisy[i, 6:10]])[None]
+    q = np.concatenate([store.q_noisy_full[i, :3], store.theta_noisy[i, 6:10]])[None]
     direct = render_masks(store.scene, r, e[3:6][None], q, "soft")
     np.testing.assert_allclose(s_hat, direct, atol=1e-12)
 
@@ -258,7 +258,7 @@ def test_one_forward_kinematics_pass_per_render(monkeypatch, tiny_store, render)
     if render == "render_corrected":
         tape = ad.Tape()
         theta = ad.leaf(tape, store.theta_noisy[:3])
-        corrector.render_corrected(store.scene, theta, store.q_first3[:3])
+        corrector.render_corrected(store.scene, theta, store.q_noisy_full[:3, :3])
     else:
         synth.render_truth(store.scene, store.base_true, store.q_true_full[:3])
     assert len(calls) == 1

@@ -92,13 +92,6 @@ def test_fk_wrong_length_raises(chain):
         kin.forward_kinematics(chain, np.eye(3)[None], np.zeros(3)[None], np.zeros((1, 6)))
 
 
-def test_joint_limit_clamp_idempotent(chain):
-    q = RNG.uniform(-5, 5, size=(20, 7))
-    c1 = chain.clamp(q)
-    np.testing.assert_array_equal(chain.clamp(c1), c1)
-    assert np.all(c1 >= chain.lower_limits) and np.all(c1 <= chain.upper_limits)
-
-
 def test_keypoint_at_link_origin_equals_link_translation(chain):
     base = se3.RigidTransform.identity()
     q = random_config(chain, RNG)[0]

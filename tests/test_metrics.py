@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from scipy import signal
@@ -30,7 +28,7 @@ def hand_eye(base, q_noisy, q_visible):
     """One frame's end-effector pose as series_from_params gives it: joints
     1-3 from ``q_noisy``, 4-7 from ``q_visible``."""
     pose, _ = se3.transform_to_euler(base)
-    theta = np.concatenate([pose.as_vector(), q_visible])[None]
+    theta = np.concatenate([pose, q_visible])[None]
     s = metrics.series_from_params(CHAIN, theta, q_noisy[None], np.zeros(1), "x")
     return se3.RigidTransform(s.rotations[0], s.translations[0])
 
@@ -128,6 +126,9 @@ def test_filter_linearity_on_translations():
 def test_filter_rejects_cutoff_at_nyquist():
     with pytest.raises(ValueError, match="Nyquist"):
         metrics.lowpass(make_series(), 15.0)
+    for cutoff in (0.0, np.nan):
+        with pytest.raises(ValueError, match="cutoff_hz"):
+            metrics.lowpass(make_series(), cutoff)
 
 
 def test_spectral_attenuation_oracle_full_series():
@@ -256,37 +257,10 @@ def test_series_from_params_matches_hand_eye():
     base = se3.RigidTransform(se3.rotation_about_axis([0, 1, 0], 0.3), [0.05, 0.04, 0.03])
     pose, _ = se3.transform_to_euler(base)
     q_noisy = RNG.uniform(-0.3, 0.3, size=(5, 7))
-    theta = np.concatenate([np.tile(pose.as_vector(), (5, 1)),
+    theta = np.concatenate([np.tile(pose, (5, 1)),
                             q_noisy[:, 3:7] + 0.01], axis=1)
     s = metrics.series_from_params(CHAIN, theta, q_noisy, np.arange(5) / 30.0, "corrected")
     he = compose_chain(base, np.concatenate([q_noisy[2, :3], theta[2, 6:10]]))
     np.testing.assert_allclose(s.translations[2], he.translation, atol=1e-9)
     np.testing.assert_allclose(s.rotations[2], he.rotation, atol=1e-9)
 
-
-# -------------------------------------------------------------------- bench
-
-def test_bench_one_shot_iterations_exactly_one():
-    res = metrics.bench_calls("ours", lambda i: None, n_samples=50, warmup=5)
-    assert res.iterations_mean == 1.0
-    assert res.frame_fps_mean == res.inference_fps_mean
-
-
-def test_bench_iterative_frame_rate_scales_down():
-    iters = np.array([100, 3, 2, 4, 1])
-    res = metrics.bench_calls("gd", lambda i: None, n_samples=50, warmup=5,
-                              iterations=iters)
-    assert res.iterations_mean == 22.0
-    np.testing.assert_allclose(res.frame_fps_mean,
-                               res.inference_fps_mean / 22.0, rtol=1e-12)
-    assert res.frame_fps_mean < res.inference_fps_mean
-
-
-def test_bench_reports_frames_over_total_time(monkeypatch):
-    # calls alternating 5 ms and 15 ms: 100 frames in 1 s, where the mean of
-    # the per-call rates would read (200 + 66.7) / 2 = 133/s
-    ticks = iter(np.cumsum([0.0] + [0.005, 0.0, 0.015, 0.0] * 50))
-    monkeypatch.setattr(metrics, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
-    res = metrics.bench_calls("alt", lambda i: None, n_samples=100, warmup=0)
-    assert res.inference_fps_mean == pytest.approx(100.0, rel=1e-9)
-    assert res.frame_fps_mean == res.inference_fps_mean

@@ -46,3 +46,87 @@ def test_every_third_party_import_is_declared():
 
 def test_every_declared_dependency_is_imported():
     assert _declared() - _imported() == set()
+
+
+BENCH = PYPROJECT.parent / "bench"
+
+# public names that no src/ or bench/ code reaches yet, each with its reason
+UNCALLED_ALLOWED = {
+    "metrics.evaluate_series": "the paper's error tables; the eval driver will call it",
+    "metrics.write_pose_csv": "the per-frame pose CSV; the eval driver will write it",
+    "metrics.read_pose_csv": "reads the eval driver's pose CSV back",
+    "se3.compose": "the tests' reference forward kinematics",
+    "se3.invert": "the tests' reference forward kinematics",
+    "autodiff.finite_diff_check": "the tests' gradient reference for every op",
+}
+
+
+def _silgrad_aliases(tree: ast.Module):
+    """Local names bound to silgrad modules (``from silgrad import m as x``,
+    ``from . import m``) and to their members (``from .m import f``)."""
+    modules, members = {}, {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        package = node.module or ""
+        for alias in node.names:
+            local = alias.asname or alias.name
+            if package == "silgrad" or (node.level == 1 and not package):
+                modules[local] = alias.name
+            elif package.startswith("silgrad.") or node.level == 1:
+                members[local] = (package.rpartition(".")[2], alias.name)
+    return modules, members
+
+
+def _uses(nodes, module, own, modules, members):
+    """(module, name) of each silgrad definition that ``nodes`` name, as
+    ``alias.name``, as an imported member, or as a name in ``own``, the
+    top-level definitions of ``module`` itself. Strings do not count."""
+    found = set()
+    for node in (n for top in nodes for n in ast.walk(top)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            found.add((modules[node.value.id], node.attr))
+        elif isinstance(node, ast.Name) and node.id in members:
+            found.add(members[node.id])
+        elif isinstance(node, ast.Name) and node.id in own:
+            found.add((module, node.id))
+    return found
+
+
+def _reached(roots, edges):
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(edges.get(name, ()))
+    return seen
+
+
+def test_every_public_name_has_a_caller():
+    """Every public module-level function or class under src/silgrad is
+    reached from bench/ or from module-level code, through the definitions
+    that use it; tests alone do not keep a name alive, and neither does a
+    definition that nothing reaches."""
+    public, edges, roots = set(), {}, set()
+    for path in sorted((SRC / "silgrad").glob("*.py")) + sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        aliases = _silgrad_aliases(tree)
+        defs = {node.name: node for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        if path.parent == BENCH:
+            roots |= _uses(tree.body, None, {}, *aliases)
+            continue
+        module = path.stem
+        public |= {(module, name) for name in defs if not name.startswith("_")}
+        for name, node in defs.items():
+            edges[(module, name)] = _uses([node], module, defs, *aliases)
+        top_level = [node for node in tree.body if node not in defs.values()]
+        roots |= _uses(top_level, module, defs, *aliases)
+    allowed = {tuple(name.split(".")) for name in UNCALLED_ALLOWED}
+    uncalled = public - _reached(roots | allowed, edges)
+    assert {".".join(name) for name in uncalled} == set()
+    assert allowed - public == set(), "an allowed name no longer exists"
+    called = allowed & _reached(roots, edges)
+    assert {".".join(name) for name in called} == set(), "an allowed name has a caller now"

@@ -68,6 +68,12 @@ def _drop_meta(key):
     return _meta(lambda meta: meta.pop(key))
 
 
+def _set_k(index, value):
+    def edit(meta):
+        meta["k"][index] = value
+    return _meta(edit)
+
+
 def _pose_csv(tmp_path):
     p = tmp_path / "ref.csv"
     n = 3
@@ -112,6 +118,18 @@ CASES = {
                        _meta(lambda meta: meta.update(k=meta["k"][:9])), ValueError),
     "model-squash-unknown": (corrector.CorrectorModel.load, _model,
                              _meta(lambda meta: meta.update(squash="tanh")), ValueError),
+    "model-k-nan": (corrector.CorrectorModel.load, _model, _set_k(3, float("nan")), ValueError),
+    "model-k-zero": (corrector.CorrectorModel.load, _model, _set_k(0, 0.0), ValueError),
+    "model-k-negative": (corrector.CorrectorModel.load, _model, _set_k(9, -0.1), ValueError),
+    "model-k-inf": (corrector.CorrectorModel.load, _model, _set_k(5, float("inf")), ValueError),
+    "model-alpha-nan": (corrector.CorrectorModel.load, _model,
+                        _meta(lambda meta: meta.update(alpha=float("nan"))), ValueError),
+    "model-beta-inf": (corrector.CorrectorModel.load, _model,
+                       _meta(lambda meta: meta.update(beta=float("inf"))), ValueError),
+    "model-gamma-nan": (corrector.CorrectorModel.load, _model,
+                        _meta(lambda meta: meta.update(gamma=float("nan"))), ValueError),
+    "model-gamma-minus-inf": (corrector.CorrectorModel.load, _model,
+                              _meta(lambda meta: meta.update(gamma=float("-inf"))), ValueError),
     "pose-csv-short-row": (metrics.read_pose_csv, _pose_csv,
                            _row(3, lambda r: r.rsplit(b",", 1)[0]), ValueError),
     "pose-csv-not-a-number": (metrics.read_pose_csv, _pose_csv,
@@ -121,6 +139,10 @@ CASES = {
 }
 # what the message must name right after the path, beyond the path itself
 AFTER_PATH = {case: ", line 3:" for case in CASES if case.startswith("pose-csv")}
+# a model value out of range: the message names its key
+AFTER_PATH.update({case: f": {case.split('-')[1]!r}" for case in CASES
+                   if case.startswith("model-")
+                   and case.endswith(("-nan", "-inf", "-zero", "-negative"))})
 
 
 @pytest.mark.parametrize("case", CASES)

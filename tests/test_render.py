@@ -343,7 +343,7 @@ def test_soft_gradients_match_finite_differences_ten_params():
     q_vis = np.array([0.4, 0.1, -0.2, 0.5])
     q_first = np.array([0.05, -0.05, 0.13])
     pose0, _ = se3.transform_to_euler(sc.base)
-    params0 = np.concatenate([pose0.euler, pose0.translation, q_vis])
+    params0 = np.concatenate([pose0, q_vis])
     scale = np.array([0.175] * 3 + [0.02] * 3 + [0.25] * 4)
 
     def f(pn):

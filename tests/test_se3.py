@@ -37,9 +37,8 @@ def test_compose_two_quarter_turns():
 
 
 def test_euler_identity_and_single_axis():
-    assert se3.euler_to_transform(se3.EulerPose([0, 0, 0], [0, 0, 0])).allclose(
-        se3.RigidTransform.identity())
-    t = se3.euler_to_transform(se3.EulerPose([np.pi / 2, 0, 0], [0, 0, 0]))
+    assert se3.euler_to_transform(np.zeros(6)).allclose(se3.RigidTransform.identity())
+    t = se3.euler_to_transform([np.pi / 2, 0, 0, 0, 0, 0])
     np.testing.assert_allclose(t.rotation, se3.rotation_about_axis([0, 0, 1], np.pi / 2),
                                atol=1e-12)
 
@@ -81,7 +80,7 @@ def test_transform_euler_round_trip():
         pose, locked = se3.transform_to_euler(t)
         if locked:
             continue
-        assert abs(pose.euler[1]) <= np.pi / 2
+        assert abs(pose[1]) <= np.pi / 2
         assert se3.euler_to_transform(pose).allclose(t, atol=1e-9)
 
 
@@ -122,9 +121,13 @@ def test_euler_to_matrix_gradients():
 
 
 def test_euler_vector_order_is_euler_then_translation():
-    pose = se3.EulerPose([0.1, 0.2, 0.3], [1, 2, 3])
-    np.testing.assert_array_equal(pose.as_vector(), [0.1, 0.2, 0.3, 1, 2, 3])
-    assert se3.EulerPose.from_vector(pose.as_vector()).translation[2] == 3.0
+    pose = np.array([0.1, 0.2, 0.3, 1.0, 2.0, 3.0])
+    t = se3.euler_to_transform(pose)
+    np.testing.assert_array_equal(t.rotation, se3.euler_to_matrix(pose[:3]))
+    np.testing.assert_array_equal(t.translation, [1.0, 2.0, 3.0])
+    back, locked = se3.transform_to_euler(t)
+    assert not locked
+    np.testing.assert_allclose(back, pose, atol=1e-12)
 
 
 def test_validate_rejects_bad_rotation():

@@ -4,6 +4,7 @@ import pytest
 from silgrad import mesh, scene, se3, synth
 
 SCENE = scene.reference_scene(64)
+ZERO_NOISE = synth.NoiseSpec(np.zeros(3), np.zeros(3), np.zeros(7))
 
 
 def test_interpolate_endpoints_and_ramp():
@@ -61,7 +62,7 @@ def test_duration_30s_gives_900_frames():
 
 
 def test_zero_noise_reproduces_truth_exactly():
-    rec = synth.generate_trajectory(30, SCENE, synth.NoiseSpec.zero(), 3)
+    rec = synth.generate_trajectory(30, SCENE, ZERO_NOISE, 3)
     np.testing.assert_array_equal(rec.q_noisy, rec.q_true)
     assert rec.base_noisy.allclose(rec.base_true, atol=0.0)
 
@@ -84,7 +85,7 @@ def test_eef_in_image_every_frame():
 
 
 def test_segment_stitching_continuous():
-    rec = synth.generate_trajectory(120, SCENE, synth.NoiseSpec.zero(), 13)
+    rec = synth.generate_trajectory(120, SCENE, ZERO_NOISE, 13)
     steps = np.abs(np.diff(rec.q_true, axis=0)).max(axis=1)
     # interior joins deduplicate the shared endpoint: no jump exceeds the
     # largest single interpolation step by construction
@@ -139,6 +140,31 @@ def test_dataset_round_trip_and_validation(tmp_path):
         synth.read_dataset(tmp_path / "d")
     with pytest.raises(FileNotFoundError):
         synth.read_dataset(tmp_path / "nope")
+
+
+@pytest.mark.parametrize("field", ["transform_translation_halfwidth",
+                                   "transform_euler_halfwidth", "joint_sigma"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_noise_spec_rejects_nonfinite(field, value):
+    widths = synth.default_noise_spec().to_dict()
+    widths[field][1] = value
+    with pytest.raises(ValueError, match=field):
+        synth.NoiseSpec(**widths)
+
+
+def test_failed_generation_leaves_no_manifest(tmp_path, monkeypatch):
+    synth.generate_dataset(tmp_path / "d", "val", 2, 0.1, seed=2, scene=SCENE)
+    make = synth.generate_trajectory
+
+    def fail_second(frames, scene, noise, seed, index=0):
+        if index == 1:
+            raise RuntimeError("generation failed")
+        return make(frames, scene, noise, seed, index)
+
+    monkeypatch.setattr(synth, "generate_trajectory", fail_second)
+    with pytest.raises(RuntimeError):
+        synth.generate_dataset(tmp_path / "d", "val", 3, 0.1, seed=3, scene=SCENE)
+    assert not (tmp_path / "d" / "manifest").exists()
 
 
 def test_dataset_same_seed_bit_identical(tmp_path):
