@@ -13,6 +13,7 @@ reading (joint noise is white; the base error is persistent).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,12 +50,17 @@ class BaselineConfig:
     beta: float = 0.05
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
+            raise ValueError("max_iterations must be an integer of at least 1")
         if self.loss_threshold is not None and not 0 <= self.loss_threshold < np.inf:
             raise ValueError("loss_threshold must be finite and nonnegative")
         if not 0 < self.step_size < np.inf:
             raise ValueError("step_size must be finite and positive")
+        scale = np.asarray(self.step_scale, dtype=np.float64)
+        if scale.shape != (10,) or not np.all((scale > 0) & (scale < np.inf)):
+            raise ValueError("step_scale must be 10 finite positive values")
+        if not 0 <= self.beta < np.inf:
+            raise ValueError("beta must be finite and nonnegative")
 
     def resolve(self, camera) -> tuple[float, float]:
         """(alpha, threshold): the corrector's silhouette weight and the

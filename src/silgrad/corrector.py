@@ -12,6 +12,7 @@ through the soft rasterizer and forward kinematics into the network.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +25,9 @@ from .scene import ToolScene, render_pose
 from .synth import Dataset, rng_stream
 
 VISIBLE_SLICE = slice(3, 7)
+_SQUASH_MODES = ("centered", "literal")
 _TRAIN_STREAM = 1 << 32  # RNG stream ids above the trajectory namespace
+_EVAL_BATCH = 32         # frames per evaluate_loss batch
 
 
 def default_scale(chain) -> np.ndarray:
@@ -188,9 +191,9 @@ class CorrectorModel:
         if not np.all((k > 0) & (k < np.inf)):
             raise ValueError(f"{path}: 'k' must be finite and positive")
         for key, gain in zip(("alpha", "beta", "gamma"), gains):
-            if not np.isfinite(gain):
-                raise ValueError(f"{path}: {key!r} must be finite")
-        if meta["squash"] not in ("centered", "literal"):
+            if not 0 <= gain < np.inf:
+                raise ValueError(f"{path}: {key!r} must be finite and nonnegative")
+        if meta["squash"] not in _SQUASH_MODES:
             raise ValueError(f"{path}: unknown squashing mode {meta['squash']!r}")
         return CorrectorModel(config, weights, k, meta["squash"], *gains)
 
@@ -226,6 +229,19 @@ class TrainConfig:
     val_stride: int = 5
     vit_config: vit.VitConfig = field(default_factory=vit.VitConfig)
 
+    def __post_init__(self):
+        # lr = 0 is allowed: training then returns the seeded initial weights
+        for name in ("lr", "weight_decay", "beta", "gamma"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        for name in ("epochs", "batch_size", "patience", "val_stride"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+        if self.squash not in _SQUASH_MODES:
+            raise ValueError(f"squash: unknown squashing mode {self.squash!r}")
+
 
 @dataclass
 class AdamState:
@@ -235,8 +251,8 @@ class AdamState:
 
 
 def adam_step(weights: dict, grads: dict, state: AdamState, lr: float,
-              weight_decay: float, b1: float = 0.9, b2: float = 0.999,
-              eps: float = 1e-8) -> None:
+              weight_decay: float) -> None:
+    b1, b2, eps = 0.9, 0.999, 1e-8
     state.t += 1
     t = state.t
     for name, w in weights.items():
@@ -276,12 +292,11 @@ def batch_loss(model_cfg: vit.VitConfig, weights: dict, store: FrameStore,
 
 
 def evaluate_loss(model: CorrectorModel, store: FrameStore, idx: np.ndarray,
-                  alpha: float, beta: float, gamma: float,
-                  batch_size: int = 32) -> dict:
+                  alpha: float, beta: float, gamma: float) -> dict:
     """Plain-numpy loss over the given frames (no tape)."""
     sums = {"total": 0.0, "render": 0.0, "keypoints": 0.0, "joints": 0.0}
-    for lo in range(0, len(idx), batch_size):
-        sel = idx[lo:lo + batch_size]
+    for lo in range(0, len(idx), _EVAL_BATCH):
+        sel = idx[lo:lo + _EVAL_BATCH]
         total, parts = batch_loss(model.config, model.weights, store, sel,
                                   model.k, alpha, beta, gamma, model.squash)
         n = len(sel)

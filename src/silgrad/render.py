@@ -35,18 +35,23 @@ scanline spans. A triangle with halo h visits the rows of its bounding box
 widened by h; in each row it visits the x-range of the triangle clipped to
 the band [yc - h, yc + h] around the row's center yc, widened by h plus a
 one-pixel guard against rounding. Every pixel center within distance h of
-the triangle is visited, in (triangle, row, column) order. The hard
-rasterizer uses h = 0: the covered pixels plus two or three per triangle row.
-The soft rasterizer gives a triangle that owns a contour edge
-h = 3 sqrt(sigma_r) + 0.5 px: a pixel within h of a contour edge is visited
-by the triangle that owns the edge, and a farther one has |z| > h^2/sigma_r
-(at most sigmoid(-9) = 1.2e-4 away from 0 or 1) and may read its nearest
-visited edge or, outside every part, 0. A triangle without a contour edge
-only sets the sign of the pixels it covers, so it gets h = 0. On the 128 px
-tool scene this visits about 5x fewer soft pairs and 20x fewer hard pairs
-than each triangle's bounding box did. The gradient w.r.t. projected vertices
-is hand-derived (envelope theorem on the pixel's one winning contour edge)
-and exposed as a single fused autodiff op.
+the triangle is visited, in (triangle, row, column) order.
+
+They also share one coverage pass: the valid triangles of nonzero area,
+wound counter-clockwise, at h = 0 with the top-left rule. The hard raster
+keys the covered pixels by image, the soft raster by (image, part), which
+gives sign_P. The soft raster then makes one distance pass: each contour
+edge AB of an image goes in once, as the degenerate triangle (A, B, B) with
+h = 3 sqrt(sigma_r) + 0.5 px, so every pixel center within h of the edge is
+visited, and d2_P is the minimum over the visited edges of P. A pixel
+farther than h from every contour edge of P has |z| > h^2/sigma_r for P,
+at most sigmoid(-9) = 1.2e-4 away from 0 or 1; if no edge of P visits it,
+d2_P is infinite and it reads exactly 1 inside P and 0 outside. On the
+128 px tool scene the coverage pass visits about 20x fewer pairs than each
+triangle's bounding box, and the two soft passes together about 13x fewer
+than those boxes widened by h where the triangle owns a contour edge. The
+gradient w.r.t. projected vertices is hand-derived (envelope theorem on the
+pixel's one winning contour edge) and exposed as a single fused autodiff op.
 """
 
 from __future__ import annotations
@@ -113,17 +118,17 @@ def project(camera: PinholeCamera, points):
 # ---------------------------------------------------------------------------
 # pixel-triangle pair enumeration
 
-def _pair_blocks(tris: np.ndarray, width: int, height: int, halo):
+def _pair_blocks(tris: np.ndarray, width: int, height: int, halo: float):
     """Yield (tri_idx, px, py) chunks of the scanline spans that hold every
     pixel center within ``halo`` of each triangle (see the module docstring),
     in (triangle, row, column) order.
 
-    ``tris`` is (N, 3, 2) with finite coordinates; ``halo`` is in px, scalar
-    or (N,). Pixel coordinates are centers (col+0.5, row+0.5).
+    ``tris`` is (N, 3, 2) with finite coordinates; ``halo`` is in px. Pixel
+    coordinates are centers (col+0.5, row+0.5).
     """
     if len(tris) == 0:
         return
-    h = np.broadcast_to(np.asarray(halo, dtype=float), (len(tris),))
+    h = float(halo)
     # clip in float before the integer cast: coordinates may lie far off-screen
     x0 = np.ceil(np.clip(tris[:, :, 0].min(axis=1) - h - 0.5, 0, width))
     x1 = np.floor(np.clip(tris[:, :, 0].max(axis=1) + h - 0.5, -1, width - 1))
@@ -135,8 +140,7 @@ def _pair_blocks(tris: np.ndarray, width: int, height: int, halo):
 
     # x-range of each triangle within its rows' bands: clip every edge to
     # the band (Liang-Barsky in y) and take the extremes of the clipped ends
-    hr = h[tri_r]
-    lo, hi = row + 0.5 - hr, row + 0.5 + hr
+    lo, hi = row + 0.5 - h, row + 0.5 + h
     xl = np.full(len(row), np.inf)
     xr = np.full(len(row), -np.inf)
     t = tris[tri_r]
@@ -151,8 +155,8 @@ def _pair_blocks(tris: np.ndarray, width: int, height: int, halo):
         xa, xb = a[:, 0] + s0 * d[:, 0], a[:, 0] + s1 * d[:, 0]
         xl = np.where(hit, np.minimum(xl, np.minimum(xa, xb)), xl)
         xr = np.where(hit, np.maximum(xr, np.maximum(xa, xb)), xr)
-    xs = np.maximum(np.ceil(xl - hr - 1.5), x0[tri_r])
-    xe = np.minimum(np.floor(xr + hr + 0.5), x1[tri_r])
+    xs = np.maximum(np.ceil(xl - h - 1.5), x0[tri_r])
+    xe = np.minimum(np.floor(xr + h + 0.5), x1[tri_r])
     keep = xe >= xs
     tri_r, row = tri_r[keep], row[keep]
     xs = xs[keep].astype(np.int64)
@@ -182,16 +186,23 @@ def _orient_ccw(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return flipped, area2
 
 
-def _edge_functions(tris: np.ndarray, tri_idx, px, py):
-    """Edge function values for pixel centers; positive inside CCW triangles."""
-    x = px + 0.5
-    y = py + 0.5
-    e = np.empty((3, len(tri_idx)))
-    for k in range(3):
-        a = tris[tri_idx, k]
-        b = tris[tri_idx, (k + 1) % 3]
-        e[k] = (b[:, 0] - a[:, 0]) * (y - a[:, 1]) - (b[:, 1] - a[:, 1]) * (x - a[:, 0])
-    return e
+def _coverage(tris: np.ndarray, cell: np.ndarray, size: int, width: int,
+              height: int) -> np.ndarray:
+    """Boolean (size,) array with ``cell[i] + row * width + col`` set for
+    every pixel center that CCW triangle i covers under the top-left rule."""
+    # top-left classification per (triangle, edge k from vertex k to k+1), y-down
+    d = np.roll(tris, -1, axis=1) - tris
+    topleft = ((d[..., 1] == 0) & (d[..., 0] < 0)) | (d[..., 1] > 0)
+    out = np.zeros(size, dtype=bool)
+    for tri, px, py in _pair_blocks(tris, width, height, 0.0):
+        x, y = px + 0.5, py + 0.5
+        inside = np.ones(len(tri), dtype=bool)
+        for k in range(3):
+            a, dk = tris[tri, k], d[tri, k]
+            e = dk[:, 0] * (y - a[:, 1]) - dk[:, 1] * (x - a[:, 0])
+            inside &= (e > 0) | ((e == 0) & topleft[tri, k])
+        out[(cell[tri] + py * width + px)[inside]] = True
+    return out
 
 
 def hard_occupancy(verts2d: np.ndarray, faces: np.ndarray, valid: np.ndarray,
@@ -201,34 +212,12 @@ def hard_occupancy(verts2d: np.ndarray, faces: np.ndarray, valid: np.ndarray,
     verts2d: (B, V, 2); faces: (T, 3); valid: (B, T). Returns (B, H, W) of
     {0.0, 1.0}. An image with a non-finite vertex is all NaN.
     """
-    B = verts2d.shape[0]
+    B, T, HW = verts2d.shape[0], faces.shape[0], height * width
     finite = np.isfinite(verts2d).all(axis=(1, 2))
-    tris = verts2d[:, faces, :].reshape(-1, 3, 2)
-    keep = (valid & finite[:, None]).reshape(-1)
-    tris, area2 = _orient_ccw(tris)
-    keep = keep & (area2 != 0.0)
-    sel = np.flatnonzero(keep)
-    tris_k = tris[sel]
-    batch_of = sel // faces.shape[0]
-
-    # top-left classification per (kept triangle, edge), CCW winding, y-down
-    dx = np.empty((3, len(sel)))
-    dy = np.empty((3, len(sel)))
-    for k in range(3):
-        a, b = tris_k[:, k], tris_k[:, (k + 1) % 3]
-        dx[k] = b[:, 0] - a[:, 0]
-        dy[k] = b[:, 1] - a[:, 1]
-    topleft = ((dy == 0) & (dx < 0)) | (dy > 0)
-
-    out = np.zeros(B * height * width, dtype=bool)
-    for tri, px, py in _pair_blocks(tris_k, width, height, 0.0):
-        e = _edge_functions(tris_k, tri, px, py)
-        inside = np.ones(len(tri), dtype=bool)
-        for k in range(3):
-            inside &= (e[k] > 0) | ((e[k] == 0) & topleft[k][tri])
-        flat = (batch_of[tri] * height + py) * width + px
-        out[flat[inside]] = True
-    occ = out.reshape(B, height, width).astype(float)
+    tris, area2 = _orient_ccw(verts2d[:, faces, :].reshape(-1, 3, 2))
+    sel = np.flatnonzero((valid & finite[:, None]).reshape(-1) & (area2 != 0.0))
+    occ = _coverage(tris[sel], sel // T * HW, B * HW, width, height)
+    occ = occ.reshape(B, height, width).astype(float)
     occ[~finite] = np.nan
     return occ
 
@@ -265,82 +254,15 @@ def _contour_slots(area2: np.ndarray, faces: np.ndarray, valid: np.ndarray,
     return ~(left & right)[flat].reshape(side.shape)
 
 
-def _edge_terms(tris_k, tri, k, x, y):
-    """Edge slot k (vertex k to k+1) of each pair's triangle against pixel
-    centers (x, y): the edge function (>= 0 on the inner side of a CCW
-    edge), the segment parameter t of the nearest point q, and p - q."""
-    a = tris_k[tri, k]
-    ab = tris_k[tri, (k + 1) % 3] - a
+def _edge_terms(segs, e, x, y):
+    """Segment e (segs[e, 0] to segs[e, 1]) against pixel centers (x, y):
+    the segment parameter t of the nearest point q, and p - q."""
+    a = segs[e, 0]
+    ab = segs[e, 1] - a
     pax, pay = x - a[:, 0], y - a[:, 1]
     len2 = np.maximum(ab[:, 0] * ab[:, 0] + ab[:, 1] * ab[:, 1], 1e-30)
     t = np.clip((pax * ab[:, 0] + pay * ab[:, 1]) / len2, 0.0, 1.0)
-    e = ab[:, 0] * pay - ab[:, 1] * pax
-    return e, t, pax - t * ab[:, 0], pay - t * ab[:, 1]
-
-
-def _soft_pair_terms(tris_k, contour_k, tri, px, py):
-    """Per pair: squared distance to the triangle's nearest contour edge (inf
-    when it has none), that edge's slot, and whether the pixel center is
-    inside the triangle."""
-    x, y = px + 0.5, py + 0.5
-    best = np.full(len(tri), np.inf)
-    ek = np.zeros(len(tri), dtype=np.int8)
-    inside = np.ones(len(tri), dtype=bool)
-    for k in range(3):
-        e, _, rx, ry = _edge_terms(tris_k, tri, k, x, y)
-        inside &= e >= 0
-        d2 = rx * rx + ry * ry
-        closer = contour_k[tri, k] & (d2 < best)
-        best = np.where(closer, d2, best)
-        ek[closer] = k
-    return best, ek, inside
-
-
-def _first_of_runs(values, starts, best):
-    """Index of the first element of each run equal to its reduced value."""
-    counts = np.diff(np.append(starts, len(values)))
-    hit = np.flatnonzero(values == np.repeat(best, counts))
-    return hit[np.searchsorted(hit, starts)]
-
-
-def _soft_forward(tris_k, contour_k, pix0, part_k, n_parts, width, height, sigma_r):
-    """Contour-distance logits of every pixel near a kept triangle.
-
-    pix0: flat index of each kept triangle's image origin; part_k: its part.
-    Returns flat pixel indices, their logits z = sign * d2 / sigma_r (max
-    over parts), the sign, and the winning pair's triangle and edge slot.
-    """
-    # a triangle without a contour edge only lights the pixels it covers
-    halo = np.where(contour_k.any(axis=1), _HALO_SIGMAS * np.sqrt(sigma_r) + 0.5, 0.0)
-    blocks = []
-    for tri, px, py in _pair_blocks(tris_k, width, height, halo):
-        d2, ek, inside = _soft_pair_terms(tris_k, contour_k, tri, px, py)
-        live = inside | (d2 < np.inf)  # other pairs leave their pixel at 0
-        key = (pix0[tri] + py * width + px) * n_parts + part_k[tri]
-        blocks.append([c[live] for c in (key, tri, d2, ek, inside)])
-    if not blocks:
-        return (np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0),
-                np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int8))
-    key, tri, d2, ek, inside = (np.concatenate(c) for c in zip(*blocks))
-
-    # (pixel, part) groups: inside if any triangle covers the pixel center,
-    # distance to the part's nearest contour edge. Unique sort keys fix the
-    # order, and so the winner among tied pairs, whatever the sort kind.
-    order = np.argsort(key * len(key) + np.arange(len(key)))
-    key, d2_s = key[order], d2[order]
-    g0 = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
-    gd2 = np.minimum.reduceat(d2_s, g0)
-    g_sign = np.where(np.logical_or.reduceat(inside[order], g0), 1.0, -1.0)
-    g_win = order[_first_of_runs(d2_s, g0, gd2)]
-    z = g_sign * gd2 / sigma_r
-
-    # max over the parts at each pixel
-    gpix = key[g0] // n_parts
-    p0 = np.flatnonzero(np.append(True, gpix[1:] != gpix[:-1]))
-    zmax = np.maximum.reduceat(z, p0)
-    best = _first_of_runs(z, p0, zmax)
-    win = g_win[best]
-    return gpix[p0], zmax, g_sign[best], tri[win], ek[win]
+    return t, pax - t * ab[:, 0], pay - t * ab[:, 1]
 
 
 def soft_occupancy(verts2d, faces: np.ndarray, valid: np.ndarray,
@@ -356,27 +278,50 @@ def soft_occupancy(verts2d, faces: np.ndarray, valid: np.ndarray,
         raise ValueError("sigma_r must be positive")
     v2 = ad._val(verts2d)
     B, V = v2.shape[0], v2.shape[1]
-    T = faces.shape[0]
+    T, HW = faces.shape[0], height * width
     finite = np.isfinite(v2).all(axis=(1, 2))
     valid = valid & finite[:, None]
-    tris = v2[:, faces, :].reshape(-1, 3, 2)
-    tris_o, area2 = _orient_ccw(tris)
-    # a winding flip swaps face slots 1 and 2, which reverses the edge slots
-    flip = (area2 < 0)[:, None]
-    contour = _contour_slots(area2.reshape(B, T), faces, valid, V).reshape(-1, 3)
-    contour = np.where(flip, contour[:, ::-1], contour)
+    tris, area2 = _orient_ccw(v2[:, faces, :].reshape(-1, 3, 2))
+    area2 = area2.reshape(B, T)
     # as in the hard raster, a zero-area triangle covers no pixel center;
     # _contour_slots gives it no side, so its edges count only through the
     # faces that share them
-    sel = np.flatnonzero(valid.reshape(-1) & (area2 != 0.0))
-    tris_k = tris_o[sel]
+    kept = valid & (area2 != 0.0)
+    sel = np.flatnonzero(kept)
     parts = _face_parts(faces, V)
-    pix, z, sign, tri, ek = _soft_forward(
-        tris_k, contour[sel], sel // T * (height * width), parts[sel % T],
-        int(parts.max(initial=0)) + 1, width, height, sigma_r)
-    occ_px = ad.stable_sigmoid(z)
-    occ = np.zeros((B, height, width))
-    occ.reshape(-1)[pix] = occ_px
+    P = int(parts.max(initial=0)) + 1
+    # cells are (image, part, pixel); a part's sign is +1 where it covers
+    inside = _coverage(tris[sel], (sel // T * P + parts[sel % T]) * HW, B * P * HW,
+                       width, height)
+
+    # each contour edge of an image once, as it runs in the CCW slot of a
+    # kept face that owns it: the faces that own it lie on one side of it,
+    # so they all run it the same way
+    img, f, k = np.nonzero(_contour_slots(area2, faces, valid, V) & kept[:, :, None])
+    fwd = area2[img, f] > 0
+    ea = img * V + np.where(fwd, faces[f, k], faces[f, (k + 1) % 3])
+    eb = img * V + np.where(fwd, faces[f, (k + 1) % 3], faces[f, k])
+    _, first = np.unique(np.minimum(ea, eb) * (B * V) + np.maximum(ea, eb),
+                         return_index=True)
+    ea, eb = ea[first], eb[first]
+    edge_cell = (img[first] * P + parts[f[first]]) * HW
+    # an edge AB is the degenerate triangle (A, B, B): its pairs are the
+    # pixel centers within the halo of the segment
+    segs = v2.reshape(-1, 2)[np.stack([ea, eb, eb], axis=1)]
+    blocks = [(np.zeros(0, dtype=np.int64),) * 3]  # concatenates even without edges
+    blocks += _pair_blocks(segs, width, height, _HALO_SIGMAS * np.sqrt(sigma_r) + 0.5)
+    e, px, py = (np.concatenate(c) for c in zip(*blocks))
+    _, rx, ry = _edge_terms(segs, e, px + 0.5, py + 0.5)
+    d2, key = rx * rx + ry * ry, edge_cell[e] + py * width + px
+    # nearest edge per cell, ties to the first edge
+    order = np.lexsort((d2, key))
+    win = order[np.diff(key[order], prepend=-1) != 0]
+    d2_cell = np.full(B * P * HW, np.inf)
+    d2_cell[key[win]] = d2[win]
+    z = (np.where(inside, 1.0, -1.0) * d2_cell / sigma_r).reshape(B, P, HW)
+    # max over parts, ties to the first part
+    cell = ((np.arange(B)[:, None] * P + z.argmax(axis=1)) * HW + np.arange(HW)).reshape(-1)
+    occ = ad.stable_sigmoid(z.reshape(-1)[cell]).reshape(B, height, width)
     occ[~finite] = np.nan
 
     if not isinstance(verts2d, ad.DiffValue):
@@ -384,27 +329,23 @@ def soft_occupancy(verts2d, faces: np.ndarray, valid: np.ndarray,
 
     # envelope theorem on the winning contour edge AB with nearest point
     # q = A + t(B - A): dd2/dA = -2(1-t)(p-q), dd2/dB = -2t(p-q)
-    px, py = pix % width + 0.5, pix // width % height + 0.5
-    t = np.empty(len(pix))
-    r = np.empty((len(pix), 2))
-    for k in range(3):
-        at = ek == k
-        _, t[at], r[at, 0], r[at, 1] = _edge_terms(tris_k, tri[at], k, px[at], py[at])
-    vids = np.where(flip.reshape(B, T, 1), faces[:, [0, 2, 1]], faces).reshape(-1, 3)
-    gsel = sel[tri]
-    base_a = (gsel // T * V + vids[gsel, ek]) * 2
-    base_b = (gsel // T * V + vids[gsel, (ek + 1) % 3]) * 2
-    idx = np.concatenate([base_a, base_a + 1, base_b, base_b + 1])
-    do_dd2 = occ_px * (1.0 - occ_px) * (sign / sigma_r)
-    wa = (-2.0 * do_dd2 * (1.0 - t))[:, None] * r
-    wb = (-2.0 * do_dd2 * t)[:, None] * r
+    edge_of = np.full(B * P * HW, -1)
+    edge_of[key[win]] = e[win]
+    edge_of = edge_of[cell]
+    pix = np.flatnonzero(edge_of >= 0)
+    ew = edge_of[pix]
+    t, rx, ry = _edge_terms(segs, ew, pix % width + 0.5, pix // width % height + 0.5)
+    occ_px = occ.reshape(-1)[pix]
+    do_dd2 = occ_px * (1.0 - occ_px) * (np.where(inside[cell[pix]], 1.0, -1.0) / sigma_r)
+    ca, cb = -2.0 * do_dd2 * (1.0 - t), -2.0 * do_dd2 * t
+    idx = np.concatenate([ea[ew] * 2, ea[ew] * 2 + 1, eb[ew] * 2, eb[ew] * 2 + 1])
+    w = np.concatenate([ca * rx, ca * ry, cb * rx, cb * ry])
     bad = np.repeat(~finite, V * 2)
 
     def vjp(g):
-        gz = g.reshape(-1)[pix]
-        w = np.concatenate([gz * wa[:, 0], gz * wa[:, 1], gz * wb[:, 0], gz * wb[:, 1]])
         # an empty ``weights`` makes bincount return int64
-        grad = np.bincount(idx, weights=w, minlength=B * V * 2).astype(np.float64, copy=False)
+        grad = np.bincount(idx, weights=np.tile(g.reshape(-1)[pix], 4) * w,
+                           minlength=B * V * 2).astype(np.float64, copy=False)
         grad[bad] = np.nan
         return (grad.reshape(B, V, 2),)
 

@@ -21,6 +21,15 @@ def test_config_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="step_size"):
             bl.BaselineConfig(step_size=bad)
+    for bad in (np.nan, -0.05, np.inf):
+        with pytest.raises(ValueError, match="beta"):
+            bl.BaselineConfig(beta=bad)
+    for bad in (np.full(10, np.nan), np.zeros(10), -np.ones(10), np.ones(9), np.ones((2, 10))):
+        with pytest.raises(ValueError, match="step_scale"):
+            bl.BaselineConfig(step_scale=bad)
+    for bad in (2.5, 6.0):
+        with pytest.raises(ValueError, match="max_iterations"):
+            bl.BaselineConfig(max_iterations=bad)
 
 
 def test_init_at_truth_terminates_first_iteration(tiny_store):

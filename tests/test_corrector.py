@@ -301,6 +301,18 @@ def small_cfg(**kw):
     return corrector.TrainConfig(**base)
 
 
+@pytest.mark.parametrize("name, bad", [
+    ("lr", np.nan), ("lr", np.inf), ("lr", -1e-4), ("epochs", 0), ("batch_size", 0),
+    ("patience", 0), ("val_stride", 0), ("val_stride", np.nan), ("batch_size", 2.5),
+    ("epochs", 2.0), ("weight_decay", -1e-4),
+    ("weight_decay", np.inf), ("beta", np.nan), ("beta", -0.05), ("gamma", -500.0),
+    ("gamma", np.inf), ("squash", "tanh"),
+])
+def test_train_config_rejects_bad_field(name, bad):
+    with pytest.raises(ValueError, match=name):
+        corrector.TrainConfig(**{name: bad})
+
+
 def test_zero_lr_keeps_weights(tiny_train, tiny_val):
     model, _ = corrector.train(tiny_train, tiny_val, small_cfg(lr=0.0), log_fn=None)
     fresh = vit.init_weights(model.config, rng_stream(5, corrector._TRAIN_STREAM))

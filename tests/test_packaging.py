@@ -104,29 +104,39 @@ def _reached(roots, edges):
     return seen
 
 
+def _private_constants(tree: ast.Module):
+    """Module-level ``_NAME = ...`` assignments, by name."""
+    return {target.id: node for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and target.id.startswith("_")
+            and not target.id.startswith("__")}
+
+
 def test_every_public_name_has_a_caller():
-    """Every public module-level function or class under src/silgrad is
-    reached from bench/ or from module-level code, through the definitions
-    that use it; tests alone do not keep a name alive, and neither does a
-    definition that nothing reaches."""
-    public, edges, roots = set(), {}, set()
+    """Every module-level function or class under src/silgrad, public or
+    private, and every private module-level constant is reached from bench/
+    or from module-level code, through the definitions that use it; tests
+    alone do not keep a name alive, and neither does a definition that
+    nothing reaches."""
+    defined, edges, roots = set(), {}, set()
     for path in sorted((SRC / "silgrad").glob("*.py")) + sorted(BENCH.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         aliases = _silgrad_aliases(tree)
-        defs = {node.name: node for node in tree.body
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
         if path.parent == BENCH:
             roots |= _uses(tree.body, None, {}, *aliases)
             continue
+        defs = {node.name: node for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        defs |= _private_constants(tree)
         module = path.stem
-        public |= {(module, name) for name in defs if not name.startswith("_")}
+        defined |= {(module, name) for name in defs}
         for name, node in defs.items():
             edges[(module, name)] = _uses([node], module, defs, *aliases)
         top_level = [node for node in tree.body if node not in defs.values()]
         roots |= _uses(top_level, module, defs, *aliases)
     allowed = {tuple(name.split(".")) for name in UNCALLED_ALLOWED}
-    uncalled = public - _reached(roots | allowed, edges)
+    uncalled = defined - _reached(roots | allowed, edges)
     assert {".".join(name) for name in uncalled} == set()
-    assert allowed - public == set(), "an allowed name no longer exists"
+    assert allowed - defined == set(), "an allowed name no longer exists"
     called = allowed & _reached(roots, edges)
     assert {".".join(name) for name in called} == set(), "an allowed name has a caller now"

@@ -130,6 +130,10 @@ CASES = {
                         _meta(lambda meta: meta.update(gamma=float("nan"))), ValueError),
     "model-gamma-minus-inf": (corrector.CorrectorModel.load, _model,
                               _meta(lambda meta: meta.update(gamma=float("-inf"))), ValueError),
+    "model-alpha-negative": (corrector.CorrectorModel.load, _model,
+                             _meta(lambda meta: meta.update(alpha=-0.25)), ValueError),
+    "model-gamma-negative": (corrector.CorrectorModel.load, _model,
+                             _meta(lambda meta: meta.update(gamma=-500.0)), ValueError),
     "pose-csv-short-row": (metrics.read_pose_csv, _pose_csv,
                            _row(3, lambda r: r.rsplit(b",", 1)[0]), ValueError),
     "pose-csv-not-a-number": (metrics.read_pose_csv, _pose_csv,
