@@ -11,6 +11,10 @@ array. Code written against these ops (forward kinematics, rendering, the
 network) therefore runs both as a fast numpy pipeline and as a recorded,
 differentiable one.
 
+Where a long chain of small ops would cost time, a fused op records one node
+with a hand-derived vector-Jacobian product through :func:`from_op`: the soft
+rasterizer (in ``render``) and the network's layer norm, attention and GELU.
+
 There is no global "active tape"; the tape travels with the operands, so
 independent tapes can run on separate threads without shared state. Leaves
 and plain constants are lifted to float64.
@@ -207,10 +211,6 @@ def sigmoid(a):
                   lambda av, out: lambda g: g * out * (1.0 - out))
 
 
-def tanh(a):
-    return _unary(a, np.tanh, lambda av, out: lambda g: g * (1.0 - out * out))
-
-
 def clamp(a, lo=None, hi=None):
     """Clip to [lo, hi]; gradient is zero wherever the value was clipped."""
     def bw(av, out):
@@ -239,40 +239,6 @@ def reduce_mean(a, axis=None, keepdims=False):
     av = _val(a)
     n = av.size if axis is None else np.prod([av.shape[i] for i in np.atleast_1d(axis)])
     return mul(reduce_sum(a, axis=axis, keepdims=keepdims), 1.0 / float(n))
-
-
-def softmax(a, axis=-1):
-    def fwd(x):
-        z = x - np.max(x, axis=axis, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=axis, keepdims=True)
-
-    def bw(av, out):
-        return lambda g: (g - (g * out).sum(axis=axis, keepdims=True)) * out
-
-    return _unary(a, fwd, bw)
-
-
-def layer_norm(a, axis=-1, eps=1e-5):
-    """Normalize to zero mean / unit variance along ``axis`` (no affine part)."""
-    def fwd(x):
-        mu = x.mean(axis=axis, keepdims=True)
-        var = ((x - mu) ** 2).mean(axis=axis, keepdims=True)
-        return (x - mu) / np.sqrt(var + eps)
-
-    def bw(av, out):
-        mu = av.mean(axis=axis, keepdims=True)
-        var = ((av - mu) ** 2).mean(axis=axis, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
-
-        def run(g):
-            gm = g.mean(axis=axis, keepdims=True)
-            gx = (g * out).mean(axis=axis, keepdims=True)
-            return inv * (g - gm - out * gx)
-
-        return run
-
-    return _unary(a, fwd, bw)
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +270,19 @@ def transpose(a, axes):
                   lambda av, out: lambda g: np.transpose(g, inv))
 
 
+_BASIC_INDEX = (int, slice, type(...))  # by exact type, so a bool is not an int
+
+
 def take(a, idx):
-    """Basic or advanced indexing with scatter-add backward."""
+    """Basic indexing (ints, slices, ``...``); the backward writes ``g`` into zeros."""
+    for i in idx if type(idx) is tuple else (idx,):
+        if type(i) not in _BASIC_INDEX and not isinstance(i, np.integer):
+            raise ValueError(f"take: index {i!r} is not an int, a slice or ...")
+
     def bw(av, out):
         def run(g):
             grad = np.zeros_like(av)
-            np.add.at(grad, idx, g)
+            grad[idx] = g
             return grad
         return run
 
@@ -328,22 +301,14 @@ def concatenate(parts, axis=0):
     out = np.concatenate(vals, axis=axis)
     if tape is None:
         return out
-    sizes = [v.shape[axis] for v in vals]
-    offsets = np.cumsum([0] + sizes)
-    parents, segs = [], []
-    for i, p in enumerate(parts):
-        if _is_dv(p):
-            parents.append(p.nid)
-            segs.append((offsets[i], offsets[i + 1]))
+    offsets = np.cumsum([0] + [v.shape[axis] for v in vals])
+    kept = [i for i, p in enumerate(parts) if _is_dv(p)]
 
     def vjp(g):
         g = np.moveaxis(g, axis, 0)
-        outs = []
-        for lo, hi in segs:
-            outs.append(np.moveaxis(g[lo:hi], 0, axis))
-        return tuple(outs)
+        return tuple(np.moveaxis(g[offsets[i]:offsets[i + 1]], 0, axis) for i in kept)
 
-    return tape.add_node(out, tuple(parents), vjp)
+    return tape.add_node(out, tuple(parts[i].nid for i in kept), vjp)
 
 
 def stack(parts, axis=0):
@@ -357,15 +322,71 @@ def stack(parts, axis=0):
 
 
 def from_op(out_value: np.ndarray, parents: list, vjp):
-    """Record a custom primitive. ``vjp(g)`` returns one gradient per parent.
-
-    All parents must be DiffValues on the same tape; used for fused ops such
-    as the soft rasterizer whose Jacobian is hand-derived.
-    """
+    """Record a fused op with a hand-derived Jacobian: the soft rasterizer and
+    the network's layer norm, attention and GELU. The parents are all
+    DiffValues on one tape (one node is recorded) or all plain arrays
+    (``out_value`` returns as is). ``vjp(g)`` returns one gradient per parent;
+    it captures arrays, never a DiffValue, whose tape would then hold it in a
+    cycle that keeps every activation alive until the cyclic GC runs."""
     tape = _tape_of(*parents)
     if tape is None:
         return out_value
     return tape.add_node(out_value, tuple(p.nid for p in parents), vjp)
+
+
+def layer_norm(x, gain, bias):
+    """Normalize the last axis to zero mean and unit variance, then ``* gain + bias``."""
+    xv, gv, bv = _val(x), _val(gain), _val(bias)
+    mu = xv.mean(axis=-1, keepdims=True)
+    std = np.sqrt(((xv - mu) ** 2).mean(axis=-1, keepdims=True) + 1e-5)
+    xhat = (xv - mu) / std
+
+    def vjp(g):
+        gh = g * gv
+        gx = (gh - gh.mean(axis=-1, keepdims=True)
+              - xhat * (gh * xhat).mean(axis=-1, keepdims=True)) / std
+        return gx, _unbroadcast(g * xhat, gv.shape), _unbroadcast(g, bv.shape)
+
+    return from_op(xhat * gv + bv, [x, gain, bias], vjp)
+
+
+def attention(qkv, heads: int):
+    """Multi-head softmax attention over queries, keys and values packed
+    along the last axis, (B, T, 3D); returns the merged heads, (B, T, D)."""
+    qv = _val(qkv)
+    b, t, d3 = qv.shape
+    dh = d3 // (3 * heads)
+    q, k, v = np.transpose(qv.reshape(b, t, 3, heads, dh), (2, 0, 3, 1, 4))  # (B, H, T, dh)
+    scale = 1.0 / np.sqrt(dh)
+    s = np.matmul(q, np.swapaxes(k, -1, -2)) * scale                         # (B, H, T, T)
+    e = np.exp(s - np.max(s, axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = np.transpose(np.matmul(p, v), (0, 2, 1, 3)).reshape(b, t, d3 // 3)
+
+    def vjp(g):
+        go = np.transpose(g.reshape(b, t, heads, dh), (0, 2, 1, 3))
+        gp = np.matmul(go, np.swapaxes(v, -1, -2))
+        gs = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p * scale
+        grad = np.empty((3, b, heads, t, dh))
+        grad[0] = np.matmul(gs, k)
+        grad[1] = np.matmul(np.swapaxes(gs, -1, -2), q)
+        grad[2] = np.matmul(np.swapaxes(p, -1, -2), go)
+        return (np.transpose(grad, (1, 3, 0, 2, 4)).reshape(b, t, d3),)
+
+    return from_op(out, [qkv], vjp)
+
+
+def gelu(x):
+    """tanh-approximation GELU."""
+    xv = _val(x)
+    c = 0.7978845608028654  # sqrt(2/pi)
+    th = np.tanh(c * (xv + 0.044715 * (xv * (xv * xv))))
+
+    def vjp(g):
+        du = c * (1.0 + 3.0 * 0.044715 * (xv * xv))
+        return (g * (0.5 * (1.0 + th) + (xv * 0.5) * ((1.0 - th * th) * du)),)
+
+    return from_op((xv * 0.5) * (1.0 + th), [x], vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -446,12 +467,3 @@ def finite_diff_check(f, x0, epsilon=1e-5, tolerance=1e-6) -> FiniteDiffReport:
     rel = np.abs(analytic - numeric) / denom
     return FiniteDiffReport(analytic.reshape(x0.shape), numeric.reshape(x0.shape),
                             rel.reshape(x0.shape), tolerance)
-
-
-# convenience compositions used by the network ------------------------------
-
-def gelu(a):
-    """tanh-approximation GELU built from recorded primitives."""
-    c = 0.7978845608028654  # sqrt(2/pi)
-    return mul(mul(a, 0.5), add(1.0, tanh(mul(c, add(a, mul(0.044715, mul(a, mul(a, a))))))))
-

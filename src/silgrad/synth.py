@@ -342,8 +342,13 @@ def generate_dataset(out_dir, split: str, trajectories: int, duration_s: float,
     """Generate and persist a dataset split; returns the readable handle.
     ``scene`` must have the built-in geometry, since the split records only
     its camera and geometry digest; ValueError before any write otherwise."""
-    if trajectories < 1:
-        raise ValueError("trajectory count must be positive")
+    if not np.isfinite(duration_s):
+        raise ValueError(f"duration_s must be finite, got {duration_s!r}")
+    frames = frames_per_trajectory if frames_per_trajectory is not None \
+        else int(round(duration_s * FRAME_RATE))
+    for name, value in (("trajectories", trajectories), ("frames_per_trajectory", frames)):
+        if not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
     scene = scene or reference_scene(64)
     geometry = geometry_digest(scene)
     if geometry != geometry_digest(reference_scene(camera=scene.camera)):
@@ -352,8 +357,6 @@ def generate_dataset(out_dir, split: str, trajectories: int, duration_s: float,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    frames = frames_per_trajectory if frames_per_trajectory is not None \
-        else int(round(duration_s * FRAME_RATE))
     manifest = {
         "split": split,
         "trajectories": int(trajectories),

@@ -3,7 +3,8 @@
 Two masks stack in the channel dimension, are cut into patches, and pass
 through a pre-norm encoder; the class-token encoding is concatenated with the
 normalized 10-D configuration and regressed through two GELU layers to the
-raw correction outputs.
+raw correction outputs. Layer norm, attention over the packed q/k/v
+projection and GELU are each one fused autodiff op.
 
 The forward pass is dual-mode: weights given as DiffValues produce a
 recorded, differentiable output; plain arrays give a fast inference path.
@@ -113,10 +114,6 @@ def _linear(x, w, name):
     return ad.add(ad.matmul(x, w[f"{name}.w"]), w[f"{name}.b"])
 
 
-def _ln(x, w, name):
-    return ad.add(ad.mul(ad.layer_norm(x, axis=-1), w[f"{name}.g"]), w[f"{name}.b"])
-
-
 def forward(config: VitConfig, weights: dict, masks: np.ndarray, theta_norm: np.ndarray):
     """Raw 10-vector outputs for a batch.
 
@@ -128,38 +125,25 @@ def forward(config: VitConfig, weights: dict, masks: np.ndarray, theta_norm: np.
         raise ad.ShapeMismatch("vit-forward", masks.shape,
                                (b, 2, config.image_size, config.image_size))
     d = config.embed_dim
-    nh, dh = config.heads, config.embed_dim // config.heads
 
     patches = patchify(np.asarray(masks, dtype=np.float64), config.patch_size)
     x = _linear(patches, weights, "patch_embed")                      # (B, N, D)
     cls = ad.broadcast_to(ad.reshape(weights["cls_token"], (1, 1, d)), (b, 1, d))
     x = ad.concatenate([cls, x], axis=1)                              # (B, T, D)
     x = ad.add(x, weights["pos_embed"])
-    t = config.num_patches + 1
 
     for i in range(config.layers):
         p = f"enc{i}"
-        hdn = _ln(x, weights, f"{p}.ln1")
+        hdn = ad.layer_norm(x, weights[f"{p}.ln1.g"], weights[f"{p}.ln1.b"])
         qkv = _linear(hdn, weights, f"{p}.qkv")                       # (B, T, 3D)
-        heads = []
-        for s in range(3):
-            part = ad.take(qkv, (slice(None), slice(None), slice(s * d, (s + 1) * d)))
-            part = ad.reshape(part, (b, t, nh, dh))
-            heads.append(ad.transpose(part, (0, 2, 1, 3)))            # (B, H, T, dh)
-        q, k, v = heads
-        att = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))             # (B, H, T, T)
-        att = ad.softmax(ad.mul(att, 1.0 / np.sqrt(dh)), axis=-1)
-        o = ad.matmul(att, v)                                         # (B, H, T, dh)
-        o = ad.reshape(ad.transpose(o, (0, 2, 1, 3)), (b, t, d))
-        x = ad.add(x, _linear(o, weights, f"{p}.proj"))
-        hdn = _ln(x, weights, f"{p}.ln2")
+        x = ad.add(x, _linear(ad.attention(qkv, config.heads), weights, f"{p}.proj"))
+        hdn = ad.layer_norm(x, weights[f"{p}.ln2.g"], weights[f"{p}.ln2.b"])
         hdn = ad.gelu(_linear(hdn, weights, f"{p}.mlp1"))
         x = ad.add(x, _linear(hdn, weights, f"{p}.mlp2"))
 
-    x = _ln(x, weights, "final_ln")
+    x = ad.layer_norm(x, weights["final_ln.g"], weights["final_ln.b"])
     cls_tok = ad.take(x, (slice(None), 0))                            # (B, D)
-    fused = ad.concatenate(
-        [cls_tok, np.asarray(theta_norm, dtype=np.float64)], axis=-1)
+    fused = ad.concatenate([cls_tok, np.asarray(theta_norm, dtype=np.float64)], axis=-1)
     hdn = ad.gelu(_linear(fused, weights, "head1"))
     hdn = ad.gelu(_linear(hdn, weights, "head2"))
     return _linear(hdn, weights, "head3")                             # (B, 10)

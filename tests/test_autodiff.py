@@ -115,14 +115,19 @@ def _check(f, x0, tol=1e-6, eps=1e-6):
 
 @pytest.mark.parametrize("name", [
     "add", "sub", "mul", "div", "sin", "cos", "power",
-    "sigmoid", "tanh", "softmax", "layer_norm", "matmul", "sum", "mean",
+    "sigmoid", "matmul", "sum", "mean",
     "reshape", "transpose", "slice", "concat", "broadcast",
-    "clamp", "stack", "gelu",
+    "clamp", "stack", "layer_norm", "attention", "gelu",
 ])
 def test_primitive_gradients_match_finite_differences(name):
     x0 = RNG.uniform(0.5, 1.5, size=(3, 4))
     c = RNG.uniform(0.5, 1.5, size=(3, 4))
     m = RNG.uniform(-1.0, 1.0, size=(4, 5))
+    # layer norm: rows 0-2 are x, row 3 the gain, row 4 the bias, one leaf
+    ln0 = np.vstack([x0, RNG.uniform(-2.0, 2.0, size=(2, 4))])
+    # attention: B=2, T=3, 2 heads of width 2, packed q/k/v
+    qkv0 = RNG.normal(size=(2, 3, 12))
+    c_att = RNG.normal(size=(2, 3, 4))
 
     fns = {
         "add": lambda x: ad.reduce_sum(ad.mul(ad.add(x, c), c)),
@@ -133,9 +138,6 @@ def test_primitive_gradients_match_finite_differences(name):
         "cos": lambda x: ad.reduce_sum(ad.cos(x)),
         "power": lambda x: ad.reduce_sum(ad.power(x, 2.7)),
         "sigmoid": lambda x: ad.reduce_sum(ad.sigmoid(x)),
-        "tanh": lambda x: ad.reduce_sum(ad.tanh(x)),
-        "softmax": lambda x: ad.reduce_sum(ad.mul(ad.softmax(x, axis=-1), c)),
-        "layer_norm": lambda x: ad.reduce_sum(ad.mul(ad.layer_norm(x, axis=-1), c)),
         "matmul": lambda x: ad.reduce_sum(ad.mul(ad.matmul(x, m), 1.0)),
         "sum": lambda x: ad.mul(ad.reduce_sum(ad.reduce_sum(x, axis=1)), 1.0),
         "mean": lambda x: ad.reduce_sum(ad.mul(ad.reduce_mean(x, axis=0), c[0])),
@@ -146,10 +148,14 @@ def test_primitive_gradients_match_finite_differences(name):
         "broadcast": lambda x: ad.reduce_sum(ad.broadcast_to(ad.reshape(x, (1, 3, 4)), (5, 3, 4))),
         "clamp": lambda x: ad.reduce_sum(ad.clamp(x, 0.7, 1.3)),
         "stack": lambda x: ad.reduce_sum(ad.stack([x, c], axis=1)),
-        "gelu": lambda x: ad.reduce_sum(ad.gelu(ad.sub(x, 1.0))),
+        "layer_norm": lambda x: ad.reduce_sum(ad.mul(ad.layer_norm(
+            ad.take(x, slice(0, 3)), ad.take(x, 3), ad.take(x, 4)), c)),
+        "attention": lambda x: ad.reduce_sum(ad.mul(ad.attention(x, 2), c_att)),
+        "gelu": lambda x: ad.reduce_sum(ad.mul(ad.gelu(ad.sub(x, 1.0)), c)),
     }
+    inputs = {"layer_norm": ln0, "attention": qkv0}
     # clamp is piecewise; keep probes away from its kinks
-    _check(fns[name], x0)
+    _check(fns[name], inputs.get(name, x0))
 
 
 def test_batched_matmul_broadcast_gradient():
@@ -166,29 +172,30 @@ def test_batched_matmul_broadcast_gradient():
     _check(f_b, b0)
 
 
-def test_advanced_indexing_gradient_scatter_adds():
-    x0 = RNG.normal(size=(5, 2))
-    idx = np.array([0, 2, 2, 4])
-
-    def f(x):
-        return ad.reduce_sum(ad.take(x, idx))
-
+def test_take_rejects_advanced_indexing():
     tape = ad.Tape()
-    x = ad.leaf(tape, x0)
-    g = grad_of(f(x), x)
+    for idx in (np.array([0, 2, 2, 4]), [0, 2], (slice(None), np.array([1])),
+                np.ones(5, dtype=bool), True, None):
+        for x in (np.zeros((5, 2)), ad.leaf(tape, np.zeros((5, 2)))):
+            with pytest.raises(ValueError, match="take"):
+                ad.take(x, idx)
+    # a numpy integer is a basic index
+    x = ad.leaf(tape, np.zeros((5, 2)))
     expect = np.zeros((5, 2))
-    np.add.at(expect, idx, 1.0)
-    np.testing.assert_array_equal(g, expect)
+    expect[4] = 1.0
+    np.testing.assert_array_equal(grad_of(ad.reduce_sum(ad.take(x, (np.int64(4), ...))), x), expect)
 
 
 def test_two_tapes_bitwise_identical():
-    x0 = RNG.normal(size=(4, 4))
+    x0 = RNG.normal(size=(2, 3, 12))
+    g0, b0 = RNG.normal(size=12), RNG.normal(size=12)
 
     def run():
         tape = ad.Tape()
         x = ad.leaf(tape, x0)
-        h = ad.layer_norm(ad.matmul(ad.sigmoid(x), x0), axis=-1)
-        loss = ad.reduce_sum(ad.mul(ad.softmax(h), h))
+        h = ad.layer_norm(ad.sigmoid(x), ad.leaf(tape, g0), ad.leaf(tape, b0))
+        h = ad.gelu(ad.attention(h, 2))
+        loss = ad.reduce_sum(ad.mul(h, h))
         return grad_of(loss, x)
 
     g1, g2 = run(), run()

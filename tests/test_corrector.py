@@ -87,6 +87,33 @@ def test_forward_shape_and_determinism():
     assert np.array_equal(a, b)
 
 
+def test_taped_forward_matches_plain_and_weight_gradient_matches_differences():
+    cfg = vit.VitConfig(image_size=16, patch_size=8, embed_dim=8, heads=2, layers=1)
+    rng = rng_stream(13, 0)
+    # perturbed away from init, whose zero head would zero every gradient
+    w = {k: v + rng.normal(0.0, 0.3, v.shape) for k, v in vit.init_weights(cfg, rng).items()}
+    masks = (rng.uniform(size=(2, 2, 16, 16)) > 0.5).astype(float)
+    theta = rng.normal(size=(2, 10))
+    cot = rng.normal(size=(2, 10))
+
+    tape = ad.Tape()
+    leaves = {k: ad.leaf(tape, v) for k, v in w.items()}
+    out = vit.forward(cfg, leaves, masks, theta)
+    assert np.array_equal(out.value, vit.forward(cfg, w, masks, theta))
+    grads = ad.backward(ad.reduce_sum(ad.mul(out, cot)))
+
+    def loss(weights):
+        return float(np.sum(vit.forward(cfg, weights, masks, theta) * cot))
+
+    eps = 1e-6
+    for _ in range(3):
+        direction = {k: rng.normal(size=v.shape) for k, v in w.items()}
+        analytic = sum(np.sum(grads[leaves[k].nid] * direction[k]) for k in w)
+        numeric = (loss({k: w[k] + eps * direction[k] for k in w})
+                   - loss({k: w[k] - eps * direction[k] for k in w})) / (2 * eps)
+        assert abs(analytic - numeric) < 1e-7 * max(abs(analytic), 1.0)
+
+
 def test_forward_rejects_wrong_mask_size():
     cfg = vit.VitConfig(image_size=32, patch_size=8, embed_dim=32, heads=2, layers=2)
     w = vit.init_weights(cfg, rng_stream(1, 0))

@@ -152,6 +152,18 @@ def test_noise_spec_rejects_nonfinite(field, value):
         synth.NoiseSpec(**widths)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("trajectories", 2.5), ("trajectories", 0), ("trajectories", "2"),
+    ("frames_per_trajectory", 2.5), ("frames_per_trajectory", 0),
+    ("duration_s", np.nan), ("duration_s", np.inf),
+])
+def test_dataset_rejects_bad_size_before_writing(tmp_path, name, value):
+    args = {"trajectories": 1, "duration_s": 0.1, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        synth.generate_dataset(tmp_path / "d", "t", seed=2, scene=SCENE, **args)
+    assert not (tmp_path / "d").exists()
+
+
 def test_failed_generation_leaves_no_manifest(tmp_path, monkeypatch):
     synth.generate_dataset(tmp_path / "d", "val", 2, 0.1, seed=2, scene=SCENE)
     make = synth.generate_trajectory
