@@ -13,14 +13,22 @@ differentiable one.
 
 Where a long chain of small ops would cost time, a fused op records one node
 with a hand-derived vector-Jacobian product through :func:`from_op`: the soft
-rasterizer (in ``render``) and the network's layer norm, attention and GELU.
+rasterizer (in ``render``) and the network's linear layers, layer norm,
+attention and GELU.
 
 There is no global "active tape"; the tape travels with the operands, so
-independent tapes can run on separate threads without shared state. Leaves
-and plain constants are lifted to float64.
+independent tapes can run on separate threads without shared state.
+
+Dtype rule: a float32 array, as a leaf or as a plain operand, stays float32;
+anything else (float64 and integer arrays, Python and numpy scalars) becomes
+float64. An op computes in its operands' dtype, so a network given float32
+weights and inputs runs in float32 forward and backward. Mixing a float32
+operand with a float64 one gives float64; :func:`astype` casts explicitly.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -91,17 +99,26 @@ class DiffValue:
 
 
 def leaf(tape: Tape, value):
-    """Lift a numpy value onto the tape as a differentiable float64 leaf."""
-    return tape.add_leaf(np.asarray(value, dtype=np.float64))
+    """Lift a numpy value onto the tape as a differentiable leaf: a float32
+    array stays float32, anything else becomes float64."""
+    return tape.add_leaf(_val(value))
 
 
 def _is_dv(x) -> bool:
     return isinstance(x, DiffValue)
 
 
+# float64 first: ``in`` tests identity before equality, and the plain
+# pipelines pass float64 arrays, which return as they are
+_KEPT_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
+
+
 def _val(x) -> np.ndarray:
+    """The array behind an operand, by the module's dtype rule."""
     if _is_dv(x):
         return x.value
+    if type(x) is np.ndarray and x.dtype in _KEPT_DTYPES:
+        return x
     return np.asarray(x, dtype=np.float64)
 
 
@@ -289,6 +306,12 @@ def take(a, idx):
     return _unary(a, lambda x: x[idx], bw)
 
 
+def astype(a, dtype):
+    """Cast to ``dtype``; the backward casts ``g`` back to the operand's dtype."""
+    return _unary(a, lambda x: x.astype(dtype, copy=False),
+                  lambda av, out: lambda g: g.astype(av.dtype, copy=False))
+
+
 def broadcast_to(a, shape):
     shape = tuple(shape)
     return _unary(a, lambda x: np.broadcast_to(x, shape).copy(),
@@ -323,8 +346,8 @@ def stack(parts, axis=0):
 
 def from_op(out_value: np.ndarray, parents: list, vjp):
     """Record a fused op with a hand-derived Jacobian: the soft rasterizer and
-    the network's layer norm, attention and GELU. The parents are all
-    DiffValues on one tape (one node is recorded) or all plain arrays
+    the network's linear layers, layer norm, attention and GELU. The parents
+    are all DiffValues on one tape (one node is recorded) or all plain arrays
     (``out_value`` returns as is). ``vjp(g)`` returns one gradient per parent;
     it captures arrays, never a DiffValue, whose tape would then hold it in a
     cycle that keeps every activation alive until the cyclic GC runs."""
@@ -332,6 +355,28 @@ def from_op(out_value: np.ndarray, parents: list, vjp):
     if tape is None:
         return out_value
     return tape.add_node(out_value, tuple(p.nid for p in parents), vjp)
+
+
+def linear(x, w, b):
+    """``x @ w + b`` over the last axis of ``x``, as one 2-D GEMM on the
+    flattened leading axes. ``x`` may be a plain array while ``w`` and ``b``
+    are DiffValues; the node's parents are its DiffValue operands."""
+    xv, wv, bv = _val(x), _val(w), _val(b)
+    if wv.ndim != 2 or xv.shape[-1:] != wv.shape[:1] or bv.shape != wv.shape[1:]:
+        raise ShapeMismatch("linear", xv.shape, wv.shape, bv.shape)
+    x2 = xv.reshape(-1, wv.shape[0])
+    out = x2 @ wv + bv
+    operands = (x, w, b)
+    terms = [term for term, p in zip((lambda g2: (g2 @ wv.T).reshape(xv.shape),
+                                      lambda g2: x2.T @ g2,
+                                      lambda g2: g2.sum(axis=0)), operands) if _is_dv(p)]
+
+    def vjp(g):
+        g2 = g.reshape(-1, wv.shape[1])
+        return tuple(term(g2) for term in terms)
+
+    return from_op(out.reshape(xv.shape[:-1] + wv.shape[1:]),
+                   [p for p in operands if _is_dv(p)], vjp)
 
 
 def layer_norm(x, gain, bias):
@@ -357,7 +402,7 @@ def attention(qkv, heads: int):
     b, t, d3 = qv.shape
     dh = d3 // (3 * heads)
     q, k, v = np.transpose(qv.reshape(b, t, 3, heads, dh), (2, 0, 3, 1, 4))  # (B, H, T, dh)
-    scale = 1.0 / np.sqrt(dh)
+    scale = 1.0 / math.sqrt(dh)  # a Python float keeps float32 operands float32
     s = np.matmul(q, np.swapaxes(k, -1, -2)) * scale                         # (B, H, T, T)
     e = np.exp(s - np.max(s, axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
@@ -367,7 +412,7 @@ def attention(qkv, heads: int):
         go = np.transpose(g.reshape(b, t, heads, dh), (0, 2, 1, 3))
         gp = np.matmul(go, np.swapaxes(v, -1, -2))
         gs = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p * scale
-        grad = np.empty((3, b, heads, t, dh))
+        grad = np.empty((3, b, heads, t, dh), dtype=qv.dtype)
         grad[0] = np.matmul(gs, k)
         grad[1] = np.matmul(np.swapaxes(gs, -1, -2), q)
         grad[2] = np.matmul(np.swapaxes(p, -1, -2), go)

@@ -12,7 +12,6 @@ through the soft rasterizer and forward kinematics into the network.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -237,7 +236,7 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
         for name in ("epochs", "batch_size", "patience", "val_stride"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
+            if not vit.is_count(value):
                 raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
         if self.squash not in _SQUASH_MODES:
             raise ValueError(f"squash: unknown squashing mode {self.squash!r}")
@@ -310,6 +309,13 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
           out_dir=None, log_fn=print):
     """Adam training with early stopping on validation loss.
 
+    Mixed precision: the master weights are float64, and each step's tape
+    takes float32 copies of them as leaves, so the ViT runs forward and
+    backward in float32. Forward kinematics, the soft raster and the losses
+    stay float64 (the ViT's output is cast back), and Adam updates the float64
+    masters with the gradients cast to float64. Validation, the returned model
+    and the saved files are float64.
+
     Returns (model, log) where log holds one record per epoch. Checkpoints
     are written on every validation improvement when ``out_dir`` is given.
     """
@@ -350,7 +356,7 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
             tape = ad.Tape()
-            dvs = {name: ad.leaf(tape, w) for name, w in weights.items()}
+            dvs = {name: ad.leaf(tape, w.astype(np.float32)) for name, w in weights.items()}
             total, parts = batch_loss(cfg.vit_config, dvs, store, idx, model.k,
                                       alpha, cfg.beta, cfg.gamma, cfg.squash)
             value = float(ad._val(total))
@@ -360,7 +366,8 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
                     f"non-finite training loss at epoch {epoch}, frames "
                     f"(trajectory, t): {frames}")
             grads = ad.backward(total)
-            adam_step(weights, {name: grads[dv.nid] for name, dv in dvs.items()},
+            adam_step(weights, {name: grads[dv.nid].astype(np.float64)
+                                for name, dv in dvs.items()},
                       state, cfg.lr, cfg.weight_decay)
             train_sums["total"] += value
             for key in ("render", "keypoints", "joints"):

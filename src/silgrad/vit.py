@@ -3,16 +3,20 @@
 Two masks stack in the channel dimension, are cut into patches, and pass
 through a pre-norm encoder; the class-token encoding is concatenated with the
 normalized 10-D configuration and regressed through two GELU layers to the
-raw correction outputs. Layer norm, attention over the packed q/k/v
-projection and GELU are each one fused autodiff op.
+raw correction outputs. Each linear layer (matmul plus bias), layer norm,
+attention over the packed q/k/v projection and GELU is one fused autodiff op.
 
 The forward pass is dual-mode: weights given as DiffValues produce a
 recorded, differentiable output; plain arrays give a fast inference path.
+It computes in the dtype of ``patch_embed.w``: float32 weights run the
+network in float32 (training does), anything else in float64 (inference,
+saved models). The output is float64 either way.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+
+
+def is_count(value) -> bool:
+    """An integer (not a bool) of at least 1: a size or a count in a config."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -34,9 +43,15 @@ class VitConfig:
     config_dim: int = 10  # fused configuration vector length
 
     def __post_init__(self):
-        if min(self.image_size, self.patch_size, self.embed_dim, self.heads, self.layers,
-               self.mlp_ratio, self.config_dim, *self.head_widths) < 1:
-            raise ValueError("every size must be positive")
+        for name in ("image_size", "patch_size", "embed_dim", "heads", "layers",
+                     "mlp_ratio", "config_dim"):
+            value = getattr(self, name)
+            if not is_count(value):
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+        widths = self.head_widths
+        if not (isinstance(widths, (tuple, list)) and len(widths) == 2
+                and all(map(is_count, widths))):
+            raise ValueError(f"head_widths must be two integers of at least 1, got {widths!r}")
         if self.image_size % self.patch_size:
             raise ValueError("image size must be divisible by patch size")
         if self.embed_dim % self.heads:
@@ -111,22 +126,26 @@ def patchify(masks: np.ndarray, patch_size: int) -> np.ndarray:
 
 
 def _linear(x, w, name):
-    return ad.add(ad.matmul(x, w[f"{name}.w"]), w[f"{name}.b"])
+    return ad.linear(x, w[f"{name}.w"], w[f"{name}.b"])
 
 
 def forward(config: VitConfig, weights: dict, masks: np.ndarray, theta_norm: np.ndarray):
     """Raw 10-vector outputs for a batch.
 
-    masks: (B, 2, H, W) plain array; theta_norm: (B, 10) plain array;
-    weights: name -> array or DiffValue.
+    masks: (B, 2, H, W) plain array; theta_norm: (B, config_dim) plain
+    array; weights: name -> array or DiffValue, all float32 or all float64.
+    Both inputs are cast to the weights' dtype; the output is float64.
     """
     b, c, h, wd = masks.shape
     if c != 2 or h != config.image_size or wd != config.image_size:
         raise ad.ShapeMismatch("vit-forward", masks.shape,
                                (b, 2, config.image_size, config.image_size))
+    if np.shape(theta_norm) != (b, config.config_dim):
+        raise ad.ShapeMismatch("vit-forward", np.shape(theta_norm), (b, config.config_dim))
     d = config.embed_dim
+    dtype = ad._val(weights["patch_embed.w"]).dtype
 
-    patches = patchify(np.asarray(masks, dtype=np.float64), config.patch_size)
+    patches = patchify(np.asarray(masks, dtype=dtype), config.patch_size)
     x = _linear(patches, weights, "patch_embed")                      # (B, N, D)
     cls = ad.broadcast_to(ad.reshape(weights["cls_token"], (1, 1, d)), (b, 1, d))
     x = ad.concatenate([cls, x], axis=1)                              # (B, T, D)
@@ -143,10 +162,10 @@ def forward(config: VitConfig, weights: dict, masks: np.ndarray, theta_norm: np.
 
     x = ad.layer_norm(x, weights["final_ln.g"], weights["final_ln.b"])
     cls_tok = ad.take(x, (slice(None), 0))                            # (B, D)
-    fused = ad.concatenate([cls_tok, np.asarray(theta_norm, dtype=np.float64)], axis=-1)
+    fused = ad.concatenate([cls_tok, np.asarray(theta_norm, dtype=dtype)], axis=-1)
     hdn = ad.gelu(_linear(fused, weights, "head1"))
     hdn = ad.gelu(_linear(hdn, weights, "head2"))
-    return _linear(hdn, weights, "head3")                             # (B, 10)
+    return ad.astype(_linear(hdn, weights, "head3"), np.float64)      # (B, 10)
 
 
 # ---------------------------------------------------------------------------

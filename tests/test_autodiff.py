@@ -78,6 +78,8 @@ def test_shape_mismatch_error_names_op():
         ad.matmul(a, b)
     assert ei.value.op == "matmul"
     assert (3, 4) in ei.value.shapes
+    with pytest.raises(ad.ShapeMismatch, match="linear"):
+        ad.linear(a, ad.leaf(tape, np.ones((3, 2))), np.zeros(2))
 
 
 def test_finite_diff_square():
@@ -117,7 +119,7 @@ def _check(f, x0, tol=1e-6, eps=1e-6):
     "add", "sub", "mul", "div", "sin", "cos", "power",
     "sigmoid", "matmul", "sum", "mean",
     "reshape", "transpose", "slice", "concat", "broadcast",
-    "clamp", "stack", "layer_norm", "attention", "gelu",
+    "clamp", "stack", "layer_norm", "attention", "gelu", "linear", "linear-plain-x",
 ])
 def test_primitive_gradients_match_finite_differences(name):
     x0 = RNG.uniform(0.5, 1.5, size=(3, 4))
@@ -128,6 +130,9 @@ def test_primitive_gradients_match_finite_differences(name):
     # attention: B=2, T=3, 2 heads of width 2, packed q/k/v
     qkv0 = RNG.normal(size=(2, 3, 12))
     c_att = RNG.normal(size=(2, 3, 4))
+    # linear: rows 0-5 are x, (2, 3, 4); rows 6-9 the weight, row 10 the bias
+    lin0 = RNG.normal(size=(11, 4))
+    c_lin = RNG.normal(size=(2, 3, 4))
 
     fns = {
         "add": lambda x: ad.reduce_sum(ad.mul(ad.add(x, c), c)),
@@ -152,8 +157,14 @@ def test_primitive_gradients_match_finite_differences(name):
             ad.take(x, slice(0, 3)), ad.take(x, 3), ad.take(x, 4)), c)),
         "attention": lambda x: ad.reduce_sum(ad.mul(ad.attention(x, 2), c_att)),
         "gelu": lambda x: ad.reduce_sum(ad.mul(ad.gelu(ad.sub(x, 1.0)), c)),
+        "linear": lambda x: ad.reduce_sum(ad.mul(ad.linear(
+            ad.reshape(ad.take(x, slice(0, 6)), (2, 3, 4)), ad.take(x, slice(6, 10)),
+            ad.take(x, 10)), c_lin)),
+        # a plain x, as the patches are: the node's parents are w and b
+        "linear-plain-x": lambda x: ad.reduce_sum(ad.mul(ad.linear(
+            c_lin, ad.take(x, slice(6, 10)), ad.take(x, 10)), c_lin)),
     }
-    inputs = {"layer_norm": ln0, "attention": qkv0}
+    inputs = {"layer_norm": ln0, "attention": qkv0, "linear": lin0, "linear-plain-x": lin0}
     # clamp is piecewise; keep probes away from its kinks
     _check(fns[name], inputs.get(name, x0))
 
@@ -189,17 +200,41 @@ def test_take_rejects_advanced_indexing():
 def test_two_tapes_bitwise_identical():
     x0 = RNG.normal(size=(2, 3, 12))
     g0, b0 = RNG.normal(size=12), RNG.normal(size=12)
+    w0, wb0 = RNG.normal(size=(4, 5)), RNG.normal(size=5)
 
     def run():
         tape = ad.Tape()
         x = ad.leaf(tape, x0)
         h = ad.layer_norm(ad.sigmoid(x), ad.leaf(tape, g0), ad.leaf(tape, b0))
         h = ad.gelu(ad.attention(h, 2))
+        h = ad.linear(h, ad.leaf(tape, w0), ad.leaf(tape, wb0))
         loss = ad.reduce_sum(ad.mul(h, h))
         return grad_of(loss, x)
 
     g1, g2 = run(), run()
     assert np.array_equal(g1, g2)
+
+
+@pytest.mark.parametrize("src, dst", [(np.float32, np.float64), (np.float64, np.float32)])
+def test_astype_gradient_in_operand_dtype(src, dst):
+    c = RNG.normal(size=(3, 4))
+    tape = ad.Tape()
+    x = ad.leaf(tape, RNG.normal(size=(3, 4)).astype(src))
+    y = ad.astype(x, dst)
+    assert x.value.dtype == src and y.value.dtype == dst
+    g = grad_of(ad.reduce_sum(ad.mul(ad.astype(y, np.float64), c)), x)
+    assert g.dtype == src
+    np.testing.assert_array_equal(g, c.astype(dst).astype(src))
+
+
+def test_leaf_and_plain_operands_follow_the_dtype_rule():
+    tape = ad.Tape()
+    assert ad.leaf(tape, np.ones(2, np.float32)).value.dtype == np.float32
+    for value in (np.ones(2, np.int64), np.ones(2, np.uint8), 1.0, np.float32(1.0)):
+        assert ad.leaf(tape, value).value.dtype == np.float64
+    a = np.ones((2, 2), np.float32)
+    assert ad.mul(a, a).dtype == np.float32
+    assert ad.mul(a, np.ones((2, 2), np.uint8)).dtype == np.float64
 
 
 def test_dual_mode_plain_arrays_pass_through():

@@ -87,14 +87,23 @@ def test_forward_shape_and_determinism():
     assert np.array_equal(a, b)
 
 
-def test_taped_forward_matches_plain_and_weight_gradient_matches_differences():
-    cfg = vit.VitConfig(image_size=16, patch_size=8, embed_dim=8, heads=2, layers=1)
-    rng = rng_stream(13, 0)
-    # perturbed away from init, whose zero head would zero every gradient
-    w = {k: v + rng.normal(0.0, 0.3, v.shape) for k, v in vit.init_weights(cfg, rng).items()}
+SMALL_VIT = vit.VitConfig(image_size=16, patch_size=8, embed_dim=8, heads=2, layers=1)
+
+
+def _small_vit_case(seed):
+    """Weights of SMALL_VIT perturbed away from init, whose zero head would
+    zero every gradient; two frames of masks and theta; an output cotangent;
+    and the generator, for further draws."""
+    rng = rng_stream(seed, 0)
+    w = {k: v + rng.normal(0.0, 0.3, v.shape)
+         for k, v in vit.init_weights(SMALL_VIT, rng).items()}
     masks = (rng.uniform(size=(2, 2, 16, 16)) > 0.5).astype(float)
-    theta = rng.normal(size=(2, 10))
-    cot = rng.normal(size=(2, 10))
+    return w, masks, rng.normal(size=(2, 10)), rng.normal(size=(2, 10)), rng
+
+
+def test_taped_forward_matches_plain_and_weight_gradient_matches_differences():
+    cfg = SMALL_VIT
+    w, masks, theta, cot, rng = _small_vit_case(13)
 
     tape = ad.Tape()
     leaves = {k: ad.leaf(tape, v) for k, v in w.items()}
@@ -112,6 +121,61 @@ def test_taped_forward_matches_plain_and_weight_gradient_matches_differences():
         numeric = (loss({k: w[k] + eps * direction[k] for k in w})
                    - loss({k: w[k] - eps * direction[k] for k in w})) / (2 * eps)
         assert abs(analytic - numeric) < 1e-7 * max(abs(analytic), 1.0)
+
+
+def test_float32_weights_run_the_vit_in_float32(monkeypatch):
+    w, masks, theta, cot, _ = _small_vit_case(14)
+    nodes = []  # per recorded node: [its value's dtype, its gradients' dtypes]
+    add_node = ad.Tape.add_node
+
+    def recording(self, value, parents, vjp):
+        node = [str(np.asarray(value).dtype), []]
+        nodes.append(node)
+        if vjp is not None:
+            def vjp(g, inner=vjp):
+                grads = inner(g)
+                node[1].extend(str(gr.dtype) for gr in grads)
+                return grads
+        return add_node(self, value, parents, vjp)
+
+    monkeypatch.setattr(ad.Tape, "add_node", recording)
+
+    def gradients(dtype):
+        tape = ad.Tape()
+        leaves = {k: ad.leaf(tape, v.astype(dtype)) for k, v in w.items()}
+        out = vit.forward(SMALL_VIT, leaves, masks, theta)
+        grads = ad.backward(ad.reduce_sum(ad.mul(out, cot)))
+        return out, {k: grads[leaf.nid] for k, leaf in leaves.items()}
+
+    out, grads = gradients(np.float32)
+    # the ViT's nodes up to the output, which is the final cast
+    vit_nodes = nodes[:out.nid + 1]
+    assert out.value.dtype == np.float64
+    assert [dtype for dtype, _ in vit_nodes] == ["float32"] * out.nid + ["float64"]
+    assert all(grad_dtypes and set(grad_dtypes) == {"float32"}
+               for _, grad_dtypes in vit_nodes[len(w):])
+    _, grads64 = gradients(np.float64)
+    for k, g in grads.items():
+        assert g.dtype == np.float32
+        assert np.abs(g - grads64[k]).max() <= 1e-4 * np.abs(grads64[k]).max(), k
+
+
+@pytest.mark.parametrize("shape", [(1, 9), (2, 10), (10,), (1, 1, 10)])
+def test_forward_rejects_wrong_theta_shape(shape):
+    w = vit.init_weights(SMALL_VIT, rng_stream(1, 0))
+    with pytest.raises(ad.ShapeMismatch, match="vit-forward"):
+        vit.forward(SMALL_VIT, w, np.zeros((1, 2, 16, 16)), np.zeros(shape))
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("image_size", 64.0), ("layers", 2.5), ("heads", True), ("embed_dim", 0),
+    ("patch_size", "8"), ("mlp_ratio", -4), ("config_dim", np.float64(10.0)),
+    ("head_widths", (128,)), ("head_widths", (128, 64, 32)), ("head_widths", (128, 0)),
+    ("head_widths", (128, 64.0)), ("head_widths", (True, 64)), ("head_widths", 128),
+])
+def test_vit_config_rejects_bad_field(name, bad):
+    with pytest.raises(ValueError, match=name):
+        vit.VitConfig(**{name: bad})
 
 
 def test_forward_rejects_wrong_mask_size():
@@ -331,7 +395,7 @@ def small_cfg(**kw):
 @pytest.mark.parametrize("name, bad", [
     ("lr", np.nan), ("lr", np.inf), ("lr", -1e-4), ("epochs", 0), ("batch_size", 0),
     ("patience", 0), ("val_stride", 0), ("val_stride", np.nan), ("batch_size", 2.5),
-    ("epochs", 2.0), ("weight_decay", -1e-4),
+    ("epochs", 2.0), ("epochs", True), ("weight_decay", -1e-4),
     ("weight_decay", np.inf), ("beta", np.nan), ("beta", -0.05), ("gamma", -500.0),
     ("gamma", np.inf), ("squash", "tanh"),
 ])

@@ -108,6 +108,8 @@ CASES = {
         lambda arrays: arrays.update({"head3.w": np.zeros((3, 3))})), ValueError),
     "weights-config-zero-patch": (vit.load_weights, _model, _meta(
         lambda meta: meta["config"].update(patch_size=0)), ValueError),
+    "weights-config-float-layers": (vit.load_weights, _model, _meta(
+        lambda meta: meta["config"].update(layers=2.5)), ValueError),
     "model-no-k": (corrector.CorrectorModel.load, _model, _drop_meta("k"), ValueError),
     "model-no-squash": (corrector.CorrectorModel.load, _model, _drop_meta("squash"),
                         ValueError),
@@ -143,6 +145,8 @@ CASES = {
 }
 # what the message must name right after the path, beyond the path itself
 AFTER_PATH = {case: ", line 3:" for case in CASES if case.startswith("pose-csv")}
+# a config field of the wrong type: the message names the field
+AFTER_PATH["weights-config-float-layers"] = ": malformed meta: ValueError('layers"
 # a model value out of range: the message names its key
 AFTER_PATH.update({case: f": {case.split('-')[1]!r}" for case in CASES
                    if case.startswith("model-")
