@@ -5,16 +5,17 @@ already a valid topological order), and :func:`backward` replays it once in
 reverse to accumulate vector-Jacobian products. Tapes are per-evaluation
 objects: build, differentiate, discard.
 
-Every functional op in this module is dual-mode: if no operand is a
-:class:`DiffValue`, it evaluates directly on numpy arrays and returns a plain
-array. Code written against these ops (forward kinematics, rendering, the
-network) therefore runs both as a fast numpy pipeline and as a recorded,
-differentiable one.
+A functional op given no :class:`DiffValue` operand evaluates on the plain
+arrays and returns a plain array, so the network and the losses run both as
+a numpy pipeline (inference, validation) and as a recorded one (training,
+the baseline's gradient steps).
 
 Where a long chain of small ops would cost time, a fused op records one node
-with a hand-derived vector-Jacobian product through :func:`from_op`: the soft
-rasterizer (in ``render``) and the network's linear layers, layer norm,
-attention and GELU.
+with a hand-derived vector-Jacobian product through :func:`from_op`: the pose
+geometry (``scene.project_theta``: Euler angles, forward kinematics and
+projection), the soft rasterizer (in ``render``) and the network's linear
+layers, layer norm, attention and GELU. The small generic ops that remain
+serve the correction's squashing, the losses and the network's glue.
 
 There is no global "active tape"; the tape travels with the operands, so
 independent tapes can run on separate threads without shared state.
@@ -194,19 +195,6 @@ def mul(a, b):
                    lambda g, av, bv: g * bv, lambda g, av, bv: g * av)
 
 
-def div(a, b):
-    return _binary("div", a, b, np.divide,
-                   lambda g, av, bv: g / bv, lambda g, av, bv: -g * av / (bv * bv))
-
-
-def sin(a):
-    return _unary(a, np.sin, lambda av, out: lambda g: g * np.cos(av))
-
-
-def cos(a):
-    return _unary(a, np.cos, lambda av, out: lambda g: -g * np.sin(av))
-
-
 def power(a, p):
     p = float(p)
     return _unary(a, lambda x: np.power(x, p),
@@ -259,32 +247,13 @@ def reduce_mean(a, axis=None, keepdims=False):
 
 
 # ---------------------------------------------------------------------------
-# shape and linear-algebra primitives
-
-def matmul(a, b):
-    av, bv = _val(a), _val(b)
-    if av.ndim < 2 or bv.ndim < 2:
-        raise ShapeMismatch("matmul", av.shape, bv.shape)
-
-    def swap(x):
-        return np.swapaxes(x, -1, -2)
-
-    # _binary sums each gradient down to its operand's (batch) shape
-    return _binary("matmul", a, b, np.matmul,
-                   lambda g, av, bv: g @ swap(bv), lambda g, av, bv: swap(av) @ g)
-
+# shape primitives
 
 def reshape(a, shape):
     av = _val(a)
     old = av.shape
     return _unary(a, lambda x: np.reshape(x, shape),
                   lambda av, out: lambda g: np.reshape(g, old))
-
-
-def transpose(a, axes):
-    inv = tuple(np.argsort(axes))
-    return _unary(a, lambda x: np.transpose(x, axes),
-                  lambda av, out: lambda g: np.transpose(g, inv))
 
 
 _BASIC_INDEX = (int, slice, type(...))  # by exact type, so a bool is not an int
@@ -334,19 +303,10 @@ def concatenate(parts, axis=0):
     return tape.add_node(out, tuple(parts[i].nid for i in kept), vjp)
 
 
-def stack(parts, axis=0):
-    """Stack along a new axis (composition of reshape + concatenate)."""
-    shaped = []
-    for p in parts:
-        s = list(_val(p).shape)
-        s.insert(axis if axis >= 0 else len(s) + 1 + axis, 1)
-        shaped.append(reshape(p, tuple(s)))
-    return concatenate(shaped, axis=axis)
-
-
 def from_op(out_value: np.ndarray, parents: list, vjp):
-    """Record a fused op with a hand-derived Jacobian: the soft rasterizer and
-    the network's linear layers, layer norm, attention and GELU. The parents
+    """Record a fused op with a hand-derived Jacobian: the pose geometry, the
+    soft rasterizer and the network's linear layers, layer norm, attention
+    and GELU. The parents
     are all DiffValues on one tape (one node is recorded) or all plain arrays
     (``out_value`` returns as is). ``vjp(g)`` returns one gradient per parent;
     it captures arrays, never a DiffValue, whose tape would then hold it in a

@@ -13,13 +13,12 @@ reading (joint noise is white; the base error is persistent).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from . import corrector
+from . import corrector, vit
 from .scene import ToolScene
 
 _STEP_SCALE = np.array([1e-2] * 3 + [1e-3] * 3 + [1e-2] * 4)
@@ -50,8 +49,9 @@ class BaselineConfig:
     beta: float = 0.05
 
     def __post_init__(self):
-        if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
-            raise ValueError("max_iterations must be an integer of at least 1")
+        if not vit.is_count(self.max_iterations):
+            raise ValueError(f"max_iterations must be an integer of at least 1, "
+                             f"got {self.max_iterations!r}")
         if self.loss_threshold is not None and not 0 <= self.loss_threshold < np.inf:
             raise ValueError("loss_threshold must be finite and nonnegative")
         if not 0 < self.step_size < np.inf:

@@ -7,7 +7,7 @@ zero therefore means "no correction". The literal one-sided squashing
 (k * sigmoid, strictly positive corrections) stays available for comparison.
 
 Training backpropagates the weighted silhouette + keypoint + joint loss
-through the soft rasterizer and forward kinematics into the network.
+through the soft rasterizer and the pose-geometry Jacobian into the network.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import se3, vit
-from .scene import ToolScene, render_pose
+from .scene import ToolScene, project_theta, render_points
 from .synth import Dataset, rng_stream
 
 VISIBLE_SLICE = slice(3, 7)
@@ -68,13 +68,11 @@ def render_corrected(scene: ToolScene, theta_hat, q_noisy_first3):
     """Soft mask (B,H,W) and projected keypoints (B,6,2) at the corrected pose.
 
     Joints 1-3 come from the noisy reading; the corrected vector supplies the
-    base pose and the four visible joints.
+    base pose and the four visible joints: one pose-geometry node, one soft
+    raster node.
     """
-    rot = se3.euler_to_matrix(ad.take(theta_hat, (..., slice(0, 3))))
-    trans = ad.take(theta_hat, (..., slice(3, 6)))
-    q = ad.concatenate([np.asarray(q_noisy_first3, dtype=np.float64),
-                        ad.take(theta_hat, (..., slice(6, 10)))], axis=-1)
-    return render_pose(scene, rot, trans, q, "soft")
+    xy, depth = project_theta(scene, theta_hat, q_noisy_first3)
+    return render_points(scene, xy, depth, "soft")
 
 
 # ---------------------------------------------------------------------------

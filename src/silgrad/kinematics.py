@@ -1,14 +1,15 @@
-"""Articulated chain description and differentiable forward kinematics.
+"""Articulated chain description and forward kinematics.
 
 The chain is a serial list of joints; each joint has a fixed offset applied
 before its motion, so link ``i`` sits at
 ``base ∘ offset_0 ∘ motion_0 ∘ ... ∘ offset_i ∘ motion_i``.
 
-:func:`forward_kinematics` is dual-mode and batched: joint values of shape
-(..., J) and base rotation/translation of shape (..., 3, 3)/(..., 3) may be
-plain arrays or DiffValues, and gradients flow to both. Everything that
-needs link poses (mesh vertices, keypoints, the end effector) takes them from
-one :func:`forward_kinematics` call, so a rendered pose costs one FK pass.
+:func:`forward_kinematics` is plain numpy and batched over joint values of
+shape (..., J) and a base rotation/translation of shape (..., 3, 3)/(..., 3).
+Everything that needs link poses (mesh vertices, keypoints, the end
+effector) takes them from one :func:`forward_kinematics` call, so a rendered
+pose costs one FK pass. Gradients through the chain come from the geometric
+Jacobian of ``scene.project_theta``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from . import se3
 
 REVOLUTE = "revolute"
@@ -94,62 +94,41 @@ def forward_kinematics(chain: KinematicChain, base_rotation, base_translation, q
     Returns a list of (rotation, translation) pairs, one per joint, shapes
     (..., 3, 3) and (..., 3); the last pair is the end-effector frame.
     """
-    qv = ad._val(q)
-    if qv.shape[-1] != chain.num_joints:
+    q = np.asarray(q, dtype=float)
+    if q.shape[-1] != chain.num_joints:
         raise ValueError(
-            f"joint vector has {qv.shape[-1]} values, chain has {chain.num_joints} joints")
-    batch = qv.shape[:-1]
-    rot = ad._val(base_rotation)
+            f"joint vector has {q.shape[-1]} values, chain has {chain.num_joints} joints")
+    batch = q.shape[:-1]
+    rot = np.asarray(base_rotation, dtype=float)
     if rot.shape[-2:] != (3, 3):
         raise ValueError(f"base rotation must be (...,3,3), got {rot.shape}")
 
-    r_acc, t_acc = base_rotation, base_translation
+    # a base shared by the batch is broadcast, so every link has the batch shape
+    r_acc = np.broadcast_to(rot, batch + (3, 3))
+    t_acc = np.broadcast_to(np.asarray(base_translation, dtype=float), batch + (3,))
     links = []
     for i, joint in enumerate(chain.joints):
-        qi = ad.take(q, (..., i))
-        ro, to = joint.offset.rotation, joint.offset.translation
+        qi = q[..., i]
         # r_pre/t_pre: pose of the joint frame before motion
-        r_pre = ad.matmul(r_acc, ro)
-        t_pre = ad.add(_rotate_vec(r_acc, to), t_acc)
+        r_pre = r_acc @ joint.offset.rotation
+        t_pre = (r_acc @ joint.offset.translation[:, None])[..., 0] + t_acc
         if joint.kind == REVOLUTE:
-            rm = se3.rotation_about_axis(joint.axis, qi)
-            r_acc = ad.matmul(r_pre, rm)
+            r_acc = r_pre @ se3.rotation_about_axis(joint.axis, qi)
             t_acc = t_pre
         else:
-            disp = ad.mul(ad.reshape(qi, batch + (1,)), joint.axis)
             r_acc = r_pre
-            t_acc = ad.add(_rotate_vec(r_pre, disp), t_pre)
-        links.append((_ensure_batch(r_acc, batch, (3, 3)),
-                      _ensure_batch(t_acc, batch, (3,))))
+            t_acc = (r_pre @ (qi[..., None] * joint.axis)[..., None])[..., 0] + t_pre
+        links.append((r_acc, t_acc))
     return links
 
 
-def _ensure_batch(x, batch, trailing):
-    """Broadcast to full batch shape so callers can index links uniformly."""
-    want = batch + trailing
-    if tuple(ad._val(x).shape) == want:
-        return x
-    return ad.broadcast_to(x, want)
-
-
-def _rotate_vec(r, v):
-    """(..., 3, 3) @ (..., 3) -> (..., 3); either side may be constant."""
-    vv = ad._val(v)
-    shp = tuple(vv.shape) + (1,)
-    out = ad.matmul(r, ad.reshape(v, shp))
-    return ad.reshape(out, tuple(ad._val(out).shape[:-1]))
-
-
-def keypoints_3d(chain: KinematicChain, links):
+def keypoints_3d(chain: KinematicChain, links) -> np.ndarray:
     """Anchor points mapped through their owning link's pose, shape (..., K, 3).
 
     ``links`` is what :func:`forward_kinematics` returned for ``chain``.
     """
-    pts = []
-    for anchor in chain.keypoints:
-        r, t = links[anchor.joint_index]
-        pts.append(ad.add(_rotate_vec(r, anchor.point), t))
-    return ad.stack(pts, axis=-2)
+    return np.stack([(links[a.joint_index][0] @ a.point[:, None])[..., 0]
+                     + links[a.joint_index][1] for a in chain.keypoints], axis=-2)
 
 
 # ---------------------------------------------------------------------------

@@ -98,21 +98,19 @@ def default_camera(size: int = 128) -> PinholeCamera:
     return PinholeCamera(f, f, size / 2.0, size / 2.0, size, size)
 
 
-def project(camera: PinholeCamera, points):
+def project(camera: PinholeCamera, points: np.ndarray):
     """Project camera-frame points (..., 3) to pixels (..., 2).
 
     The camera looks down +Z. Points with Z <= near are flagged behind-camera
     and projected with Z clamped to near so losses stay continuous. Returns
-    (xy, behind_flags); xy is differentiable when ``points`` is.
+    (xy, behind_flags), plain arrays; ``scene.project_theta`` carries the
+    derivative of this map in its Jacobian.
     """
-    pv = ad._val(points)
-    behind = pv[..., 2] <= camera.near
-    x = ad.take(points, (..., 0))
-    y = ad.take(points, (..., 1))
-    z = ad.clamp(ad.take(points, (..., 2)), camera.near, None)
-    u = ad.add(ad.mul(camera.fx, ad.div(x, z)), camera.cx)
-    v = ad.add(ad.mul(camera.fy, ad.div(y, z)), camera.cy)
-    return ad.stack([u, v], axis=-1), behind
+    p = np.asarray(points, dtype=float)
+    z = np.clip(p[..., 2], camera.near, None)
+    xy = np.stack([camera.fx * (p[..., 0] / z) + camera.cx,
+                   camera.fy * (p[..., 1] / z) + camera.cy], axis=-1)
+    return xy, p[..., 2] <= camera.near
 
 
 # ---------------------------------------------------------------------------

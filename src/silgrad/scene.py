@@ -4,11 +4,12 @@ The canonical base places the manipulator pivot up-left of the optical axis
 with the instrument pointing at a work center ~14 cm in front of the camera,
 so sampled configurations keep the articulated head inside the view.
 
-:func:`render_pose` runs forward kinematics once per pose and returns both
-the silhouette and the projected keypoints; :func:`render_masks` returns the
-silhouette alone. Both are batched and dual-mode: with autodiff inputs the
-soft silhouette and the keypoints are differentiable. :func:`geometry_digest`
-identifies the geometry a generated dataset was rendered from.
+:func:`posed_points`, the one posing path, runs forward kinematics once per
+pose. :func:`render_pose` projects and rasterizes its points in plain numpy.
+:func:`project_theta` maps 10-D configurations to projected points as one
+autodiff node, whose VJP is the geometric Jacobian of posing and projection.
+:func:`geometry_digest` identifies the geometry a generated dataset was
+rendered from.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ class ToolScene:
     verts_local: np.ndarray = field(init=False)    # (V, 3)
     faces: np.ndarray = field(init=False)          # (T, 3)
     vert_slices: tuple = field(init=False)         # [(joint_index, lo, hi)] vertex ranges
+    point_links: np.ndarray = field(init=False)    # (V + K,) link of each posed point
 
     def __post_init__(self):
         verts, faces, slices = [], [], []
@@ -69,6 +71,9 @@ class ToolScene:
         object.__setattr__(self, "verts_local", np.concatenate(verts))
         object.__setattr__(self, "faces", np.concatenate(faces))
         object.__setattr__(self, "vert_slices", tuple(slices))
+        links = [np.full(hi - lo, ji) for ji, lo, hi in slices]
+        object.__setattr__(self, "point_links", np.concatenate(
+            links + [[k.joint_index for k in self.chain.keypoints]]))
 
     @property
     def sigma_r(self) -> float:
@@ -110,35 +115,97 @@ def geometry_digest(scene: ToolScene) -> str:
 
 
 # ---------------------------------------------------------------------------
-# batched differentiable geometry
+# batched geometry
 
-def _silhouette(scene: ToolScene, links, mode: str):
-    """Pose the link meshes, project them and rasterize: (B, H, W)."""
+def posed_points(scene: ToolScene, base_rotation, base_translation, q):
+    """Link poses and camera-frame points (B, V + K, 3) from one forward
+    kinematics pass: the mesh vertices in ``vert_slices`` order, then the
+    keypoints."""
+    links = kin.forward_kinematics(scene.chain, base_rotation, base_translation, q)
     parts = []
     for ji, lo, hi in scene.vert_slices:
         r, t = links[ji]
-        world = ad.transpose(ad.matmul(r, scene.verts_local[lo:hi].T), (0, 2, 1))
-        parts.append(ad.add(world, ad.reshape(t, (-1, 1, 3))))
-    world = ad.concatenate(parts, axis=1)
-    cam = scene.camera
-    xy, _ = render.project(cam, world)
-    valid = render.face_validity(ad._val(world)[..., 2], scene.faces, cam, mode)
+        parts.append(np.transpose(r @ scene.verts_local[lo:hi].T, (0, 2, 1))
+                     + t.reshape(-1, 1, 3))
+    parts.append(kin.keypoints_3d(scene.chain, links))
+    return links, np.concatenate(parts, axis=1)
+
+
+def render_points(scene: ToolScene, xy, depth: np.ndarray, mode: str):
+    """Silhouettes (B, H, W) and keypoints (B, K, 2) from projected points
+    (B, V + K, 2) and their depths (B, V + K): binary union for "hard", soft
+    coverage otherwise. ``xy`` may be the node :func:`project_theta` records;
+    the soft raster is then a node too."""
+    v, cam = len(scene.verts_local), scene.camera
+    verts = ad.take(xy, (slice(None), slice(0, v)))
+    valid = render.face_validity(depth[:, :v], scene.faces, cam, mode)
     if mode == "hard":
-        return render.hard_occupancy(ad._val(xy), scene.faces, valid, cam.width, cam.height)
-    return render.soft_occupancy(xy, scene.faces, valid, cam.width, cam.height,
-                                 scene.sigma_r)
-
-
-def render_masks(scene: ToolScene, base_rotation, base_translation, q, mode: str):
-    """Batched silhouettes (B, H, W): binary union for "hard", differentiable
-    soft coverage otherwise."""
-    links = kin.forward_kinematics(scene.chain, base_rotation, base_translation, q)
-    return _silhouette(scene, links, mode)
+        masks = render.hard_occupancy(verts, scene.faces, valid, cam.width, cam.height)
+    else:
+        masks = render.soft_occupancy(verts, scene.faces, valid, cam.width, cam.height,
+                                      scene.sigma_r)
+    return masks, ad.take(xy, (slice(None), slice(v, None)))
 
 
 def render_pose(scene: ToolScene, base_rotation, base_translation, q, mode: str):
-    """Silhouettes (B, H, W) as :func:`render_masks` gives them, plus the
-    projected keypoints (B, K, 2), from one forward-kinematics pass."""
-    links = kin.forward_kinematics(scene.chain, base_rotation, base_translation, q)
-    kps, _ = render.project(scene.camera, kin.keypoints_3d(scene.chain, links))
-    return _silhouette(scene, links, mode), kps
+    """Silhouettes (B, H, W) and projected keypoints (B, K, 2) at plain base
+    poses and joint values, from one forward-kinematics pass."""
+    _, world = posed_points(scene, base_rotation, base_translation, q)
+    xy, _ = render.project(scene.camera, world)
+    return render_points(scene, xy, world[..., 2], mode)
+
+
+def render_masks(scene: ToolScene, base_rotation, base_translation, q, mode: str):
+    """The silhouettes of :func:`render_pose` alone."""
+    return render_pose(scene, base_rotation, base_translation, q, mode)[0]
+
+
+def project_theta(scene: ToolScene, theta, q_first3: np.ndarray):
+    """Projected points (B, V + K, 2), as :func:`posed_points` orders them,
+    and their depths (B, V + K) at configurations ``theta`` (B, 10): base
+    Euler angles (z, y, x), base translation, and the joints that follow the
+    reading ``q_first3`` (B, 3). With ``theta`` on a tape the points are one
+    node, whose VJP is g · J with J from :func:`_theta_jacobian`."""
+    th = ad._val(theta)
+    rot = se3.euler_to_matrix(th[:, :3])
+    q = np.concatenate([np.asarray(q_first3, dtype=np.float64), th[:, 6:]], axis=1)
+    links, world = posed_points(scene, rot, th[:, 3:6], q)
+    xy, _ = render.project(scene.camera, world)
+    if isinstance(theta, ad.DiffValue):
+        jac = _theta_jacobian(scene, th, rot, links, world)
+        xy = ad.from_op(xy, [theta], lambda g: (np.einsum("bnk,bnkj->bj", g, jac),))
+    return xy, world[..., 2]
+
+
+def _theta_jacobian(scene: ToolScene, theta: np.ndarray, rot: np.ndarray, links,
+                    world: np.ndarray) -> np.ndarray:
+    """d(projected point)/dθ, (B, N, 2, 10), at the N posed points ``world``.
+
+    Space Jacobian (Lynch & Park, Modern Robotics, 2017, §5.1): an Euler
+    angle or a revolute joint turns the points it moves about an axis a
+    through an origin o, dp = a × (p − o); a prismatic joint gives dp = a.
+    The angles turn all points about e_z, Rz e_y and Rz Ry e_x = R e_x
+    through the base origin; joint i turns those on links ≥ i. Projection
+    with z = max(Z, near) gives du = fx / z (dX − X / z dZ), dv likewise,
+    with dZ = 0 where Z < near.
+    """
+    chain, cam = scene.chain, scene.camera
+    b, n = world.shape[:2]
+    yaw, joints = theta[:, 0], range(chain.num_joints - (theta.shape[1] - 6), chain.num_joints)
+    # one column per turning coordinate: the three angles, then the joints
+    axes = np.stack([np.broadcast_to([0.0, 0.0, 1.0], (b, 3)),
+                     np.stack([-np.sin(yaw), np.cos(yaw), np.zeros(b)], axis=1), rot[:, :, 0]]
+                    + [links[i][0] @ chain.joints[i].axis for i in joints], axis=1)  # (B, C, 3)
+    origins = np.stack([theta[:, 3:6]] * 3 + [links[i][1] for i in joints], axis=1)
+    moves = np.stack([np.ones(n, dtype=bool)] * 3 + [scene.point_links >= i for i in joints], 1)
+    slides = np.array([False] * 3 + [chain.joints[i].kind == kin.PRISMATIC for i in joints])
+    turn = np.cross(axes[:, None], world[:, :, None] - origins[:, None])  # (B, N, C, 3)
+    dp = np.where(slides[:, None], axes[:, None], turn) * moves[..., None]
+    # columns in θ order: Euler angles, translation, joints; (B, N, 10, 3)
+    dp = np.concatenate([dp[:, :, :3], np.broadcast_to(np.eye(3), (b, n, 3, 3)),
+                         dp[:, :, 3:]], axis=2)
+    x, y, depth = np.moveaxis(world, -1, 0)
+    z = np.maximum(depth, cam.near)[..., None]
+    dz = dp[..., 2] * (depth >= cam.near)[..., None]
+    return np.stack([cam.fx * (dp[..., 0] - x[..., None] / z * dz),
+                     cam.fy * (dp[..., 1] - y[..., None] / z * dz)], axis=2) / z[..., None]

@@ -6,10 +6,10 @@ is ``Rz(e0) @ Ry(e1) @ Rx(e2)``. The canonical pitch (Y angle) lies in
 [-pi/2, pi/2]. A pose is the 6-vector ``[z, y, x angles, translation in m]``,
 the first six entries of the correction pipeline's 10-D configuration.
 
-The rotation builders :func:`rotation_about_axis` and :func:`euler_to_matrix`
-are dual-mode and batched: they take plain arrays or autodiff values with any
-leading batch shape, which is how the correction pipeline differentiates
-through base-pose parameters. The rest of the module is plain numpy.
+The module is plain numpy. The rotation builders :func:`rotation_about_axis`
+and :func:`euler_to_matrix` are batched over any leading shape. Gradients
+with respect to the Euler angles come from the geometric Jacobian of
+``scene.project_theta``, not from this module.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import autodiff as ad
 
 _EYE3 = np.eye(3)
 
@@ -31,13 +29,11 @@ def skew(v: np.ndarray) -> np.ndarray:
 def rotation_about_axis(axis: np.ndarray, theta):
     """Rodrigues rotation for a fixed unit axis and batched angle.
 
-    ``theta`` has shape (...,); result has shape (..., 3, 3). Works on plain
-    arrays or DiffValues.
+    ``theta`` has shape (...,); result has shape (..., 3, 3).
     """
     k = skew(np.asarray(axis, dtype=float))
-    th = ad.reshape(theta, np.shape(ad._val(theta)) + (1, 1))
-    return ad.add(ad.add(_EYE3, ad.mul(ad.sin(th), k)),
-                  ad.mul(ad.sub(1.0, ad.cos(th)), k @ k))
+    th = np.asarray(theta, dtype=float)[..., None, None]
+    return _EYE3 + np.sin(th) * k + (1.0 - np.cos(th)) * (k @ k)
 
 
 @dataclass(frozen=True)
@@ -83,14 +79,15 @@ def invert(t: RigidTransform) -> RigidTransform:
 
 
 def euler_to_matrix(euler):
-    """Batched Z-Y-X intrinsic Euler angles to rotation; dual-mode.
+    """Batched Z-Y-X intrinsic Euler angles to rotation.
 
     ``euler`` has shape (..., 3); result (..., 3, 3).
     """
-    rz = rotation_about_axis([0.0, 0.0, 1.0], ad.take(euler, (..., 0)))
-    ry = rotation_about_axis([0.0, 1.0, 0.0], ad.take(euler, (..., 1)))
-    rx = rotation_about_axis([1.0, 0.0, 0.0], ad.take(euler, (..., 2)))
-    return ad.matmul(ad.matmul(rz, ry), rx)
+    e = np.asarray(euler, dtype=float)
+    rz = rotation_about_axis([0.0, 0.0, 1.0], e[..., 0])
+    ry = rotation_about_axis([0.0, 1.0, 0.0], e[..., 1])
+    rx = rotation_about_axis([1.0, 0.0, 0.0], e[..., 2])
+    return rz @ ry @ rx
 
 
 def matrix_to_euler(r: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kinematics as kin
-from . import render, se3
+from . import render, se3, vit
 from .scene import ToolScene, geometry_digest, reference_scene, render_pose
 
 FRAME_RATE = 30.0
@@ -347,7 +347,7 @@ def generate_dataset(out_dir, split: str, trajectories: int, duration_s: float,
     frames = frames_per_trajectory if frames_per_trajectory is not None \
         else int(round(duration_s * FRAME_RATE))
     for name, value in (("trajectories", trajectories), ("frames_per_trajectory", frames)):
-        if not isinstance(value, (int, np.integer)) or value < 1:
+        if not vit.is_count(value):
             raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
     scene = scene or reference_scene(64)
     geometry = geometry_digest(scene)

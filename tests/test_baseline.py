@@ -27,7 +27,7 @@ def test_config_validation():
     for bad in (np.full(10, np.nan), np.zeros(10), -np.ones(10), np.ones(9), np.ones((2, 10))):
         with pytest.raises(ValueError, match="step_scale"):
             bl.BaselineConfig(step_scale=bad)
-    for bad in (2.5, 6.0):
+    for bad in (2.5, 6.0, True):
         with pytest.raises(ValueError, match="max_iterations"):
             bl.BaselineConfig(max_iterations=bad)
 

@@ -3,6 +3,7 @@ import pytest
 
 from silgrad import autodiff as ad
 from silgrad import kinematics as kin
+from silgrad import scene as scenemod
 from silgrad import se3
 
 RNG = np.random.default_rng(31)
@@ -112,42 +113,58 @@ def test_keypoints_rigid_equivariance(chain):
     np.testing.assert_allclose(moved, pts @ delta.rotation.T + delta.translation, atol=1e-9)
 
 
-def test_fk_gradient_wrt_joints_matches_finite_differences(chain):
-    base = kin.reference_chain()  # unused placeholder to keep names explicit
-    b = se3.RigidTransform(se3.rotation_about_axis([1, 0, 0], -0.2), [0.03, 0.02, 0.05])
-    q0 = np.array([[0.2, -0.3, 0.12, 0.5, 0.2, -0.4, 0.6]])
-    w = RNG.normal(size=3)
+# Forward kinematics is plain numpy; its gradients reach the configuration
+# through the geometry node, whose points are posed by this module's FK.
+
+@pytest.fixture(scope="module")
+def tool_scene():
+    return scenemod.reference_scene(64)
+
+
+def _base_pose(tool_scene):
+    pose, _ = se3.transform_to_euler(tool_scene.base)
+    return (pose + [0.2, -0.1, 0.1, 0.0, 0.0, 0.0])[None]
+
+
+Q_FIRST = np.array([[0.05, -0.05, 0.12]])
+
+
+def test_fk_gradient_wrt_joints_matches_finite_differences(tool_scene):
+    pose = _base_pose(tool_scene)
+    q0 = np.array([[0.5, 0.2, -0.4, 0.6]])
+    w = RNG.normal(size=(1, len(tool_scene.point_links), 2))
 
     def f(q):
-        links = kin.forward_kinematics(chain, b.rotation[None], b.translation[None], q)
-        return ad.reduce_sum(ad.mul(links[-1][1], w))
+        xy, _ = scenemod.project_theta(tool_scene, ad.concatenate([pose, q], axis=1), Q_FIRST)
+        return ad.reduce_sum(ad.mul(xy, w))
 
     rep = ad.finite_diff_check(f, q0, epsilon=1e-6, tolerance=1e-6)
     assert rep.passed, rep
 
 
-def test_fk_gradient_wrt_base_euler_pose(chain):
-    pose0 = np.array([[0.3, -0.2, 0.1, 0.06, 0.05, 0.04]])
-    q = np.array([0.1, -0.2, 0.15, 0.3, 0.2, -0.1, 0.4])
-    w = RNG.normal(size=(6, 3))
+def test_fk_gradient_wrt_base_euler_pose(tool_scene):
+    pose0 = _base_pose(tool_scene)
+    q = np.array([[0.3, 0.2, -0.1, 0.4]])
+    k = len(tool_scene.chain.keypoints)
+    w = RNG.normal(size=(1, k, 2))
 
     def f(p):
-        r = se3.euler_to_matrix(ad.take(p, (..., slice(0, 3))))
-        t = ad.take(p, (..., slice(3, 6)))
-        pts = kin.keypoints_3d(chain, kin.forward_kinematics(chain, r, t, q[None]))
-        return ad.reduce_sum(ad.mul(pts, w))
+        xy, _ = scenemod.project_theta(tool_scene, ad.concatenate([p, q], axis=1), Q_FIRST)
+        return ad.reduce_sum(ad.mul(ad.take(xy, (slice(None), slice(-k, None))), w))
 
     rep = ad.finite_diff_check(f, pose0, epsilon=1e-6, tolerance=1e-6)
     assert rep.passed, rep
 
 
-def test_every_eef_coordinate_differentiable(chain):
-    b = se3.RigidTransform(se3.rotation_about_axis([0, 1, 0], 0.25), [0.04, 0.03, 0.05])
-    q0 = np.array([[0.1, 0.2, 0.1, -0.5, 0.3, 0.2, 0.7]])
-    for coord in range(3):
+def test_every_eef_coordinate_differentiable(tool_scene):
+    # the moving jaw tip, the last keypoint, in both image coordinates
+    pose = _base_pose(tool_scene)
+    q0 = np.array([[-0.5, 0.3, 0.2, 0.7]])
+    for coord in range(2):
         def f(q, coord=coord):
-            links = kin.forward_kinematics(chain, b.rotation[None], b.translation[None], q)
-            return ad.take(links[-1][1], (0, coord))
+            xy, _ = scenemod.project_theta(tool_scene, ad.concatenate([pose, q], axis=1),
+                                           Q_FIRST)
+            return ad.take(xy, (0, -1, coord))
 
         rep = ad.finite_diff_check(f, q0, epsilon=1e-6, tolerance=1e-6)
         assert rep.passed, (coord, rep)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from silgrad import autodiff as ad
-from silgrad import mesh, render, scene, se3
+from silgrad import corrector, mesh, render, scene, se3
 from silgrad.mesh import TriMesh
 
 
@@ -24,15 +24,21 @@ def test_project_offset_point():
 
 
 def test_project_gradient_is_fx_over_z():
-    c = cam(fx=100.0, size=64)
+    # the base's x translation moves every point by the same dX, so
+    # du/dtheta[3] is fx / Z at each point in front of the near plane
+    sc = scene.reference_scene(64)
+    pose, _ = se3.transform_to_euler(sc.base)
+    theta0 = np.concatenate([pose, [0.4, 0.1, -0.2, 0.5]])[None]
+    q_first = np.array([[0.05, -0.05, 0.13]])
+    _, depth = scene.project_theta(sc, theta0, q_first)
 
-    def f(p):
-        xy, _ = render.project(c, p)
-        return ad.take(xy, (0, 0))
+    def f(theta):
+        xy, _ = scene.project_theta(sc, theta, q_first)
+        return ad.take(xy, (0, 0, 0))
 
-    rep = ad.finite_diff_check(f, np.array([[0.1, 0.0, 1.0]]), epsilon=1e-7)
-    assert rep.passed
-    np.testing.assert_allclose(rep.analytic[0, 0], 100.0, rtol=1e-9)
+    rep = ad.finite_diff_check(f, theta0, epsilon=1e-6)
+    assert rep.passed, rep
+    np.testing.assert_allclose(rep.analytic[0, 3], sc.camera.fx / depth[0, 0], rtol=1e-9)
 
 
 def test_project_behind_camera_flagged_and_clamped():
@@ -345,15 +351,37 @@ def test_soft_gradients_match_finite_differences_ten_params():
 
     def f(pn):
         p = ad.reshape(ad.add(ad.mul(pn, scale), params0), (1, 10))
-        r = se3.euler_to_matrix(ad.take(p, (..., slice(0, 3))))
-        t = ad.take(p, (..., slice(3, 6)))
-        q = ad.concatenate([np.tile(q_first, (1, 1)), ad.take(p, (..., slice(6, 10)))],
-                           axis=-1)
-        mask = scene.render_masks(sc, r, t, q, "soft")
+        mask, _ = corrector.render_corrected(sc, p, q_first[None])
         return ad.reduce_sum(mask)
 
     rep = ad.finite_diff_check(f, np.zeros(10), epsilon=1e-4, tolerance=1e-3)
     assert rep.passed, rep
+
+
+def test_project_theta_points_are_the_rasterized_points(monkeypatch):
+    # the node's value, taped, is what render_pose projects: the vertices and
+    # face validity it rasterizes and the keypoints it returns, to the bit
+    sc = scene.reference_scene(64)
+    rng = np.random.default_rng(12)
+    pose, _ = se3.transform_to_euler(sc.base)
+    q = np.stack([visible_config(rng) for _ in range(3)])
+    base = pose + rng.uniform(-1, 1, (3, 6)) * ([0.05] * 3 + [0.005] * 3)
+    seen = {}
+    hard = render.hard_occupancy
+
+    def record(xy, faces, valid, *rest):
+        seen.update(xy=xy, valid=valid)
+        return hard(xy, faces, valid, *rest)
+
+    monkeypatch.setattr(render, "hard_occupancy", record)
+    _, kps = scene.render_pose(sc, se3.euler_to_matrix(base[:, :3]), base[:, 3:], q, "hard")
+    theta = ad.leaf(ad.Tape(), np.concatenate([base, q[:, 3:]], axis=1))
+    xy, depth = scene.project_theta(sc, theta, q[:, :3])
+    v = len(sc.verts_local)
+    np.testing.assert_array_equal(ad._val(xy)[:, :v], seen["xy"])
+    np.testing.assert_array_equal(ad._val(xy)[:, v:], kps)
+    np.testing.assert_array_equal(
+        render.face_validity(depth[:, :v], sc.faces, sc.camera, "hard"), seen["valid"])
 
 
 def test_soft_gradient_zero_without_triangles():

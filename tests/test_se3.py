@@ -3,7 +3,7 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from silgrad import autodiff as ad
-from silgrad import se3
+from silgrad import scene, se3
 
 RNG = np.random.default_rng(7)
 
@@ -110,11 +110,18 @@ def test_euler_to_matrix_batched_matches_single():
 
 
 def test_euler_to_matrix_gradients():
-    e0 = RNG.uniform(-1.0, 1.0, size=(2, 3))
-    w = RNG.normal(size=(2, 3, 3))
+    # euler_to_matrix is plain numpy; the Euler-angle gradient of the posed,
+    # projected points is a column of the geometry node's Jacobian
+    sc = scene.reference_scene(64)
+    pose, _ = se3.transform_to_euler(sc.base)
+    e0 = pose[:3] + RNG.uniform(-0.2, 0.2, size=(2, 3))
+    rest = np.tile(np.concatenate([pose[3:], [0.4, 0.1, -0.2, 0.5]]), (2, 1))
+    q_first = np.array([[0.05, -0.05, 0.13]] * 2)
+    w = RNG.normal(size=(2, len(sc.point_links), 2))
 
     def f(e):
-        return ad.reduce_sum(ad.mul(se3.euler_to_matrix(e), w))
+        xy, _ = scene.project_theta(sc, ad.concatenate([e, rest], axis=1), q_first)
+        return ad.reduce_sum(ad.mul(xy, w))
 
     rep = ad.finite_diff_check(f, e0, epsilon=1e-6, tolerance=1e-6)
     assert rep.passed, rep

@@ -153,8 +153,9 @@ def test_noise_spec_rejects_nonfinite(field, value):
 
 
 @pytest.mark.parametrize("name, value", [
-    ("trajectories", 2.5), ("trajectories", 0), ("trajectories", "2"),
+    ("trajectories", 2.5), ("trajectories", 0), ("trajectories", "2"), ("trajectories", True),
     ("frames_per_trajectory", 2.5), ("frames_per_trajectory", 0),
+    ("frames_per_trajectory", True),
     ("duration_s", np.nan), ("duration_s", np.inf),
 ])
 def test_dataset_rejects_bad_size_before_writing(tmp_path, name, value):
