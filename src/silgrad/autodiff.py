@@ -6,16 +6,19 @@ reverse to accumulate vector-Jacobian products. Tapes are per-evaluation
 objects: build, differentiate, discard.
 
 A functional op given no :class:`DiffValue` operand evaluates on the plain
-arrays and returns a plain array, so the network and the losses run both as
-a numpy pipeline (inference, validation) and as a recorded one (training,
-the baseline's gradient steps).
+arrays and returns a plain array, so the network, the correction and the loss
+run both as a numpy pipeline (inference, validation) and as a recorded one
+(training, the baseline's gradient steps).
 
-Where a long chain of small ops would cost time, a fused op records one node
-with a hand-derived vector-Jacobian product through :func:`from_op`: the pose
-geometry (``scene.project_theta``: Euler angles, forward kinematics and
-projection), the soft rasterizer (in ``render``) and the network's linear
-layers, layer norm, attention and GELU. The small generic ops that remain
-serve the correction's squashing, the losses and the network's glue.
+Every differentiable step records one node with a hand-derived
+vector-Jacobian product through :func:`from_op`: the network's linear layers,
+layer norm, attention and GELU, the correction's squashing
+(``corrector.apply_correction``), the pose geometry (``scene.project_theta``:
+Euler angles, forward kinematics and projection), the soft rasterizer (in
+``render``) and the weighted loss (``corrector.weighted_loss``). The generic
+ops that remain (``add``, ``reshape``, ``take``, ``astype``,
+``broadcast_to``, ``concatenate``) are the network's glue and the slices
+between the fused nodes.
 
 There is no global "active tape"; the tape travels with the operands, so
 independent tapes can run on separate threads without shared state.
@@ -147,29 +150,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _binary(op_name, a, b, fwd, vjp_a, vjp_b):
-    tape = _tape_of(a, b)
-    av, bv = _val(a), _val(b)
-    try:
-        out = fwd(av, bv)
-    except ValueError as exc:
-        raise ShapeMismatch(op_name, av.shape, bv.shape) from exc
-    if tape is None:
-        return out
-    parents, vjps = [], []
-    if _is_dv(a):
-        parents.append(a.nid)
-        vjps.append(lambda g: _unbroadcast(vjp_a(g, av, bv), av.shape))
-    if _is_dv(b):
-        parents.append(b.nid)
-        vjps.append(lambda g: _unbroadcast(vjp_b(g, av, bv), bv.shape))
-
-    def vjp(g):
-        return tuple(f(g) for f in vjps)
-
-    return tape.add_node(out, tuple(parents), vjp)
-
-
 def _unary(a, fwd, make_vjp):
     av = _val(a)
     out = fwd(av)
@@ -180,25 +160,26 @@ def _unary(a, fwd, make_vjp):
 
 
 # ---------------------------------------------------------------------------
-# elementwise and reduction primitives
+# elementwise and shape primitives
 
 def add(a, b):
-    return _binary("add", a, b, np.add, lambda g, av, bv: g, lambda g, av, bv: g)
+    """``a + b`` with numpy broadcasting; each operand's gradient is ``g``
+    summed back to its shape."""
+    tape = _tape_of(a, b)
+    av, bv = _val(a), _val(b)
+    try:
+        out = av + bv
+    except ValueError as exc:
+        raise ShapeMismatch("add", av.shape, bv.shape) from exc
+    if tape is None:
+        return out
+    kept = [p for p in (a, b) if _is_dv(p)]
+    shapes = [p.value.shape for p in kept]
 
+    def vjp(g):
+        return tuple(_unbroadcast(g, shape) for shape in shapes)
 
-def sub(a, b):
-    return _binary("sub", a, b, np.subtract, lambda g, av, bv: g, lambda g, av, bv: -g)
-
-
-def mul(a, b):
-    return _binary("mul", a, b, np.multiply,
-                   lambda g, av, bv: g * bv, lambda g, av, bv: g * av)
-
-
-def power(a, p):
-    p = float(p)
-    return _unary(a, lambda x: np.power(x, p),
-                  lambda av, out: lambda g: g * p * np.power(av, p - 1.0))
+    return tape.add_node(out, tuple(p.nid for p in kept), vjp)
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -210,44 +191,6 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     out[~pos] = ex / (1.0 + ex)
     return out
 
-
-def sigmoid(a):
-    return _unary(a, lambda x: stable_sigmoid(np.asarray(x, dtype=_val(a).dtype)),
-                  lambda av, out: lambda g: g * out * (1.0 - out))
-
-
-def clamp(a, lo=None, hi=None):
-    """Clip to [lo, hi]; gradient is zero wherever the value was clipped."""
-    def bw(av, out):
-        mask = np.ones(av.shape, dtype=av.dtype if av.dtype.kind == "f" else np.float64)
-        if lo is not None:
-            mask = mask * (av >= lo)
-        if hi is not None:
-            mask = mask * (av <= hi)
-        return lambda g: g * mask
-
-    return _unary(a, lambda x: np.clip(x, lo, hi), bw)
-
-
-def reduce_sum(a, axis=None, keepdims=False):
-    def bw(av, out):
-        def run(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return np.broadcast_to(g, av.shape)
-        return run
-
-    return _unary(a, lambda x: np.sum(x, axis=axis, keepdims=keepdims), bw)
-
-
-def reduce_mean(a, axis=None, keepdims=False):
-    av = _val(a)
-    n = av.size if axis is None else np.prod([av.shape[i] for i in np.atleast_1d(axis)])
-    return mul(reduce_sum(a, axis=axis, keepdims=keepdims), 1.0 / float(n))
-
-
-# ---------------------------------------------------------------------------
-# shape primitives
 
 def reshape(a, shape):
     av = _val(a)
@@ -304,10 +247,10 @@ def concatenate(parts, axis=0):
 
 
 def from_op(out_value: np.ndarray, parents: list, vjp):
-    """Record a fused op with a hand-derived Jacobian: the pose geometry, the
-    soft rasterizer and the network's linear layers, layer norm, attention
-    and GELU. The parents
-    are all DiffValues on one tape (one node is recorded) or all plain arrays
+    """Record a fused op with a hand-derived Jacobian: the network's linear
+    layers, layer norm, attention and GELU, the correction, the pose
+    geometry, the soft rasterizer and the loss. The parents are all
+    DiffValues on one tape (one node is recorded) or all plain arrays
     (``out_value`` returns as is). ``vjp(g)`` returns one gradient per parent;
     it captures arrays, never a DiffValue, whose tape would then hold it in a
     cycle that keeps every activation alive until the cyclic GC runs."""

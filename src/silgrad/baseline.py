@@ -1,10 +1,13 @@
 """Per-frame iterative pose correction by gradient descent.
 
 Each frame optimizes the 10-D parametrization (base Euler pose + visible
-joints) against the weighted silhouette + keypoint loss; no joint-error term
-is available to this method. Raw gradients mix units, so updates take fixed
-per-coordinate steps along the gradient sign (angles ~step*1e-2 rad,
-translations ~step*1e-3 m), with a decaying factor when the loss worsens.
+joints) against the corrector's weighted silhouette + keypoint loss, with a
+zero joint weight: no joint truth is available to this method. Raw gradients
+mix units, so updates take fixed per-coordinate steps along the gradient sign
+(angles ~step*1e-2 rad, translations ~step*1e-3 m), with a decaying factor
+when the loss worsens. Each iteration records seven nodes: the leaf, a
+reshape, the pose-geometry node, the soft raster and the loss node, with two
+slices between.
 
 Within a trajectory, each frame is warm-started from the previous frame's
 base estimate while the joint half restarts from the frame's own noisy
@@ -52,15 +55,16 @@ class BaselineConfig:
         if not vit.is_count(self.max_iterations):
             raise ValueError(f"max_iterations must be an integer of at least 1, "
                              f"got {self.max_iterations!r}")
-        if self.loss_threshold is not None and not 0 <= self.loss_threshold < np.inf:
-            raise ValueError("loss_threshold must be finite and nonnegative")
-        if not 0 < self.step_size < np.inf:
-            raise ValueError("step_size must be finite and positive")
+        thr = self.loss_threshold
+        if thr is not None and not (vit.is_real(thr) and 0 <= thr < np.inf):
+            raise ValueError(f"loss_threshold must be a finite nonnegative number, got {thr!r}")
+        if not (vit.is_real(self.step_size) and 0 < self.step_size < np.inf):
+            raise ValueError(f"step_size must be a finite positive number, got {self.step_size!r}")
         scale = np.asarray(self.step_scale, dtype=np.float64)
         if scale.shape != (10,) or not np.all((scale > 0) & (scale < np.inf)):
             raise ValueError("step_scale must be 10 finite positive values")
-        if not 0 <= self.beta < np.inf:
-            raise ValueError("beta must be finite and nonnegative")
+        if not (vit.is_real(self.beta) and 0 <= self.beta < np.inf):
+            raise ValueError(f"beta must be a finite nonnegative number, got {self.beta!r}")
 
     def resolve(self, camera) -> tuple[float, float]:
         """(alpha, threshold): the corrector's silhouette weight and the
@@ -72,15 +76,15 @@ class BaselineConfig:
 
 def _loss_and_grad(scene: ToolScene, theta: np.ndarray, q_first3: np.ndarray,
                    m_ref: np.ndarray, kp_ref: np.ndarray, alpha: float, beta: float):
+    """The frame's loss and its gradient w.r.t. ``theta``: the corrector's
+    loss node with gamma = 0, whose joint term compares the plain estimate
+    with itself and so adds nothing."""
     tape = ad.Tape()
     th = ad.leaf(tape, theta)
     s_hat, kp_hat = corrector.render_corrected(scene, ad.reshape(th, (1, 10)),
                                                q_first3[None])
-    total = ad.reduce_sum(corrector.loss_total(
-        alpha, beta, 0.0,
-        corrector.loss_render(s_hat, m_ref[None]),
-        corrector.loss_keypoints(kp_hat, kp_ref[None]),
-        0.0))
+    total, _ = corrector.weighted_loss(s_hat, kp_hat, theta[None], m_ref[None],
+                                       kp_ref[None], theta[None, 6:10], alpha, beta, 0.0)
     loss = float(ad._val(total))
     grads = ad.backward(total)
     return loss, grads.get(th.nid)

@@ -1,4 +1,4 @@
-"""One-shot pose correction: parametrization, losses, training, inference.
+"""One-shot pose correction: parametrization, loss, training, inference.
 
 The 10-D configuration vector is [base Euler zyx (rad), base translation (m),
 visible joints (rad)], anchored at the manipulator pivot. Raw network outputs
@@ -8,6 +8,8 @@ zero therefore means "no correction". The literal one-sided squashing
 
 Training backpropagates the weighted silhouette + keypoint + joint loss
 through the soft rasterizer and the pose-geometry Jacobian into the network.
+Past the network, a step's tape holds one node per stage: the correction,
+the pose geometry, the soft raster and the loss, with two slices between.
 """
 
 from __future__ import annotations
@@ -42,26 +44,40 @@ def default_loss_weights(camera) -> tuple[float, float, float]:
 
 
 def apply_correction(raw, theta_noisy, k, chain, squash: str = "centered"):
-    """Squash raw outputs into bounded deltas and add to the noisy vector.
+    """Squash raw outputs into bounded deltas and add them to the noisy vector,
+    as one node: theta_noisy + k (2 s - 1), or + k s for ``"literal"``, where
+    s is the sigmoid of ``raw`` clipped to [tiny, 1 - tiny]; the visible
+    joints are then clipped to the chain limits.
 
-    Visible joints are additionally clamped to the chain limits. Dual-mode.
+    Dual-mode in ``raw``. The VJP is diagonal, k s (1 - s) (twice that when
+    centered), and zero wherever either clip is active, bounds included.
     """
-    # clamp away from exact saturation so |delta| < k holds strictly even
+    if squash not in _SQUASH_MODES:
+        raise ValueError(f"unknown squashing mode {squash!r}")
+    rv, tn, k = ad._val(raw), ad._val(theta_noisy), ad._val(k)
+    # clip away from exact saturation so |delta| < k holds strictly even
     # when the sigmoid rounds to 1.0
     tiny = 8.0 * np.finfo(np.float64).eps
-    squashed = ad.clamp(ad.sigmoid(raw), tiny, 1.0 - tiny)
+    s = ad.stable_sigmoid(rv)
+    squashed = np.clip(s, tiny, 1.0 - tiny)
     if squash == "centered":
-        delta = ad.mul(k, ad.sub(ad.mul(2.0, squashed), 1.0))
-    elif squash == "literal":
-        delta = ad.mul(k, squashed)
+        delta = k * (2.0 * squashed - 1.0)
     else:
-        raise ValueError(f"unknown squashing mode {squash!r}")
-    theta = ad.add(theta_noisy, delta)
-    pose = ad.take(theta, (..., slice(0, 6)))
-    joints = ad.clamp(ad.take(theta, (..., slice(6, 10))),
-                      chain.lower_limits[VISIBLE_SLICE],
-                      chain.upper_limits[VISIBLE_SLICE])
-    return ad.concatenate([pose, joints], axis=-1)
+        delta = k * squashed
+    theta = tn + delta
+    lo, hi = chain.lower_limits[VISIBLE_SLICE], chain.upper_limits[VISIBLE_SLICE]
+    joints = theta[..., 6:10]
+    unclipped = (s >= tiny) & (s <= 1.0 - tiny)
+    unclipped[..., 6:10] &= (joints >= lo) & (joints <= hi)
+    theta[..., 6:10] = np.clip(joints, lo, hi)
+
+    def vjp(g):
+        gd = g * k
+        if squash == "centered":
+            gd = gd * 2.0
+        return ((gd * unclipped) * s * (1.0 - s),)
+
+    return ad.from_op(theta, [raw], vjp)
 
 
 def render_corrected(scene: ToolScene, theta_hat, q_noisy_first3):
@@ -76,23 +92,40 @@ def render_corrected(scene: ToolScene, theta_hat, q_noisy_first3):
 
 
 # ---------------------------------------------------------------------------
-# losses (per-frame scalars; batched inputs give (B,) vectors)
+# loss
 
-def loss_render(s_hat, m_ref):
-    return ad.reduce_sum(ad.power(ad.sub(s_hat, m_ref), 2.0), axis=(-2, -1))
+def weighted_loss(s_hat, kp_hat, theta_hat, m_ref, kp_ref, joints_ref,
+                  alpha: float, beta: float, gamma: float):
+    """Batch mean of alpha |s_hat - m_ref|^2 + beta |kp_hat - kp_ref|^2 +
+    gamma |j_hat - joints_ref|^2 as one node, where j_hat are the visible
+    joints of ``theta_hat`` (B, 10).
 
+    Returns (total, parts): ``parts`` holds the plain per-frame squared
+    errors "render", "keypoints" and "joints", each (B,). Dual-mode in the
+    three predictions; the VJP to each taped prediction p with reference r
+    and weight w is 2 w (p - r) / B.
+    """
+    preds = (s_hat, kp_hat, theta_hat)
+    sv, kv, tv = (ad._val(p) for p in preds)
+    d_s = sv - ad._val(m_ref)
+    d_k = kv - ad._val(kp_ref)
+    d_j = tv[..., 6:10] - ad._val(joints_ref)
+    parts = {"render": np.sum(np.power(d_s, 2.0), axis=(-2, -1)),
+             "keypoints": np.sum(np.power(d_k, 2.0), axis=(-2, -1)),
+             "joints": np.sum(np.power(d_j, 2.0), axis=-1)}
+    per_frame = alpha * parts["render"] + beta * parts["keypoints"] + gamma * parts["joints"]
+    n = per_frame.size
+    taped = [isinstance(p, ad.DiffValue) for p in preds]
 
-def loss_keypoints(p_hat, p_ref):
-    return ad.reduce_sum(ad.power(ad.sub(p_hat, p_ref), 2.0), axis=(-2, -1))
+    def vjp(g):
+        c = g * (1.0 / n)
+        g_theta = np.zeros_like(tv)
+        g_theta[..., 6:10] = ((c * gamma) * 2.0) * d_j
+        grads = (((c * alpha) * 2.0) * d_s, ((c * beta) * 2.0) * d_k, g_theta)
+        return tuple(gr for gr, t in zip(grads, taped) if t)
 
-
-def loss_joint(vis_hat, vis_true):
-    return ad.reduce_sum(ad.power(ad.sub(vis_hat, vis_true), 2.0), axis=-1)
-
-
-def loss_total(alpha, beta, gamma, render_part, keypoint_part, joint_part):
-    return ad.add(ad.add(ad.mul(alpha, render_part), ad.mul(beta, keypoint_part)),
-                  ad.mul(gamma, joint_part))
+    return (ad.from_op(np.sum(per_frame) * (1.0 / n),
+                       [p for p, t in zip(preds, taped) if t], vjp), parts)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +263,8 @@ class TrainConfig:
         # lr = 0 is allowed: training then returns the seeded initial weights
         for name in ("lr", "weight_decay", "beta", "gamma"):
             value = getattr(self, name)
-            if not 0 <= value < np.inf:
-                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+            if not (vit.is_real(value) and 0 <= value < np.inf):
+                raise ValueError(f"{name} must be a finite nonnegative number, got {value!r}")
         for name in ("epochs", "batch_size", "patience", "val_stride"):
             value = getattr(self, name)
             if not vit.is_count(value):
@@ -275,17 +308,10 @@ def batch_loss(model_cfg: vit.VitConfig, weights: dict, store: FrameStore,
     raw = vit.forward(model_cfg, weights, masks, theta_noisy / k)
     theta_hat = apply_correction(raw, theta_noisy, k, store.scene.chain, squash)
     s_hat, kp_hat = render_corrected(store.scene, theta_hat, store.q_noisy_full[idx, :3])
-    lr_part = loss_render(s_hat, store.masks_ref[idx].astype(np.float64))
-    lk_part = loss_keypoints(kp_hat, store.keypoints[idx])
-    lj_part = loss_joint(ad.take(theta_hat, (..., slice(6, 10))),
-                         store.q_true_full[idx, VISIBLE_SLICE])
-    total = ad.reduce_mean(loss_total(alpha, beta, gamma, lr_part, lk_part, lj_part))
-    parts = {
-        "render": float(np.mean(ad._val(lr_part))),
-        "keypoints": float(np.mean(ad._val(lk_part))),
-        "joints": float(np.mean(ad._val(lj_part))),
-    }
-    return total, parts
+    total, parts = weighted_loss(s_hat, kp_hat, theta_hat, store.masks_ref[idx],
+                                 store.keypoints[idx], store.q_true_full[idx, VISIBLE_SLICE],
+                                 alpha, beta, gamma)
+    return total, {name: float(np.mean(part)) for name, part in parts.items()}
 
 
 def evaluate_loss(model: CorrectorModel, store: FrameStore, idx: np.ndarray,

@@ -107,8 +107,16 @@ def filter_forward(x: np.ndarray, b: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def lowpass(series: PoseSeries, cutoff_hz: float = 1.5) -> PoseSeries:
-    """Smooth translations, unwrapped Euler angles, and joints causally."""
+    """Smooth translations, unwrapped Euler angles, and joints causally.
+
+    The filter is warm-started at the first sample, so a one-frame series,
+    which has no frame rate, passes through unchanged.
+    """
     series.validate()
+    if len(series) < 2:
+        return PoseSeries(series.times.copy(), series.rotations.copy(),
+                          series.translations.copy(), series.joints.copy(),
+                          series.tag, series.iters)
     fs = series.frame_rate
     b, a = butterworth_biquad(cutoff_hz, fs)
     t_f = filter_forward(series.translations, b, a)

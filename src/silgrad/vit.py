@@ -31,6 +31,11 @@ def is_count(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
 
 
+def is_real(value) -> bool:
+    """A real number (not a bool): a float field of a config."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class VitConfig:
     image_size: int = 64

@@ -29,20 +29,27 @@ def tiny_store(tiny_train):
     return corrector.build_frame_store(tiny_train)
 
 
+def weighted_sum(x, w):
+    """sum(x * w) as one node, dual-mode: the scalar objective of a gradient
+    check. The VJP to ``x`` is g * w."""
+    xv = ad._val(x)
+    grad = np.broadcast_to(w, xv.shape)
+    parents = [x] if isinstance(x, ad.DiffValue) else []
+    return ad.from_op(np.sum(xv * w), parents, lambda g: (g * grad,))
+
+
 def frame_loss_of_raw(store, i, alpha, beta, gamma, k, squash="centered"):
     """Scalar weighted loss for frame ``i`` as a function of the 10 raw
     (pre-squash) outputs; dual-mode for finite-difference checking."""
+    sel = slice(i, i + 1)
+
     def f(raw):
-        raw_b = ad.reshape(raw, (1, 10))
-        theta_hat = corrector.apply_correction(raw_b, store.theta_noisy[i:i + 1],
+        theta_hat = corrector.apply_correction(ad.reshape(raw, (1, 10)), store.theta_noisy[sel],
                                                k, store.scene.chain, squash)
         s_hat, kp_hat = corrector.render_corrected(store.scene, theta_hat,
-                                                   store.q_noisy_full[i:i + 1, :3])
-        lr_part = corrector.loss_render(s_hat, store.masks_ref[i:i + 1].astype(float))
-        lk_part = corrector.loss_keypoints(kp_hat, store.keypoints[i:i + 1])
-        lj_part = corrector.loss_joint(
-            ad.take(theta_hat, (..., slice(6, 10))),
-            store.q_true_full[i:i + 1, corrector.VISIBLE_SLICE])
-        total = corrector.loss_total(alpha, beta, gamma, lr_part, lk_part, lj_part)
-        return ad.reduce_sum(total)
+                                                   store.q_noisy_full[sel, :3])
+        total, _ = corrector.weighted_loss(
+            s_hat, kp_hat, theta_hat, store.masks_ref[sel], store.keypoints[sel],
+            store.q_true_full[sel, corrector.VISIBLE_SLICE], alpha, beta, gamma)
+        return total
     return f

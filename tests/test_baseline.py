@@ -15,13 +15,13 @@ def test_config_validation():
         bl.BaselineConfig(max_iterations=0)
     with pytest.raises(ValueError):
         bl.BaselineConfig(step_size=0.0)
-    for bad in (-1.0, np.nan, np.inf):
+    for bad in (-1.0, np.nan, np.inf, True, "30"):
         with pytest.raises(ValueError, match="loss_threshold"):
             bl.BaselineConfig(loss_threshold=bad)
-    for bad in (np.nan, np.inf):
+    for bad in (np.nan, np.inf, True, "0.5", None):
         with pytest.raises(ValueError, match="step_size"):
             bl.BaselineConfig(step_size=bad)
-    for bad in (np.nan, -0.05, np.inf):
+    for bad in (np.nan, -0.05, np.inf, False, None):
         with pytest.raises(ValueError, match="beta"):
             bl.BaselineConfig(beta=bad)
     for bad in (np.full(10, np.nan), np.zeros(10), -np.ones(10), np.ones(9), np.ones((2, 10))):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from silgrad import autodiff as ad
-from silgrad import corrector, kinematics, synth, vit
+from silgrad import baseline, corrector, kinematics, synth, vit
 from silgrad.synth import rng_stream
 
-from conftest import frame_loss_of_raw
+from conftest import frame_loss_of_raw, weighted_sum
 
 RNG = np.random.default_rng(55)
 
@@ -109,7 +109,7 @@ def test_taped_forward_matches_plain_and_weight_gradient_matches_differences():
     leaves = {k: ad.leaf(tape, v) for k, v in w.items()}
     out = vit.forward(cfg, leaves, masks, theta)
     assert np.array_equal(out.value, vit.forward(cfg, w, masks, theta))
-    grads = ad.backward(ad.reduce_sum(ad.mul(out, cot)))
+    grads = ad.backward(weighted_sum(out, cot))
 
     def loss(weights):
         return float(np.sum(vit.forward(cfg, weights, masks, theta) * cot))
@@ -144,7 +144,7 @@ def test_float32_weights_run_the_vit_in_float32(monkeypatch):
         tape = ad.Tape()
         leaves = {k: ad.leaf(tape, v.astype(dtype)) for k, v in w.items()}
         out = vit.forward(SMALL_VIT, leaves, masks, theta)
-        grads = ad.backward(ad.reduce_sum(ad.mul(out, cot)))
+        grads = ad.backward(weighted_sum(out, cot))
         return out, {k: grads[leaf.nid] for k, leaf in leaves.items()}
 
     out, grads = gradients(np.float32)
@@ -255,12 +255,66 @@ def test_load_weights_rejects_garbage(tmp_path):
         vit.load_weights(p)
 
 
-# ------------------------------------------------------------------- losses
+# --------------------------------------------------- the correction node
+
+def _correction_case(chain, k_scale, case):
+    """Two frames of noisy vectors and raw outputs, and a squashing mode, for
+    one row of the correction node's checks."""
+    rng = np.random.default_rng(8)
+    theta = np.zeros((2, 10))
+    theta[:, :6] = rng.normal(size=(2, 6)) * 0.1
+    theta[:, 6:10] = (chain.lower_limits[3:7] + chain.upper_limits[3:7]) / 2
+    raw = rng.normal(size=(2, 10))
+    if case == "saturated":
+        raw[0, [1, 4, 7]] = (50.0, -50.0, 50.0)
+    if case == "joint-clamped":
+        # beyond the limit by more than any correction: clipped at every probe
+        theta[1, 8] = chain.upper_limits[5] + 2.0 * k_scale[8]
+    return theta, raw, "literal" if case == "literal" else "centered"
+
+
+@pytest.mark.parametrize("case", ["interior", "saturated", "joint-clamped", "literal"])
+def test_correction_gradient_matches_finite_differences(chain, k_scale, case):
+    theta, raw0, squash = _correction_case(chain, k_scale, case)
+    w = np.random.default_rng(9).normal(size=(2, 10))
+
+    def f(raw):
+        return weighted_sum(corrector.apply_correction(raw, theta, k_scale, chain, squash), w)
+
+    rep = ad.finite_diff_check(f, raw0, epsilon=1e-6, tolerance=1e-6)
+    assert rep.passed, rep
+    plain = corrector.apply_correction(raw0, theta, k_scale, chain, squash)
+    if case == "saturated":
+        np.testing.assert_array_equal(rep.analytic[0, [1, 4, 7]], 0.0)
+    if case == "joint-clamped":
+        assert plain[1, 8] == chain.upper_limits[5]
+        assert rep.analytic[1, 8] == 0.0
+    assert np.count_nonzero(rep.analytic) == {"saturated": 17, "joint-clamped": 19}.get(case, 20)
+    # one node, whose value is the plain one to the bit
+    tape = ad.Tape()
+    out = corrector.apply_correction(ad.leaf(tape, raw0), theta, k_scale, chain, squash)
+    assert len(tape) == 2
+    np.testing.assert_array_equal(out.value, plain)
+
+
+# --------------------------------------------------------- the loss node
+
+def loss_parts(render=None, keypoints=None, joints=None, weights=(1.0, 1.0, 1.0)):
+    """``weighted_loss`` of one frame: each given term is a (prediction,
+    reference) pair, an omitted one is zero. Returns (total, parts)."""
+    s, m = render if render is not None else (np.zeros((1, 1)),) * 2
+    p, r = keypoints if keypoints is not None else (np.zeros((6, 2)),) * 2
+    j, jr = joints if joints is not None else (np.zeros(4),) * 2
+    theta = np.concatenate([np.zeros(6), j])
+    total, parts = corrector.weighted_loss(s[None], p[None], theta[None], m[None], r[None],
+                                           jr[None], *weights)
+    return total, {name: part[0] for name, part in parts.items()}
+
 
 def test_loss_render_examples():
     z = np.zeros((64, 64))
-    assert corrector.loss_render(z, z) == 0.0
-    assert corrector.loss_render(np.ones((64, 64)), z) == 4096.0
+    assert loss_parts(render=(z, z))[1]["render"] == 0.0
+    assert loss_parts(render=(np.ones((64, 64)), z))[1]["render"] == 4096.0
 
 
 def test_loss_render_matches_double_loop_oracle():
@@ -269,35 +323,92 @@ def test_loss_render_matches_double_loop_oracle():
     for i in range(16):
         for j in range(16):
             expect += (a[i, j] - b[i, j]) ** 2
-    np.testing.assert_allclose(corrector.loss_render(a, b), expect, atol=1e-12)
+    np.testing.assert_allclose(loss_parts(render=(a, b))[1]["render"], expect, atol=1e-12)
 
 
 def test_loss_keypoints_examples_and_oracle():
     p = RNG.uniform(0, 64, size=(6, 2))
-    assert corrector.loss_keypoints(p, p) == 0.0
+    assert loss_parts(keypoints=(p, p))[1]["keypoints"] == 0.0
     q = p.copy()
     q[2] += (3.0, 4.0)
-    np.testing.assert_allclose(corrector.loss_keypoints(q, p), 25.0, atol=1e-12)
+    np.testing.assert_allclose(loss_parts(keypoints=(q, p))[1]["keypoints"], 25.0, atol=1e-12)
     r = RNG.uniform(-10, 74, size=(6, 2))  # negative/off-image participate normally
     expect = sum((r[i, 0] - p[i, 0]) ** 2 + (r[i, 1] - p[i, 1]) ** 2 for i in range(6))
-    np.testing.assert_allclose(corrector.loss_keypoints(r, p), expect, atol=1e-12)
+    np.testing.assert_allclose(loss_parts(keypoints=(r, p))[1]["keypoints"], expect,
+                               atol=1e-12)
 
 
 def test_loss_joint_examples_and_oracle():
     a = np.array([0.4, 0.1, -0.2, 0.5])
-    assert corrector.loss_joint(a, a) == 0.0
-    np.testing.assert_allclose(corrector.loss_joint(a + [0.1, 0, 0, 0], a), 0.01,
+    assert loss_parts(joints=(a, a))[1]["joints"] == 0.0
+    np.testing.assert_allclose(loss_parts(joints=(a + [0.1, 0, 0, 0], a))[1]["joints"], 0.01,
                                atol=1e-15)
     b = RNG.normal(size=4)
     expect = sum((a[i] - b[i]) ** 2 for i in range(4))
-    np.testing.assert_allclose(corrector.loss_joint(a, b), expect, atol=1e-12)
+    np.testing.assert_allclose(loss_parts(joints=(a, b))[1]["joints"], expect, atol=1e-12)
 
 
 def test_loss_total_weighting():
-    parts = (3.0, 5.0, 7.0)
-    assert corrector.loss_total(0, 0, 0, *parts) == 0.0
-    assert corrector.loss_total(1, 1, 1, *parts) == 15.0
-    np.testing.assert_allclose(corrector.loss_total(2, 0.5, 10, *parts), 78.5)
+    # parts 3, 5 and 7
+    terms = dict(render=(np.ones((1, 3)), np.zeros((1, 3))),
+                 keypoints=(np.array([[1.0, 2.0]] + [[0.0, 0.0]] * 5), np.zeros((6, 2))),
+                 joints=(np.array([1.0, 1.0, 1.0, 2.0]), np.zeros(4)))
+    assert loss_parts(**terms)[1] == {"render": 3.0, "keypoints": 5.0, "joints": 7.0}
+    assert loss_parts(**terms, weights=(0, 0, 0))[0] == 0.0
+    assert loss_parts(**terms, weights=(1, 1, 1))[0] == 15.0
+    np.testing.assert_allclose(loss_parts(**terms, weights=(2, 0.5, 10))[0], 78.5)
+
+
+def _loss_case():
+    """Three frames of predictions packed in one flat vector, with their
+    references, and the slices that unpack them."""
+    rng = np.random.default_rng(10)
+    shapes = {"s": (3, 4, 5), "kp": (3, 6, 2), "theta": (3, 10)}
+    cuts = np.cumsum([0] + [int(np.prod(sh)) for sh in shapes.values()])
+    x0 = np.concatenate([rng.uniform(size=60), rng.uniform(0, 64, 36), rng.normal(size=30)])
+    refs = ((rng.uniform(size=(3, 4, 5)) > 0.5).astype(np.uint8),
+            rng.uniform(0, 64, (3, 6, 2)), rng.normal(size=(3, 4)))
+
+    def unpack(x):
+        return [ad.reshape(ad.take(x, slice(lo, hi)), sh)
+                for lo, hi, sh in zip(cuts[:-1], cuts[1:], shapes.values())]
+    return x0, refs, unpack
+
+
+@pytest.mark.parametrize("gamma", [500.0, 0.0])
+def test_loss_gradient_matches_finite_differences(gamma):
+    x0, (m, kp, j), unpack = _loss_case()
+
+    def f(x):
+        s_hat, kp_hat, theta_hat = unpack(x)
+        return corrector.weighted_loss(s_hat, kp_hat, theta_hat, m, kp, j, 0.3, 0.05, gamma)[0]
+
+    rep = ad.finite_diff_check(f, x0, epsilon=1e-5, tolerance=1e-6)
+    assert rep.passed, rep
+    joints = rep.analytic[96:].reshape(3, 10)
+    np.testing.assert_array_equal(joints[:, :6], 0.0)
+    assert (np.count_nonzero(joints) == 0) == (gamma == 0.0)
+
+
+def test_loss_node_taped_value_is_plain_value():
+    x0, refs, unpack = _loss_case()
+    plain, plain_parts = corrector.weighted_loss(*unpack(x0), *refs, 0.3, 0.05, 500.0)
+    tape = ad.Tape()
+    x = ad.leaf(tape, x0)
+    preds = unpack(x)
+    nodes = len(tape)
+    taped, taped_parts = corrector.weighted_loss(*preds, *refs, 0.3, 0.05, 500.0)
+    assert len(tape) == nodes + 1
+    assert taped.value == plain
+    for name, part in plain_parts.items():
+        np.testing.assert_array_equal(taped_parts[name], part)
+    # with plain keypoints and theta, the silhouette is the node's one parent
+    taped, _ = corrector.weighted_loss(preds[0], ad._val(preds[1]), ad._val(preds[2]),
+                                       *refs, 0.3, 0.05, 500.0)
+    assert taped.value == plain
+    g = ad.backward(taped)[x.nid]
+    np.testing.assert_allclose(g[:60], 2 * 0.3 * (x0[:60] - refs[0].ravel()) / 3, rtol=1e-15)
+    np.testing.assert_array_equal(g[60:], 0.0)
 
 
 # ------------------------------------------------- corrected-render pipeline
@@ -384,6 +495,32 @@ def test_end_to_end_gradcheck_five_frames(tiny_store):
 
 # ----------------------------------------------------------------- training
 
+def test_tape_nodes_per_step(monkeypatch, tiny_store):
+    # pinned: a change that grows the tape updates these counts on purpose.
+    # A default-ViT batch_loss step is 60 weight leaves, 54 ViT nodes, then
+    # the correction, the pose geometry, a slice, the soft raster, a slice
+    # and the loss. A baseline gradient is its leaf, a reshape and the last five.
+    store = tiny_store
+    cfg = vit.VitConfig()
+    weights = vit.init_weights(cfg, rng_stream(0, 0))
+    alpha, beta, gamma = corrector.default_loss_weights(store.scene.camera)
+    tape = ad.Tape()
+    leaves = {name: ad.leaf(tape, w.astype(np.float32)) for name, w in weights.items()}
+    total, _ = corrector.batch_loss(cfg, leaves, store, np.arange(10),
+                                    corrector.default_scale(store.scene.chain),
+                                    alpha, beta, gamma, "centered")
+    assert (len(leaves), len(tape)) == (60, 120)
+    assert total.nid == len(tape) - 1
+
+    sizes = []
+    backward = ad.backward
+    monkeypatch.setattr(ad, "backward",
+                        lambda loss: sizes.append(len(loss.tape)) or backward(loss))
+    baseline._loss_and_grad(store.scene, store.theta_noisy[0], store.q_noisy_full[0, :3],
+                            store.masks_ref[0].astype(float), store.keypoints[0], alpha, beta)
+    assert sizes == [7]
+
+
 def small_cfg(**kw):
     base = dict(epochs=1, batch_size=10, lr=1e-4, seed=5,
                 vit_config=vit.VitConfig(image_size=64, patch_size=16,
@@ -397,7 +534,8 @@ def small_cfg(**kw):
     ("patience", 0), ("val_stride", 0), ("val_stride", np.nan), ("batch_size", 2.5),
     ("epochs", 2.0), ("epochs", True), ("weight_decay", -1e-4),
     ("weight_decay", np.inf), ("beta", np.nan), ("beta", -0.05), ("gamma", -500.0),
-    ("gamma", np.inf), ("squash", "tanh"),
+    ("gamma", np.inf), ("squash", "tanh"), ("lr", True), ("lr", "1e-4"),
+    ("weight_decay", None), ("beta", np.True_), ("gamma", "500"),
 ])
 def test_train_config_rejects_bad_field(name, bad):
     with pytest.raises(ValueError, match=name):

@@ -93,6 +93,15 @@ def test_filter_constant_series_unchanged_from_first_sample():
     np.testing.assert_allclose(out.joints, const.joints, atol=1e-12)
 
 
+def test_lowpass_passes_one_frame_through():
+    # one frame has no frame rate; the warm-started filter returns it as is
+    s = make_series(n=1)
+    out = metrics.lowpass(s, 1.5)
+    for name in ("times", "rotations", "translations", "joints"):
+        np.testing.assert_array_equal(getattr(out, name), getattr(s, name))
+        assert getattr(out, name) is not getattr(s, name)
+
+
 def test_filter_step_response_overshoot_below_5pct():
     b, a = metrics.butterworth_biquad(1.5, 30.0)
     x = np.zeros(300)

@@ -5,6 +5,8 @@ from silgrad import autodiff as ad
 from silgrad import corrector, mesh, render, scene, se3
 from silgrad.mesh import TriMesh
 
+from conftest import weighted_sum
+
 
 def cam(fx=100.0, size=64, near=0.01, far=10.0):
     return render.PinholeCamera(fx, fx, size / 2.0, size / 2.0, size, size, near, far)
@@ -310,7 +312,7 @@ def test_soft_nonfinite_vertex_poisons_only_its_image():
     assert len(tape) == nodes + 1  # one fused node
     assert np.isfinite(ad._val(occ)[0]).all()
     assert np.isnan(ad._val(occ)[1]).all()
-    grad = ad.backward(ad.reduce_sum(occ))[v.nid]
+    grad = ad.backward(weighted_sum(occ, 1.0))[v.nid]
     assert np.isfinite(grad[0]).all()
     assert np.isnan(grad[1]).all()
 
@@ -350,9 +352,9 @@ def test_soft_gradients_match_finite_differences_ten_params():
     scale = np.array([0.175] * 3 + [0.02] * 3 + [0.25] * 4)
 
     def f(pn):
-        p = ad.reshape(ad.add(ad.mul(pn, scale), params0), (1, 10))
+        p = ad.linear(ad.reshape(pn, (1, 10)), np.diag(scale), params0)
         mask, _ = corrector.render_corrected(sc, p, q_first[None])
-        return ad.reduce_sum(mask)
+        return weighted_sum(mask, 1.0)
 
     rep = ad.finite_diff_check(f, np.zeros(10), epsilon=1e-4, tolerance=1e-3)
     assert rep.passed, rep
@@ -390,7 +392,7 @@ def test_soft_gradient_zero_without_triangles():
     occ = render.soft_occupancy(v, np.array([[0, 1, 2]]), np.zeros((1, 1), bool),
                                 64, 64, sigma_r=0.41)
     assert ad._val(occ).sum() == 0.0
-    np.testing.assert_array_equal(ad.backward(ad.reduce_sum(occ))[v.nid], 0.0)
+    np.testing.assert_array_equal(ad.backward(weighted_sum(occ, 1.0))[v.nid], 0.0)
 
 
 @pytest.mark.parametrize("case", ["off-screen", "nan-vertex"])
@@ -406,7 +408,7 @@ def test_soft_vjp_of_single_image_without_pairs(case):
     v = ad.leaf(tape, verts)
     occ = render.soft_occupancy(v, np.array([[0, 1, 2]]), np.ones((1, 1), bool),
                                 64, 64, sigma_r=0.41)
-    grad = ad.backward(ad.reduce_sum(occ))[v.nid]
+    grad = ad.backward(weighted_sum(occ, 1.0))[v.nid]
     assert grad.dtype == np.float64
     if case == "off-screen":
         np.testing.assert_array_equal(grad, 0.0)
@@ -439,8 +441,8 @@ def _assert_soft_matches_all_pairs(monkeypatch, verts, faces, valid, width, heig
     assert near.sum() > 100
     np.testing.assert_array_equal(o[near], o_ref[near])
     g = np.random.default_rng(5).normal(size=near.shape) * near
-    grad = ad.backward(ad.reduce_sum(ad.mul(occ, g)))[v.nid]
-    grad_ref = ad.backward(ad.reduce_sum(ad.mul(occ_ref, g)))[v_ref.nid]
+    grad = ad.backward(weighted_sum(occ, g))[v.nid]
+    grad_ref = ad.backward(weighted_sum(occ_ref, g))[v_ref.nid]
     np.testing.assert_array_equal(grad, grad_ref)
     return o, o_ref, s_lo
 

@@ -5,6 +5,8 @@ from scipy.spatial.transform import Rotation
 from silgrad import autodiff as ad
 from silgrad import scene, se3
 
+from conftest import weighted_sum
+
 RNG = np.random.default_rng(7)
 
 
@@ -121,7 +123,7 @@ def test_euler_to_matrix_gradients():
 
     def f(e):
         xy, _ = scene.project_theta(sc, ad.concatenate([e, rest], axis=1), q_first)
-        return ad.reduce_sum(ad.mul(xy, w))
+        return weighted_sum(xy, w)
 
     rep = ad.finite_diff_check(f, e0, epsilon=1e-6, tolerance=1e-6)
     assert rep.passed, rep
