@@ -60,7 +60,10 @@ class BaselineConfig:
             raise ValueError(f"loss_threshold must be a finite nonnegative number, got {thr!r}")
         if not (vit.is_real(self.step_size) and 0 < self.step_size < np.inf):
             raise ValueError(f"step_size must be a finite positive number, got {self.step_size!r}")
-        scale = np.asarray(self.step_scale, dtype=np.float64)
+        try:
+            scale = np.asarray(self.step_scale, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"step_scale must be 10 finite positive values: {exc}") from None
         if scale.shape != (10,) or not np.all((scale > 0) & (scale < np.inf)):
             raise ValueError("step_scale must be 10 finite positive values")
         if not (vit.is_real(self.beta) and 0 <= self.beta < np.inf):

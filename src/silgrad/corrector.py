@@ -14,6 +14,7 @@ the pose geometry, the soft raster and the loss, with two slices between.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -269,6 +270,8 @@ class TrainConfig:
             value = getattr(self, name)
             if not vit.is_count(value):
                 raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.squash not in _SQUASH_MODES:
             raise ValueError(f"squash: unknown squashing mode {self.squash!r}")
 

@@ -24,7 +24,8 @@ def test_config_validation():
     for bad in (np.nan, -0.05, np.inf, False, None):
         with pytest.raises(ValueError, match="beta"):
             bl.BaselineConfig(beta=bad)
-    for bad in (np.full(10, np.nan), np.zeros(10), -np.ones(10), np.ones(9), np.ones((2, 10))):
+    for bad in (np.full(10, np.nan), np.zeros(10), -np.ones(10), np.ones(9), np.ones((2, 10)),
+                ['a'] * 10):
         with pytest.raises(ValueError, match="step_scale"):
             bl.BaselineConfig(step_scale=bad)
     for bad in (2.5, 6.0, True):

@@ -535,7 +535,8 @@ def small_cfg(**kw):
     ("epochs", 2.0), ("epochs", True), ("weight_decay", -1e-4),
     ("weight_decay", np.inf), ("beta", np.nan), ("beta", -0.05), ("gamma", -500.0),
     ("gamma", np.inf), ("squash", "tanh"), ("lr", True), ("lr", "1e-4"),
-    ("weight_decay", None), ("beta", np.True_), ("gamma", "500"),
+    ("weight_decay", None), ("beta", np.True_), ("gamma", "500"), ("seed", "x"),
+    ("seed", 1.5), ("seed", True),
 ])
 def test_train_config_rejects_bad_field(name, bad):
     with pytest.raises(ValueError, match=name):

@@ -204,6 +204,47 @@ def test_hard_matches_all_pixels_edge_test():
         np.testing.assert_array_equal(occ[i], _brute_hard(tris[valid[i]], width, height))
 
 
+def _edge_case_triangles(case, rng, width, height):
+    general = rng.uniform(-4.0, [width + 4.0, height + 4.0], (24, 3, 2))
+    if case == "half-integer":
+        return np.floor(general) + 0.5
+    if case == "centre-row-edges":
+        # edge 0-1 horizontal on a row of pixel centres, with the third
+        # vertex above or below it, and vertices on or between centres
+        out = general.copy()
+        out[:, 1, 1] = out[:, 0, 1] = np.floor(out[:, 0, 1]) + 0.5
+        out[::2, :2, 0] = np.floor(out[::2, :2, 0]) + 0.5
+        return out
+    # far off-screen: one vertex, or every vertex, at +-1e6 px
+    out = general.copy()
+    far = rng.choice([-1e6, 1e6], (24, 2))
+    out[:8, 0] = far[:8]
+    out[8:16, 2, 0] = far[8:16, 0]
+    out[16:] = far[16:, None] * [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]
+    return out
+
+
+@pytest.mark.parametrize("case", ["half-integer", "centre-row-edges", "far-off-screen"])
+def test_hard_edge_cases_match_all_pixels_edge_test(case):
+    width, height = 40, 32
+    tris = _edge_case_triangles(case, np.random.default_rng(31), width, height)
+    n = len(tris)
+    faces = np.arange(3 * n).reshape(-1, 3)
+    # one image per triangle, so that no triangle hides under another
+    occ = render.hard_occupancy(np.stack([tris.reshape(-1, 2)] * n), faces,
+                                np.eye(n, dtype=bool), width, height)
+    for i in range(n):
+        np.testing.assert_array_equal(occ[i], _brute_hard(tris[i:i + 1], width, height))
+    covered = occ.sum(axis=(1, 2))
+    assert ((covered > 0) & (covered < width * height)).sum() >= n // 2
+    # all of them in one image, beside an image with a NaN vertex
+    verts = np.stack([tris.reshape(-1, 2)] * 2)
+    verts[1, 4, 1] = np.nan
+    occ = render.hard_occupancy(verts, faces, np.ones((2, n), bool), width, height)
+    np.testing.assert_array_equal(occ[0], _brute_hard(tris, width, height))
+    assert np.isnan(occ[1]).all()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_hard_nonfinite_vertex_gives_nan_image(bad):
     verts = np.array([[[10.0, 10.0], [50.0, 10.0], [30.0, 50.0]]])
@@ -476,3 +517,138 @@ def test_soft_random_triangles_match_all_pairs(monkeypatch, sigma_r):
     faces = np.arange(3 * len(tris)).reshape(-1, 3)
     _assert_soft_matches_all_pairs(monkeypatch, tris.reshape(1, -1, 2), faces,
                                    np.ones((1, len(tris)), bool), width, height, sigma_r)
+
+
+# -------------------------------------------- per-part oracle, brute force
+
+def _oracle_soft(tris, width, height, sigma_r):
+    """Single-triangle parts, every pixel center against every edge: each
+    part's signed squared distance to its outline, the max over parts (ties
+    to the first part), and the gradient of each pixel's occupancy w.r.t.
+    the (N, 3, 2) vertices by the envelope theorem on the winner's nearest
+    edge. Returns occupancy (H, W), winner's d2 (H, W), gradient (H, W, N, 3, 2)."""
+    x = np.arange(width)[None, :] + 0.5
+    y = np.arange(height)[:, None] + 0.5
+    z, nearest = [], []
+    for tri in tris:
+        per_edge = []
+        for k in range(3):
+            a, b = tri[k], tri[(k + 1) % 3]
+            ab = b - a
+            t = np.clip(((x - a[0]) * ab[0] + (y - a[1]) * ab[1]) / (ab @ ab), 0.0, 1.0)
+            rx, ry = x - a[0] - t * ab[0], y - a[1] - t * ab[1]
+            per_edge.append((rx * rx + ry * ry, t, rx, ry))
+        k_min = np.argmin([d2 for d2, _, _, _ in per_edge], axis=0)
+        d2, t, rx, ry = (np.choose(k_min, [e[i] for e in per_edge]) for i in range(4))
+        sign = np.where(_brute_hard(tri[None], width, height), 1.0, -1.0)
+        z.append(sign * d2 / sigma_r)
+        nearest.append((k_min, d2, t, rx, ry, sign))
+    best = np.argmax(z, axis=0)
+    occ = np.exp(-np.logaddexp(0.0, -np.choose(best, z)))  # sigmoid, without overflow
+    grad = np.zeros((height, width, len(tris), 3, 2))
+    rows, cols = np.indices((height, width))
+    for p, (k_min, d2, t, rx, ry, sign) in enumerate(nearest):
+        won = best == p
+        do_dd2 = occ * (1.0 - occ) * sign / sigma_r
+        r = np.stack([rx, ry], axis=-1)
+        for k, weight in ((k_min, 1.0 - t), ((k_min + 1) % 3, t)):
+            grad[rows[won], cols[won], p, k[won]] += (-2.0 * (do_dd2 * weight)[..., None] * r)[won]
+    return occ, np.choose(best, [n[1] for n in nearest]), grad
+
+
+# part A small; B large around it, with its edges far from A; A2 a copy of A
+# with the same outline; C overlapping A's lower right
+_PART_A = [[24.3, 22.7], [40.1, 25.2], [30.6, 39.4]]
+_PART_B = [[-20.0, -30.0], [110.0, 10.0], [5.0, 100.0]]
+_PART_C = [[35.2, 30.9], [60.3, 35.4], [44.8, 60.1]]
+
+
+@pytest.mark.parametrize("parts", [[_PART_A, _PART_B], [_PART_A, _PART_A, _PART_C]],
+                         ids=["nested", "coincident"])
+def test_soft_matches_per_part_oracle(parts):
+    # image 0 holds the parts; image 1 of the batch has no contour edge at all
+    width = height = 64
+    sigma_r = 0.41
+    h = 3.0 * np.sqrt(sigma_r) + 0.5
+    tris = np.array(parts, dtype=float)
+    n = len(tris)
+    verts = np.stack([tris.reshape(-1, 2)] * 2)
+    faces = np.arange(3 * n).reshape(n, 3)
+    valid = np.array([[True] * n, [False] * n])
+    o_ref, d2_ref, grad_ref = _oracle_soft(tris, width, height, sigma_r)
+
+    def run(g):
+        v = ad.leaf(ad.Tape(), verts)
+        occ = render.soft_occupancy(v, faces, valid, width, height, sigma_r)
+        return ad._val(occ), ad.backward(weighted_sum(occ, g))[v.nid]
+
+    o, _ = run(np.zeros((2, height, width)))
+    # where the winning part's outline is within the halo, the raster is the
+    # oracle; elsewhere it is within sigmoid(-h^2/sigma_r) of it
+    near = d2_ref < 0.9 * h * h
+    assert near.sum() > 100
+    np.testing.assert_allclose(o[0][near], o_ref[near], rtol=1e-12, atol=1e-15)
+    assert np.abs(o[0] - o_ref).max() <= 1.0 / (1.0 + np.exp(h * h / sigma_r))
+    np.testing.assert_array_equal(o[1], 0.0)
+    g = np.random.default_rng(3).normal(size=(2, height, width)) * [near, np.ones_like(near)]
+    _, grad = run(g)
+    np.testing.assert_allclose(grad[0].reshape(n, 3, 2),
+                               np.einsum("hw,hwpkc->pkc", g[0], grad_ref),
+                               rtol=1e-9, atol=1e-12)
+    np.testing.assert_array_equal(grad[1], 0.0)
+
+
+def _one_pixel_gradient(tris, row, col, width=64, height=64, sigma_r=0.41):
+    """(occupancy, gradient of the occupancy of one pixel) of single-triangle parts."""
+    n = len(tris)
+    v = ad.leaf(ad.Tape(), np.asarray(tris, dtype=float).reshape(1, -1, 2))
+    occ = render.soft_occupancy(v, np.arange(3 * n).reshape(n, 3), np.ones((1, n), bool),
+                                width, height, sigma_r)
+    g = np.zeros((1, height, width))
+    g[0, row, col] = 1.0
+    return ad._val(occ)[0], ad.backward(weighted_sum(occ, g))[v.nid].reshape(n, 3, 2)
+
+
+def test_soft_pixel_inside_part_beyond_its_halo_reads_one():
+    # pixel (22, 32) is 1.5 px outside A, so A's halo reaches it, and deep
+    # inside B, whose edges do not reach it: B's term is +inf, so the pixel
+    # reads 1 and passes no gradient to either part
+    sigma_r = 0.41
+    h = 3.0 * np.sqrt(sigma_r) + 0.5
+    tris = np.array([_PART_A, _PART_B])
+    _, d2, _ = _oracle_soft(tris[:1], 64, 64, sigma_r)
+    assert d2[22, 32] < h * h
+    assert not _brute_hard(tris[:1], 64, 64)[22, 32]
+    assert _brute_hard(tris[1:], 64, 64)[22, 32]
+    assert _oracle_soft(tris[1:], 64, 64, sigma_r)[1][22, 32] > (h + 10.0) ** 2
+    occ, grad = _one_pixel_gradient(tris, 22, 32)
+    assert occ[22, 32] == 1.0
+    np.testing.assert_array_equal(grad, 0.0)
+    # alone, A gives the pixel a soft value and a gradient
+    occ_a, grad_a = _one_pixel_gradient(tris[:1], 22, 32)
+    assert 0.0 < occ_a[22, 32] < 0.5
+    assert np.abs(grad_a).max() > 0.0
+
+
+def test_soft_coincident_outlines_go_to_the_first_part():
+    # A and its copy A2 tie at every pixel near their common outline: the
+    # first part wins, and the pixel's gradient reaches only its vertices,
+    # exactly as A alone would give
+    tris = np.array([_PART_A, _PART_A, _PART_C])
+    occ_a, grad_a = _one_pixel_gradient(tris[:1], 22, 32)
+    occ, grad = _one_pixel_gradient(tris, 22, 32)
+    assert occ[22, 32] == occ_a[22, 32]
+    assert np.abs(grad_a).max() > 0.0
+    np.testing.assert_array_equal(grad[0], grad_a[0])
+    np.testing.assert_array_equal(grad[1:], 0.0)
+
+
+def test_soft_equidistant_edges_go_to_the_first_edge():
+    # pixel (9.5, 9.5) lies 1.5 px from edge AB (y = 8) and from edge CA
+    # (x = 8), with the same d2 to the bit; AB, the first edge (the lower
+    # vertex pair), wins, so the gradient moves A and B along y only
+    occ, grad = _one_pixel_gradient([[[8.0, 8.0], [24.0, 8.0], [8.0, 24.0]]], 9, 9)
+    assert 0.5 < occ[9, 9] < 1.0
+    np.testing.assert_array_equal(grad[0, :, 0], 0.0)
+    np.testing.assert_array_equal(grad[0, 2], 0.0)
+    assert (grad[0, :2, 1] != 0.0).all()
