@@ -24,6 +24,7 @@ from . import autodiff as ad
 from . import corrector, vit
 from .scene import ToolScene
 
+_STEP_SIZE = 0.5
 _STEP_SCALE = np.array([1e-2] * 3 + [1e-3] * 3 + [1e-2] * 4)
 _DECAY = 0.8
 _MIN_FACTOR = 0.05
@@ -47,9 +48,8 @@ def default_threshold(camera) -> float:
 class BaselineConfig:
     max_iterations: int = 100
     loss_threshold: float | None = None   # None: scaled default for the camera
-    step_size: float = 0.5
     step_scale: np.ndarray = field(default_factory=lambda: _STEP_SCALE.copy())
-    beta: float = 0.05
+    beta: float = corrector.BETA
 
     def __post_init__(self):
         if not vit.is_count(self.max_iterations):
@@ -58,8 +58,6 @@ class BaselineConfig:
         thr = self.loss_threshold
         if thr is not None and not (vit.is_real(thr) and 0 <= thr < np.inf):
             raise ValueError(f"loss_threshold must be a finite nonnegative number, got {thr!r}")
-        if not (vit.is_real(self.step_size) and 0 < self.step_size < np.inf):
-            raise ValueError(f"step_size must be a finite positive number, got {self.step_size!r}")
         try:
             scale = np.asarray(self.step_scale, dtype=np.float64)
         except (TypeError, ValueError) as exc:
@@ -88,9 +86,7 @@ def _loss_and_grad(scene: ToolScene, theta: np.ndarray, q_first3: np.ndarray,
                                                q_first3[None])
     total, _ = corrector.weighted_loss(s_hat, kp_hat, theta[None], m_ref[None],
                                        kp_ref[None], theta[None, 6:10], alpha, beta, 0.0)
-    loss = float(ad._val(total))
-    grads = ad.backward(total)
-    return loss, grads.get(th.nid)
+    return float(ad._val(total)), ad.backward(total)[th.nid]
 
 
 def optimize_frame(scene: ToolScene, init: np.ndarray, m_ref: np.ndarray,
@@ -98,8 +94,8 @@ def optimize_frame(scene: ToolScene, init: np.ndarray, m_ref: np.ndarray,
                    config: BaselineConfig) -> tuple[np.ndarray, int, float, bool]:
     """Returns (best parameters, iterations used, best loss, failed flag).
 
-    An iteration whose loss or gradient is not finite halves the step; five
-    in a row end the frame as failed.
+    A loss or gradient that is not finite ends the frame as failed: the loss
+    is a function of the parameters alone, so evaluating again would not help.
     """
     if not np.all(np.isfinite(init)):
         raise ValueError("initial parameters must be finite")
@@ -112,7 +108,6 @@ def optimize_frame(scene: ToolScene, init: np.ndarray, m_ref: np.ndarray,
     m_ref = np.asarray(m_ref, dtype=float)
     best_theta, best_loss = theta.copy(), np.inf
     factor = 1.0
-    consecutive_failures = 0
     prev_loss = np.inf
     iterations = 0
 
@@ -124,17 +119,12 @@ def optimize_frame(scene: ToolScene, init: np.ndarray, m_ref: np.ndarray,
             best_loss, best_theta = loss, theta.copy()
         if loss <= threshold:
             return best_theta, iterations, best_loss, False
-        if not np.isfinite(loss) or grad is None or not np.all(np.isfinite(grad)):
-            factor *= 0.5
-            consecutive_failures += 1
-            if consecutive_failures >= 5:
-                return best_theta, iterations, best_loss, True
-            continue
-        consecutive_failures = 0
+        if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
+            return best_theta, iterations, best_loss, True
         if loss > prev_loss:
             factor = max(factor * _DECAY, _MIN_FACTOR)
         prev_loss = loss
-        theta = theta - config.step_size * factor * config.step_scale * np.sign(grad)
+        theta = theta - _STEP_SIZE * factor * config.step_scale * np.sign(grad)
         theta[6:10] = np.clip(theta[6:10], lo, hi)
     return best_theta, iterations, best_loss, False
 

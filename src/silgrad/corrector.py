@@ -27,6 +27,7 @@ from .scene import ToolScene, project_theta, render_points
 from .synth import Dataset, rng_stream
 
 VISIBLE_SLICE = slice(3, 7)
+BETA, GAMMA = 0.05, 500.0  # default keypoint and joint loss weights
 _SQUASH_MODES = ("centered", "literal")
 _TRAIN_STREAM = 1 << 32  # RNG stream ids above the trajectory namespace
 _EVAL_BATCH = 32         # frames per evaluate_loss batch
@@ -41,7 +42,7 @@ def default_scale(chain) -> np.ndarray:
 
 def default_loss_weights(camera) -> tuple[float, float, float]:
     """(alpha, beta, gamma) placing each weighted term in the 0..1000 band."""
-    return 1000.0 / (camera.height * camera.width), 0.05, 500.0
+    return 1000.0 / (camera.height * camera.width), BETA, GAMMA
 
 
 def apply_correction(raw, theta_noisy, k, chain, squash: str = "centered"):
@@ -252,8 +253,8 @@ class TrainConfig:
     batch_size: int = 10
     lr: float = 1e-4
     weight_decay: float = 1e-4
-    beta: float = 0.05
-    gamma: float = 500.0
+    beta: float = BETA
+    gamma: float = GAMMA
     seed: int = 0
     patience: int = 20
     squash: str = "centered"

@@ -6,11 +6,12 @@ winding, using the top-left edge rule, with no depth aggregation
 (silhouettes are a union).
 
 The soft rasterizer is a sigmoid of the signed squared distance to the
-projected outline. A part is a connected component of the face list (each
-closed tool mesh is one part). An edge is a contour edge when the valid
-faces that share it do not lie on both sides of it in the image: a boundary
-edge, or, on a closed consistently wound mesh, an edge where a front face
-meets a back face. For pixel p and part P,
+projected outline. A part is the caller's label of a face: the scene labels
+each face with the link mesh it came from, so each closed tool mesh is one
+part. An edge is a contour edge when the valid faces that share it do not
+lie on both sides of it in the image: a boundary edge, or, on a closed
+consistently wound mesh, an edge where a front face meets a back face. For
+pixel p and part P,
 
     O_P(p) = sigmoid(sign_P(p) * d2_P(p) / sigma_r)
 
@@ -39,7 +40,7 @@ the triangle is visited, in (triangle, row, column) order.
 
 They also share one coverage pass: the valid triangles of nonzero area,
 wound counter-clockwise, at h = 0 with the top-left rule. The hard raster
-keys the covered pixels by image, the soft raster by (image, part), which
+keys the covered pixels by image, the soft raster by (part, image), which
 gives sign_P. The soft raster then makes one distance pass: each contour
 edge AB of an image goes in once, as the degenerate triangle (A, B, B) with
 h = 3 sqrt(sigma_r) + 0.5 px, so every pixel center within h of the edge is
@@ -231,18 +232,6 @@ def hard_occupancy(verts2d: np.ndarray, faces: np.ndarray, valid: np.ndarray,
     return occ
 
 
-def _face_parts(faces: np.ndarray, num_verts: int) -> np.ndarray:
-    """Connected-component id per face; faces sharing a vertex form one part."""
-    label = np.arange(num_verts)
-    while True:
-        new = label.copy()
-        np.minimum.at(new, faces.reshape(-1), np.repeat(label[faces].min(axis=1), 3))
-        new = new[new]
-        if np.array_equal(new, label):
-            return np.unique(label[faces[:, 0]], return_inverse=True)[1].reshape(-1)
-        label = new
-
-
 def _contour_slots(area2: np.ndarray, faces: np.ndarray, valid: np.ndarray,
                    num_verts: int) -> np.ndarray:
     """(B, T, 3) flags marking face edge k (vertex k to k+1) as a contour edge.
@@ -263,12 +252,14 @@ def _contour_slots(area2: np.ndarray, faces: np.ndarray, valid: np.ndarray,
     return ~(left & right)[flat].reshape(side.shape)
 
 
-def soft_occupancy(verts2d, faces: np.ndarray, valid: np.ndarray,
+def soft_occupancy(verts2d, faces: np.ndarray, parts: np.ndarray, valid: np.ndarray,
                    width: int, height: int, sigma_r: float):
     """Soft silhouette coverage, differentiable w.r.t. ``verts2d``.
 
-    verts2d: (B, V, 2) array or DiffValue; faces: (T, 3); valid: (B, T) marks
-    triangles to rasterize (callers exclude fully-behind-camera faces).
+    verts2d: (B, V, 2) array or DiffValue; faces: (T, 3); parts: (T,) part
+    index of each face, 0 to P - 1, where faces of different parts share no
+    edge; valid: (B, T) marks triangles to rasterize (callers exclude
+    fully-behind-camera faces).
     Returns (B, H, W). An image with a non-finite vertex is all NaN, and so
     is the gradient w.r.t. its vertices.
     """
@@ -286,10 +277,9 @@ def soft_occupancy(verts2d, faces: np.ndarray, valid: np.ndarray,
     # faces that share them
     kept = valid & (area2 != 0.0)
     sel = np.flatnonzero(kept)
-    parts = _face_parts(faces, V)
     P = int(parts.max(initial=0)) + 1
-    # cells are (image, part, pixel); a part's sign is +1 where it covers
-    inside = _coverage(tris[sel], (sel // T * P + parts[sel % T]) * HW, B * P * HW,
+    # cells are (part, image, pixel); a part's sign is +1 where it covers
+    inside = _coverage(tris[sel], (parts[sel % T] * B + sel // T) * HW, P * B * HW,
                        width, height)
 
     # each contour edge of an image once, as it runs in the CCW slot of a
@@ -334,7 +324,7 @@ def soft_occupancy(verts2d, faces: np.ndarray, valid: np.ndarray,
     # max over parts, ties to the first part; a part with no edge in reach
     # reads +inf inside and -inf outside, so a pixel no edge visits reads
     # 1 where some part covers it and 0 elsewhere
-    by_part = inside.reshape(B, P, HW).transpose(1, 0, 2).reshape(P, B * HW)
+    by_part = inside.reshape(P, B * HW)
     sign = np.where(by_part.take(vis, axis=1).T, 1.0, -1.0).reshape(-1)
     z = (sign * d2_cell / sigma_r).reshape(-1, P)
     best = z.argmax(axis=1)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import numbers
 import zipfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,14 +69,6 @@ class VitConfig:
     @property
     def patch_dim(self) -> int:
         return 2 * self.patch_size ** 2
-
-    def to_dict(self) -> dict:
-        return {
-            "image_size": self.image_size, "patch_size": self.patch_size,
-            "embed_dim": self.embed_dim, "heads": self.heads,
-            "layers": self.layers, "mlp_ratio": self.mlp_ratio,
-            "head_widths": list(self.head_widths), "config_dim": self.config_dim,
-        }
 
     @staticmethod
     def from_dict(d: dict) -> "VitConfig":
@@ -179,7 +171,7 @@ def forward(config: VitConfig, weights: dict, masks: np.ndarray, theta_norm: np.
 
 def save_weights(path, config: VitConfig, weights: dict[str, np.ndarray],
                  extra: dict | None = None) -> None:
-    meta = json.dumps({"config": config.to_dict(), **(extra or {})}, sort_keys=True)
+    meta = json.dumps({"config": asdict(config), **(extra or {})}, sort_keys=True)
     with open(path, "wb") as fh:
         np.savez(fh, meta=np.array(meta),
                  **{name: np.asarray(w, dtype=np.float64) for name, w in weights.items()})

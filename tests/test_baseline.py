@@ -13,14 +13,9 @@ def truth_params(store, i):
 def test_config_validation():
     with pytest.raises(ValueError):
         bl.BaselineConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        bl.BaselineConfig(step_size=0.0)
     for bad in (-1.0, np.nan, np.inf, True, "30"):
         with pytest.raises(ValueError, match="loss_threshold"):
             bl.BaselineConfig(loss_threshold=bad)
-    for bad in (np.nan, np.inf, True, "0.5", None):
-        with pytest.raises(ValueError, match="step_size"):
-            bl.BaselineConfig(step_size=bad)
     for bad in (np.nan, -0.05, np.inf, False, None):
         with pytest.raises(ValueError, match="beta"):
             bl.BaselineConfig(beta=bad)
@@ -88,7 +83,7 @@ def test_nonfinite_loss_counts_as_failure(tiny_store):
         store.scene, store.theta_noisy[0], m_ref, store.keypoints[0],
         store.q_noisy_full[0, :3], cfg)
     assert failed
-    assert iters == 5
+    assert iters == 1
     np.testing.assert_array_equal(theta, store.theta_noisy[0])
 
 

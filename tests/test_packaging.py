@@ -9,21 +9,25 @@ from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")
-
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 SRC = PYPROJECT.parent / "src"
 
 
+def _pyproject():
+    """The parsed pyproject.toml; skips the test where tomllib (Python 3.11+)
+    is missing."""
+    return pytest.importorskip("tomllib").loads(PYPROJECT.read_text())
+
+
 def test_every_script_entry_point_imports_to_a_callable():
-    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    project = _pyproject()["project"]
     for name, target in project.get("scripts", {}).items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
 
 
 def _declared():
-    deps = tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"]
+    deps = _pyproject()["project"]["dependencies"]
     return {re.match(r"[A-Za-z0-9_.-]+", d).group().lower() for d in deps}
 
 

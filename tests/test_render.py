@@ -74,17 +74,21 @@ def quad_mesh(side=1.0, z=1.0, x_shift=0.0):
 
 
 def rasterize(meshes_poses, camera, mode="hard", sigma_r=None):
-    """One image of posed meshes: project, face validity, occupancy."""
+    """One image of posed meshes, one part each: project, face validity,
+    occupancy."""
     pts, faces = np.zeros((1, 0, 3)), np.zeros((0, 3), dtype=np.int64)
-    for m, pose in meshes_poses:
+    parts = np.zeros(0, dtype=np.int64)
+    for i, (m, pose) in enumerate(meshes_poses):
         faces = np.concatenate([faces, m.faces + pts.shape[1]])
+        parts = np.concatenate([parts, np.full(len(m.faces), i)])
         pts = np.concatenate([pts, pose.apply(m.vertices)[None]], axis=1)
     xy, _ = render.project(camera, pts)
     valid = render.face_validity(pts[..., 2], faces, camera, mode)
     if mode == "hard":
         img = render.hard_occupancy(xy, faces, valid, camera.width, camera.height)
     else:
-        img = render.soft_occupancy(xy, faces, valid, camera.width, camera.height, sigma_r)
+        img = render.soft_occupancy(xy, faces, parts, valid, camera.width, camera.height,
+                                    sigma_r)
     return img[0]
 
 
@@ -275,17 +279,22 @@ def test_diagonal_sliver_pairs_follow_its_length(halo):
 
 # ------------------------------------------------------------- soft raster
 
+ONE_PART = np.zeros(1, dtype=np.int64)  # the part of a lone triangle
+
+
 def test_soft_pixel_on_edge_is_half():
     verts = np.array([[[31.5, 10.0], [31.5, 50.0], [60.0, 30.0]]])
     faces = np.array([[0, 1, 2]])
-    occ = render.soft_occupancy(verts, faces, np.ones((1, 1), bool), 64, 64, sigma_r=0.41)
+    occ = render.soft_occupancy(verts, faces, ONE_PART, np.ones((1, 1), bool), 64, 64,
+                                sigma_r=0.41)
     assert occ[0, 29, 31] == 0.5
 
 
 def test_soft_saturation_inside_and_outside():
     verts = np.array([[[10.0, 10.0], [50.0, 10.0], [30.0, 50.0]]])
     faces = np.array([[0, 1, 2]])
-    occ = render.soft_occupancy(verts, faces, np.ones((1, 1), bool), 64, 64, sigma_r=0.41)
+    occ = render.soft_occupancy(verts, faces, ONE_PART, np.ones((1, 1), bool), 64, 64,
+                                sigma_r=0.41)
     assert occ[0, 25, 29] > 1.0 - 1e-9      # deep inside
     assert occ[0, 1, 1] < 1e-9              # far outside (beyond halo: exactly 0)
 
@@ -294,24 +303,26 @@ def test_soft_zero_area_triangle_covers_nothing():
     # three collinear vertices on a row of pixel centers, x 10 -> 30: no
     # pixel center is inside, so none may read 0.5 or more
     verts = np.array([[[10.0, 20.5], [30.0, 20.5], [20.0, 20.5]]])
-    occ = render.soft_occupancy(verts, np.array([[0, 1, 2]]), np.ones((1, 1), bool),
+    occ = render.soft_occupancy(verts, np.array([[0, 1, 2]]), ONE_PART, np.ones((1, 1), bool),
                                 64, 64, sigma_r=0.41)
     assert occ.max() < 0.5
 
 
 def test_soft_rejects_bad_temperature():
     with pytest.raises(ValueError):
-        render.soft_occupancy(np.zeros((1, 3, 2)), np.array([[0, 1, 2]]),
+        render.soft_occupancy(np.zeros((1, 3, 2)), np.array([[0, 1, 2]]), ONE_PART,
                               np.ones((1, 1), bool), 64, 64, sigma_r=0.0)
 
 
 def test_soft_growth_monotone():
     verts = np.array([[[20.0, 20.0], [44.0, 22.0], [30.0, 44.0]]])
     faces = np.array([[0, 1, 2]])
-    occ0 = render.soft_occupancy(verts, faces, np.ones((1, 1), bool), 64, 64, sigma_r=0.41)
+    occ0 = render.soft_occupancy(verts, faces, ONE_PART, np.ones((1, 1), bool), 64, 64,
+                                 sigma_r=0.41)
     centroid = verts.mean(axis=1, keepdims=True)
     grown = centroid + (verts - centroid) * 1.15
-    occ1 = render.soft_occupancy(grown, faces, np.ones((1, 1), bool), 64, 64, sigma_r=0.41)
+    occ1 = render.soft_occupancy(grown, faces, ONE_PART, np.ones((1, 1), bool), 64, 64,
+                                 sigma_r=0.41)
     assert np.all(occ1 - occ0 >= -1e-12)
 
 
@@ -348,7 +359,7 @@ def test_soft_nonfinite_vertex_poisons_only_its_image():
     tape = ad.Tape()
     v = ad.leaf(tape, verts)
     nodes = len(tape)
-    occ = render.soft_occupancy(v, np.array([[0, 1, 2]]), np.ones((2, 1), bool),
+    occ = render.soft_occupancy(v, np.array([[0, 1, 2]]), ONE_PART, np.ones((2, 1), bool),
                                 64, 64, sigma_r=0.41)
     assert len(tape) == nodes + 1  # one fused node
     assert np.isfinite(ad._val(occ)[0]).all()
@@ -430,7 +441,7 @@ def test_project_theta_points_are_the_rasterized_points(monkeypatch):
 def test_soft_gradient_zero_without_triangles():
     tape = ad.Tape()
     v = ad.leaf(tape, np.zeros((1, 3, 2)))
-    occ = render.soft_occupancy(v, np.array([[0, 1, 2]]), np.zeros((1, 1), bool),
+    occ = render.soft_occupancy(v, np.array([[0, 1, 2]]), ONE_PART, np.zeros((1, 1), bool),
                                 64, 64, sigma_r=0.41)
     assert ad._val(occ).sum() == 0.0
     np.testing.assert_array_equal(ad.backward(weighted_sum(occ, 1.0))[v.nid], 0.0)
@@ -447,7 +458,7 @@ def test_soft_vjp_of_single_image_without_pairs(case):
         verts[0, 0, 0] = np.nan
     tape = ad.Tape()
     v = ad.leaf(tape, verts)
-    occ = render.soft_occupancy(v, np.array([[0, 1, 2]]), np.ones((1, 1), bool),
+    occ = render.soft_occupancy(v, np.array([[0, 1, 2]]), ONE_PART, np.ones((1, 1), bool),
                                 64, 64, sigma_r=0.41)
     grad = ad.backward(weighted_sum(occ, 1.0))[v.nid]
     assert grad.dtype == np.float64
@@ -462,13 +473,13 @@ def _all_pairs(tris, width, height, halo):
     yield idx // (height * width), idx % width, idx // width % height
 
 
-def _assert_soft_matches_all_pairs(monkeypatch, verts, faces, valid, width, height,
+def _assert_soft_matches_all_pairs(monkeypatch, verts, faces, parts, valid, width, height,
                                    sigma_r):
     """Forward and VJP equal an all-pairs evaluation wherever |z| < h^2/sigma_r.
     Returns both occupancies and sigmoid(-h^2/sigma_r)."""
     def run():
         v = ad.leaf(ad.Tape(), verts)
-        occ = render.soft_occupancy(v, faces, valid, width, height, sigma_r)
+        occ = render.soft_occupancy(v, faces, parts, valid, width, height, sigma_r)
         return v, occ
 
     v, occ = run()
@@ -497,15 +508,16 @@ def test_soft_tool_scene_matches_all_pairs(monkeypatch):
     seen = {}
     soft = render.soft_occupancy
 
-    def record(xy, faces, valid, *rest):
+    def record(xy, faces, parts, valid, *rest):
         seen.update(xy=ad._val(xy), valid=valid)
-        return soft(xy, faces, valid, *rest)
+        return soft(xy, faces, parts, valid, *rest)
 
     with monkeypatch.context() as m:
         m.setattr(render, "soft_occupancy", record)
         scene.render_masks(sc, rot, np.repeat(sc.base.translation[None], 2, axis=0), q, "soft")
     o, o_ref, s_lo = _assert_soft_matches_all_pairs(monkeypatch, seen["xy"], sc.faces,
-                                                    seen["valid"], 64, 64, sc.sigma_r)
+                                                    sc.face_parts, seen["valid"], 64, 64,
+                                                    sc.sigma_r)
     # farther pixels stay saturated: both within sigmoid(-h^2/sigma_r) of 0 or 1
     assert np.abs(o - o_ref).max() <= 1.01 * s_lo
 
@@ -516,7 +528,8 @@ def test_soft_random_triangles_match_all_pairs(monkeypatch, sigma_r):
     tris = _random_triangles(np.random.default_rng(7), 6, width, height)
     faces = np.arange(3 * len(tris)).reshape(-1, 3)
     _assert_soft_matches_all_pairs(monkeypatch, tris.reshape(1, -1, 2), faces,
-                                   np.ones((1, len(tris)), bool), width, height, sigma_r)
+                                   np.arange(len(tris)), np.ones((1, len(tris)), bool),
+                                   width, height, sigma_r)
 
 
 # -------------------------------------------- per-part oracle, brute force
@@ -563,23 +576,19 @@ _PART_B = [[-20.0, -30.0], [110.0, 10.0], [5.0, 100.0]]
 _PART_C = [[35.2, 30.9], [60.3, 35.4], [44.8, 60.1]]
 
 
-@pytest.mark.parametrize("parts", [[_PART_A, _PART_B], [_PART_A, _PART_A, _PART_C]],
-                         ids=["nested", "coincident"])
-def test_soft_matches_per_part_oracle(parts):
-    # image 0 holds the parts; image 1 of the batch has no contour edge at all
+def _assert_soft_matches_oracle(verts, faces):
+    """Image 0 of a B = 2 batch holds the faces, one part each, and matches
+    _oracle_soft; image 1 has no valid face, so no contour edge at all."""
     width = height = 64
     sigma_r = 0.41
     h = 3.0 * np.sqrt(sigma_r) + 0.5
-    tris = np.array(parts, dtype=float)
-    n = len(tris)
-    verts = np.stack([tris.reshape(-1, 2)] * 2)
-    faces = np.arange(3 * n).reshape(n, 3)
+    n = len(faces)
     valid = np.array([[True] * n, [False] * n])
-    o_ref, d2_ref, grad_ref = _oracle_soft(tris, width, height, sigma_r)
+    o_ref, d2_ref, grad_ref = _oracle_soft(verts[faces], width, height, sigma_r)
 
     def run(g):
-        v = ad.leaf(ad.Tape(), verts)
-        occ = render.soft_occupancy(v, faces, valid, width, height, sigma_r)
+        v = ad.leaf(ad.Tape(), np.stack([verts] * 2))
+        occ = render.soft_occupancy(v, faces, np.arange(n), valid, width, height, sigma_r)
         return ad._val(occ), ad.backward(weighted_sum(occ, g))[v.nid]
 
     o, _ = run(np.zeros((2, height, width)))
@@ -592,18 +601,54 @@ def test_soft_matches_per_part_oracle(parts):
     np.testing.assert_array_equal(o[1], 0.0)
     g = np.random.default_rng(3).normal(size=(2, height, width)) * [near, np.ones_like(near)]
     _, grad = run(g)
-    np.testing.assert_allclose(grad[0].reshape(n, 3, 2),
-                               np.einsum("hw,hwpkc->pkc", g[0], grad_ref),
-                               rtol=1e-9, atol=1e-12)
+    expected = np.zeros_like(verts)
+    np.add.at(expected, faces, np.einsum("hw,hwpkc->pkc", g[0], grad_ref))
+    np.testing.assert_allclose(grad[0], expected, rtol=1e-9, atol=1e-12)
     np.testing.assert_array_equal(grad[1], 0.0)
+
+
+@pytest.mark.parametrize("parts", [[_PART_A, _PART_B], [_PART_A, _PART_A, _PART_C]],
+                         ids=["nested", "coincident"])
+def test_soft_matches_per_part_oracle(parts):
+    n = len(parts)
+    _assert_soft_matches_oracle(np.array(parts, dtype=float).reshape(-1, 2),
+                                np.arange(3 * n).reshape(n, 3))
+
+
+def test_soft_parts_sharing_a_vertex_stay_two_parts():
+    # the second triangle starts at A's third vertex, one vertex index for
+    # both faces, and crosses A; labelled as two parts, they match the
+    # per-part oracle, where one part (the faces' connected component) would
+    # put an outline inside A
+    verts = np.array(_PART_A + [[33.9, 17.2], [55.3, 31.8]])
+    _assert_soft_matches_oracle(verts, np.array([[0, 1, 2], [2, 3, 4]]))
+
+
+def test_scene_parts_are_its_closed_link_meshes():
+    # one part per link mesh, in vert_slices order; each is closed and
+    # consistently wound: every directed edge once, and its reverse once
+    sc = scene.reference_scene(64)
+    assert sc.face_parts.shape == (len(sc.faces),)
+    vertex_sets = []
+    for p, (ji, lo, _) in enumerate(sc.vert_slices):
+        faces = sc.faces[sc.face_parts == p]
+        np.testing.assert_array_equal(faces - lo, sc.meshes[sc.chain.joints[ji].mesh].faces)
+        edges = np.stack([faces, np.roll(faces, -1, axis=1)], axis=-1).reshape(-1, 2)
+        directed = set(map(tuple, edges.tolist()))
+        assert len(directed) == len(edges)
+        assert directed == {(b, a) for a, b in directed}
+        vertex_sets.append(set(faces.ravel().tolist()))
+    assert sc.face_parts.max() == len(sc.vert_slices) - 1
+    # no two parts share a vertex
+    assert sum(map(len, vertex_sets)) == len(set().union(*vertex_sets))
 
 
 def _one_pixel_gradient(tris, row, col, width=64, height=64, sigma_r=0.41):
     """(occupancy, gradient of the occupancy of one pixel) of single-triangle parts."""
     n = len(tris)
     v = ad.leaf(ad.Tape(), np.asarray(tris, dtype=float).reshape(1, -1, 2))
-    occ = render.soft_occupancy(v, np.arange(3 * n).reshape(n, 3), np.ones((1, n), bool),
-                                width, height, sigma_r)
+    occ = render.soft_occupancy(v, np.arange(3 * n).reshape(n, 3), np.arange(n),
+                                np.ones((1, n), bool), width, height, sigma_r)
     g = np.zeros((1, height, width))
     g[0, row, col] = 1.0
     return ad._val(occ)[0], ad.backward(weighted_sum(occ, g))[v.nid].reshape(n, 3, 2)
