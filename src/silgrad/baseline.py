@@ -5,9 +5,9 @@ joints) against the corrector's weighted silhouette + keypoint loss, with a
 zero joint weight: no joint truth is available to this method. Raw gradients
 mix units, so updates take fixed per-coordinate steps along the gradient sign
 (angles ~step*1e-2 rad, translations ~step*1e-3 m), with a decaying factor
-when the loss worsens. Each iteration records seven nodes: the leaf, a
-reshape, the pose-geometry node, the soft raster and the loss node, with two
-slices between.
+when the loss worsens. Each iteration records six nodes: the (1, 10) leaf,
+the pose-geometry node, the soft raster and the loss node, with two slices
+between.
 
 Within a trajectory, each frame is warm-started from the previous frame's
 base estimate while the joint half restarts from the frame's own noisy
@@ -81,12 +81,11 @@ def _loss_and_grad(scene: ToolScene, theta: np.ndarray, q_first3: np.ndarray,
     loss node with gamma = 0, whose joint term compares the plain estimate
     with itself and so adds nothing."""
     tape = ad.Tape()
-    th = ad.leaf(tape, theta)
-    s_hat, kp_hat = corrector.render_corrected(scene, ad.reshape(th, (1, 10)),
-                                               q_first3[None])
+    th = ad.leaf(tape, theta[None])
+    s_hat, kp_hat = corrector.render_corrected(scene, th, q_first3[None])
     total, _ = corrector.weighted_loss(s_hat, kp_hat, theta[None], m_ref[None],
                                        kp_ref[None], theta[None, 6:10], alpha, beta, 0.0)
-    return float(ad._val(total)), ad.backward(total)[th.nid]
+    return float(ad._val(total)), ad.backward(total)[th.nid][0]
 
 
 def optimize_frame(scene: ToolScene, init: np.ndarray, m_ref: np.ndarray,

@@ -8,8 +8,9 @@ zero therefore means "no correction". The literal one-sided squashing
 
 Training backpropagates the weighted silhouette + keypoint + joint loss
 through the soft rasterizer and the pose-geometry Jacobian into the network.
-Past the network, a step's tape holds one node per stage: the correction,
-the pose geometry, the soft raster and the loss, with two slices between.
+After the weight leaves, a step's tape holds one node per stage: the network,
+the correction, the pose geometry, the soft raster and the loss, with two
+slices between.
 """
 
 from __future__ import annotations

@@ -3,19 +3,26 @@
 Two masks stack in the channel dimension, are cut into patches, and pass
 through a pre-norm encoder; the class-token encoding is concatenated with the
 normalized 10-D configuration and regressed through two GELU layers to the
-raw correction outputs. Each linear layer (matmul plus bias), layer norm,
-attention over the packed q/k/v projection and GELU is one fused autodiff op.
+raw correction outputs.
 
-The forward pass is dual-mode: weights given as DiffValues produce a
-recorded, differentiable output; plain arrays give a fast inference path.
+The forward pass is dual-mode: weights given as DiffValues record the whole
+network as one autodiff node, whose parents are those weights; plain arrays
+give a fast inference path. The node's backward is written out in
+:func:`forward`, layer by layer in reverse, from the backwards of this
+module's ops: linear (one GEMM), layer norm, attention over the packed q/k/v
+projection, and GELU. A plain pass keeps no op's backward, so it frees each
+op's activations as soon as the next op has run.
+
 It computes in the dtype of ``patch_embed.w``: float32 weights run the
 network in float32 (training does), anything else in float64 (inference,
-saved models). The output is float64 either way.
+saved models). The output is float64 either way, and the recorded node casts
+its incoming gradient back to the weights' dtype.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import zipfile
 from dataclasses import asdict, dataclass
@@ -122,8 +129,77 @@ def patchify(masks: np.ndarray, patch_size: int) -> np.ndarray:
     return np.ascontiguousarray(x.reshape(b, (h // p) * (w // p), c * p * p))
 
 
-def _linear(x, w, name):
-    return ad.linear(x, w[f"{name}.w"], w[f"{name}.b"])
+# ---------------------------------------------------------------------------
+# the network's ops: each returns its output and its backward, which maps the
+# output's gradient to its operands' gradients
+
+def _linear(x, w, b):
+    """``x @ w + b`` over the last axis of ``x``, as one 2-D GEMM on the
+    flattened leading axes. ``back(g, dx=True)`` returns (gx, gw, gb), with
+    gx None when ``dx`` is false."""
+    if w.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
+        raise ad.ShapeMismatch("linear", x.shape, w.shape, b.shape)
+    x2 = x.reshape(-1, w.shape[0])
+
+    def back(g, dx=True):
+        g2 = g.reshape(-1, w.shape[1])
+        return (g2 @ w.T).reshape(x.shape) if dx else None, x2.T @ g2, g2.sum(axis=0)
+
+    return (x2 @ w + b).reshape(x.shape[:-1] + w.shape[1:]), back
+
+
+def _layer_norm(x, gain, bias):
+    """Normalize the last axis to zero mean and unit variance, then
+    ``* gain + bias``. ``back(g)`` returns (gx, ggain, gbias)."""
+    mu = x.mean(axis=-1, keepdims=True)
+    std = np.sqrt(((x - mu) ** 2).mean(axis=-1, keepdims=True) + 1e-5)
+    xhat = (x - mu) / std
+    lead = tuple(range(x.ndim - 1))
+
+    def back(g):
+        gh = g * gain
+        gx = (gh - gh.mean(axis=-1, keepdims=True)
+              - xhat * (gh * xhat).mean(axis=-1, keepdims=True)) / std
+        return gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+    return xhat * gain + bias, back
+
+
+def _attention(qkv, heads: int):
+    """Multi-head softmax attention over queries, keys and values packed
+    along the last axis, (B, T, 3D); returns the merged heads, (B, T, D)."""
+    b, t, d3 = qkv.shape
+    dh = d3 // (3 * heads)
+    q, k, v = np.transpose(qkv.reshape(b, t, 3, heads, dh), (2, 0, 3, 1, 4))  # (B, H, T, dh)
+    scale = 1.0 / math.sqrt(dh)  # a Python float keeps float32 operands float32
+    s = np.matmul(q, np.swapaxes(k, -1, -2)) * scale                          # (B, H, T, T)
+    e = np.exp(s - np.max(s, axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = np.transpose(np.matmul(p, v), (0, 2, 1, 3)).reshape(b, t, d3 // 3)
+
+    def back(g):
+        go = np.transpose(g.reshape(b, t, heads, dh), (0, 2, 1, 3))
+        gp = np.matmul(go, np.swapaxes(v, -1, -2))
+        gs = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p * scale
+        grad = np.empty((3, b, heads, t, dh), dtype=qkv.dtype)
+        grad[0] = np.matmul(gs, k)
+        grad[1] = np.matmul(np.swapaxes(gs, -1, -2), q)
+        grad[2] = np.matmul(np.swapaxes(p, -1, -2), go)
+        return np.transpose(grad, (1, 3, 0, 2, 4)).reshape(b, t, d3)
+
+    return out, back
+
+
+def _gelu(x):
+    """tanh-approximation GELU."""
+    c = 0.7978845608028654  # sqrt(2/pi)
+    th = np.tanh(c * (x + 0.044715 * (x * (x * x))))
+
+    def back(g):
+        du = c * (1.0 + 3.0 * 0.044715 * (x * x))
+        return g * (0.5 * (1.0 + th) + (x * 0.5) * ((1.0 - th * th) * du))
+
+    return (x * 0.5) * (1.0 + th), back
 
 
 def forward(config: VitConfig, weights: dict, masks: np.ndarray, theta_norm: np.ndarray):
@@ -131,7 +207,9 @@ def forward(config: VitConfig, weights: dict, masks: np.ndarray, theta_norm: np.
 
     masks: (B, 2, H, W) plain array; theta_norm: (B, config_dim) plain
     array; weights: name -> array or DiffValue, all float32 or all float64.
-    Both inputs are cast to the weights' dtype; the output is float64.
+    Both inputs are cast to the weights' dtype; the output is float64. With
+    any weight a DiffValue, the output is one node whose parents are the
+    DiffValue weights.
     """
     b, c, h, wd = masks.shape
     if c != 2 or h != config.image_size or wd != config.image_size:
@@ -140,29 +218,73 @@ def forward(config: VitConfig, weights: dict, masks: np.ndarray, theta_norm: np.
     if np.shape(theta_norm) != (b, config.config_dim):
         raise ad.ShapeMismatch("vit-forward", np.shape(theta_norm), (b, config.config_dim))
     d = config.embed_dim
-    dtype = ad._val(weights["patch_embed.w"]).dtype
+    w = {name: ad._val(v) for name, v in weights.items()}
+    dtype = w["patch_embed.w"].dtype
+    taped = [name for name, v in weights.items() if isinstance(v, ad.DiffValue)]
+    backs = {} if taped else None  # op name -> its backward, kept only when taped
 
-    patches = patchify(np.asarray(masks, dtype=dtype), config.patch_size)
-    x = _linear(patches, weights, "patch_embed")                      # (B, N, D)
-    cls = ad.broadcast_to(ad.reshape(weights["cls_token"], (1, 1, d)), (b, 1, d))
-    x = ad.concatenate([cls, x], axis=1)                              # (B, T, D)
-    x = ad.add(x, weights["pos_embed"])
+    def op(name, fn, *args):
+        out, back = fn(*args)
+        if backs is not None:
+            backs[name] = back
+        return out
 
+    def linear(name, x):
+        return op(name, _linear, x, w[f"{name}.w"], w[f"{name}.b"])
+
+    def norm(name, x):
+        return op(name, _layer_norm, x, w[f"{name}.g"], w[f"{name}.b"])
+
+    x = linear("patch_embed", patchify(np.asarray(masks, dtype=dtype), config.patch_size))
+    cls = np.broadcast_to(w["cls_token"].reshape(1, 1, d), (b, 1, d))
+    x = np.concatenate([cls, x], axis=1) + w["pos_embed"]            # (B, T, D)
     for i in range(config.layers):
+        # each branch one expression, so no local keeps its activations alive
         p = f"enc{i}"
-        hdn = ad.layer_norm(x, weights[f"{p}.ln1.g"], weights[f"{p}.ln1.b"])
-        qkv = _linear(hdn, weights, f"{p}.qkv")                       # (B, T, 3D)
-        x = ad.add(x, _linear(ad.attention(qkv, config.heads), weights, f"{p}.proj"))
-        hdn = ad.layer_norm(x, weights[f"{p}.ln2.g"], weights[f"{p}.ln2.b"])
-        hdn = ad.gelu(_linear(hdn, weights, f"{p}.mlp1"))
-        x = ad.add(x, _linear(hdn, weights, f"{p}.mlp2"))
+        x = x + linear(f"{p}.proj", op(f"{p}.attn", _attention,
+                                        linear(f"{p}.qkv", norm(f"{p}.ln1", x)), config.heads))
+        x = x + linear(f"{p}.mlp2", op(f"{p}.gelu", _gelu,
+                                        linear(f"{p}.mlp1", norm(f"{p}.ln2", x))))
+    x = norm("final_ln", x)
+    fused = np.concatenate([x[:, 0], np.asarray(theta_norm, dtype=dtype)], axis=-1)
+    hdn = op("head1.gelu", _gelu, linear("head1", fused))
+    hdn = op("head2.gelu", _gelu, linear("head2", hdn))
+    out = linear("head3", hdn).astype(np.float64, copy=False)          # (B, 10)
+    if backs is None:
+        return out
+    t = x.shape[1]
 
-    x = ad.layer_norm(x, weights["final_ln.g"], weights["final_ln.b"])
-    cls_tok = ad.take(x, (slice(None), 0))                            # (B, D)
-    fused = ad.concatenate([cls_tok, np.asarray(theta_norm, dtype=dtype)], axis=-1)
-    hdn = ad.gelu(_linear(fused, weights, "head1"))
-    hdn = ad.gelu(_linear(hdn, weights, "head2"))
-    return ad.astype(_linear(hdn, weights, "head3"), np.float64)      # (B, 10)
+    def vjp(g):
+        grads = {}
+
+        def linear_back(name, g, dx=True):
+            gx, grads[f"{name}.w"], grads[f"{name}.b"] = backs[name](g, dx)
+            return gx
+
+        def norm_back(name, g):
+            gx, grads[f"{name}.g"], grads[f"{name}.b"] = backs[name](g)
+            return gx
+
+        g = g.astype(dtype, copy=False)
+        g = backs["head2.gelu"](linear_back("head3", g))
+        g = backs["head1.gelu"](linear_back("head2", g))
+        # the final norm ran on every token; only the class token's row has a gradient
+        gx = np.zeros((b, t, d), dtype)
+        gx[:, 0] = linear_back("head1", g)[:, :d]
+        gx = norm_back("final_ln", gx)
+        for i in reversed(range(config.layers)):
+            # each residual's gradient: the skip path's plus its branch's
+            p = f"enc{i}"
+            gh = linear_back(f"{p}.mlp1", backs[f"{p}.gelu"](linear_back(f"{p}.mlp2", gx)))
+            gx = gx + norm_back(f"{p}.ln2", gh)
+            ga = linear_back(f"{p}.qkv", backs[f"{p}.attn"](linear_back(f"{p}.proj", gx)))
+            gx = gx + norm_back(f"{p}.ln1", ga)
+        grads["pos_embed"] = gx.sum(axis=0)
+        grads["cls_token"] = gx[:, :1].sum(axis=0, keepdims=True).reshape(1, d)
+        linear_back("patch_embed", gx[:, 1:], dx=False)   # the masks take no gradient
+        return tuple(grads[name] for name in taped)
+
+    return ad.from_op(out, [weights[name] for name in taped], vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -39,13 +39,13 @@ def weighted_sum(x, w):
 
 
 def frame_loss_of_raw(store, i, alpha, beta, gamma, k, squash="centered"):
-    """Scalar weighted loss for frame ``i`` as a function of the 10 raw
+    """Scalar weighted loss for frame ``i`` as a function of the (1, 10) raw
     (pre-squash) outputs; dual-mode for finite-difference checking."""
     sel = slice(i, i + 1)
 
     def f(raw):
-        theta_hat = corrector.apply_correction(ad.reshape(raw, (1, 10)), store.theta_noisy[sel],
-                                               k, store.scene.chain, squash)
+        theta_hat = corrector.apply_correction(raw, store.theta_noisy[sel], k,
+                                               store.scene.chain, squash)
         s_hat, kp_hat = corrector.render_corrected(store.scene, theta_hat,
                                                    store.q_noisy_full[sel, :3])
         total, _ = corrector.weighted_loss(

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,20 +126,24 @@ def test_taped_forward_matches_plain_and_weight_gradient_matches_differences():
 
 def test_float32_weights_run_the_vit_in_float32(monkeypatch):
     w, masks, theta, cot, _ = _small_vit_case(14)
-    nodes = []  # per recorded node: [its value's dtype, its gradients' dtypes]
-    add_node = ad.Tape.add_node
+    ops = []  # per op inside the network: [its output's dtype, its gradients' dtypes]
 
-    def recording(self, value, parents, vjp):
-        node = [str(np.asarray(value).dtype), []]
-        nodes.append(node)
-        if vjp is not None:
-            def vjp(g, inner=vjp):
-                grads = inner(g)
-                node[1].extend(str(gr.dtype) for gr in grads)
+    def recording(fn):
+        def op(*args):
+            out, back = fn(*args)
+            rec = [str(out.dtype), []]
+            ops.append(rec)
+
+            def recorded(*back_args):
+                grads = back(*back_args)
+                rec[1].extend(str(gr.dtype) for gr in
+                              (grads if type(grads) is tuple else (grads,)) if gr is not None)
                 return grads
-        return add_node(self, value, parents, vjp)
+            return out, recorded
+        return op
 
-    monkeypatch.setattr(ad.Tape, "add_node", recording)
+    for name in ("_linear", "_layer_norm", "_attention", "_gelu"):
+        monkeypatch.setattr(vit, name, recording(getattr(vit, name)))
 
     def gradients(dtype):
         tape = ad.Tape()
@@ -148,16 +153,36 @@ def test_float32_weights_run_the_vit_in_float32(monkeypatch):
         return out, {k: grads[leaf.nid] for k, leaf in leaves.items()}
 
     out, grads = gradients(np.float32)
-    # the ViT's nodes up to the output, which is the final cast
-    vit_nodes = nodes[:out.nid + 1]
+    # the patch embedding, eight ops per layer, the final norm and five in the head
+    assert len(ops) == 1 + 8 * SMALL_VIT.layers + 1 + 5
     assert out.value.dtype == np.float64
-    assert [dtype for dtype, _ in vit_nodes] == ["float32"] * out.nid + ["float64"]
-    assert all(grad_dtypes and set(grad_dtypes) == {"float32"}
-               for _, grad_dtypes in vit_nodes[len(w):])
+    assert all(dtype == "float32" and grad_dtypes and set(grad_dtypes) == {"float32"}
+               for dtype, grad_dtypes in ops)
     _, grads64 = gradients(np.float64)
     for k, g in grads.items():
         assert g.dtype == np.float32
         assert np.abs(g - grads64[k]).max() <= 1e-4 * np.abs(grads64[k]).max(), k
+
+
+def test_plain_forward_keeps_no_backward():
+    # a plain pass frees each op's activations once the next op has run; a
+    # taped one keeps them all for the backward
+    cfg = vit.VitConfig()
+    w = vit.init_weights(cfg, rng_stream(2, 0))
+    masks = (RNG.uniform(size=(8, 2, 64, 64)) > 0.5).astype(float)
+    theta = RNG.normal(size=(8, 10))
+    tape = ad.Tape()
+    leaves = {k: ad.leaf(tape, v) for k, v in w.items()}
+
+    def peak(weights):
+        tracemalloc.start()
+        try:
+            vit.forward(cfg, weights, masks, theta)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(w) < peak(leaves) / 4
 
 
 @pytest.mark.parametrize("shape", [(1, 9), (2, 10), (10,), (1, 1, 10)])
@@ -360,55 +385,52 @@ def test_loss_total_weighting():
 
 
 def _loss_case():
-    """Three frames of predictions packed in one flat vector, with their
-    references, and the slices that unpack them."""
+    """Three frames of predictions (silhouettes, keypoints, theta) and
+    their references."""
     rng = np.random.default_rng(10)
-    shapes = {"s": (3, 4, 5), "kp": (3, 6, 2), "theta": (3, 10)}
-    cuts = np.cumsum([0] + [int(np.prod(sh)) for sh in shapes.values()])
-    x0 = np.concatenate([rng.uniform(size=60), rng.uniform(0, 64, 36), rng.normal(size=30)])
+    preds = [rng.uniform(size=(3, 4, 5)), rng.uniform(0, 64, (3, 6, 2)),
+             rng.normal(size=(3, 10))]
     refs = ((rng.uniform(size=(3, 4, 5)) > 0.5).astype(np.uint8),
             rng.uniform(0, 64, (3, 6, 2)), rng.normal(size=(3, 4)))
-
-    def unpack(x):
-        return [ad.reshape(ad.take(x, slice(lo, hi)), sh)
-                for lo, hi, sh in zip(cuts[:-1], cuts[1:], shapes.values())]
-    return x0, refs, unpack
+    return preds, refs
 
 
 @pytest.mark.parametrize("gamma", [500.0, 0.0])
 def test_loss_gradient_matches_finite_differences(gamma):
-    x0, (m, kp, j), unpack = _loss_case()
+    # each prediction in turn is the one input, the other two plain
+    preds, refs = _loss_case()
+    reports = []
+    for i, x0 in enumerate(preds):
+        def f(x, i=i):
+            args = preds[:i] + [x] + preds[i + 1:]
+            return corrector.weighted_loss(*args, *refs, 0.3, 0.05, gamma)[0]
 
-    def f(x):
-        s_hat, kp_hat, theta_hat = unpack(x)
-        return corrector.weighted_loss(s_hat, kp_hat, theta_hat, m, kp, j, 0.3, 0.05, gamma)[0]
-
-    rep = ad.finite_diff_check(f, x0, epsilon=1e-5, tolerance=1e-6)
-    assert rep.passed, rep
-    joints = rep.analytic[96:].reshape(3, 10)
+        rep = ad.finite_diff_check(f, x0, epsilon=1e-5, tolerance=1e-6)
+        assert rep.passed, (i, rep)
+        reports.append(rep)
+    joints = reports[2].analytic
     np.testing.assert_array_equal(joints[:, :6], 0.0)
     assert (np.count_nonzero(joints) == 0) == (gamma == 0.0)
 
 
 def test_loss_node_taped_value_is_plain_value():
-    x0, refs, unpack = _loss_case()
-    plain, plain_parts = corrector.weighted_loss(*unpack(x0), *refs, 0.3, 0.05, 500.0)
+    preds0, refs = _loss_case()
+    plain, plain_parts = corrector.weighted_loss(*preds0, *refs, 0.3, 0.05, 500.0)
     tape = ad.Tape()
-    x = ad.leaf(tape, x0)
-    preds = unpack(x)
-    nodes = len(tape)
+    preds = [ad.leaf(tape, p) for p in preds0]
     taped, taped_parts = corrector.weighted_loss(*preds, *refs, 0.3, 0.05, 500.0)
-    assert len(tape) == nodes + 1
+    assert len(tape) == len(preds) + 1
     assert taped.value == plain
     for name, part in plain_parts.items():
         np.testing.assert_array_equal(taped_parts[name], part)
     # with plain keypoints and theta, the silhouette is the node's one parent
-    taped, _ = corrector.weighted_loss(preds[0], ad._val(preds[1]), ad._val(preds[2]),
+    taped, _ = corrector.weighted_loss(preds[0], preds0[1], preds0[2],
                                        *refs, 0.3, 0.05, 500.0)
     assert taped.value == plain
-    g = ad.backward(taped)[x.nid]
-    np.testing.assert_allclose(g[:60], 2 * 0.3 * (x0[:60] - refs[0].ravel()) / 3, rtol=1e-15)
-    np.testing.assert_array_equal(g[60:], 0.0)
+    grads = ad.backward(taped)
+    assert list(grads) == [preds[0].nid]
+    np.testing.assert_allclose(grads[preds[0].nid], 2 * 0.3 * (preds0[0] - refs[0]) / 3,
+                               rtol=1e-15)
 
 
 # ------------------------------------------------- corrected-render pipeline
@@ -472,7 +494,7 @@ def test_loss_gradients_flow_to_raw_outputs(tiny_store):
     k = corrector.default_scale(store.scene.chain)
     f = frame_loss_of_raw(store, 3, alpha, beta, gamma, k)
     tape = ad.Tape()
-    raw = ad.leaf(tape, np.zeros(10))
+    raw = ad.leaf(tape, np.zeros((1, 10)))
     loss = f(raw)
     grads = ad.backward(loss)
     g = grads[raw.nid]
@@ -488,7 +510,7 @@ def test_end_to_end_gradcheck_five_frames(tiny_store):
     frames = rng.choice(len(store), size=5, replace=False)
     for i in frames:
         f = frame_loss_of_raw(store, int(i), alpha, beta, gamma, k)
-        rep = ad.finite_diff_check(f, rng.normal(size=10) * 0.3,
+        rep = ad.finite_diff_check(f, rng.normal(size=(1, 10)) * 0.3,
                                    epsilon=1e-4, tolerance=1e-3)
         assert rep.passed, (i, rep)
 
@@ -497,9 +519,9 @@ def test_end_to_end_gradcheck_five_frames(tiny_store):
 
 def test_tape_nodes_per_step(monkeypatch, tiny_store):
     # pinned: a change that grows the tape updates these counts on purpose.
-    # A default-ViT batch_loss step is 60 weight leaves, 54 ViT nodes, then
-    # the correction, the pose geometry, a slice, the soft raster, a slice
-    # and the loss. A baseline gradient is its leaf, a reshape and the last five.
+    # A default-ViT batch_loss step is 60 weight leaves, the ViT's one node,
+    # then the correction, the pose geometry, a slice, the soft raster, a
+    # slice and the loss. A baseline gradient is its leaf and the last five.
     store = tiny_store
     cfg = vit.VitConfig()
     weights = vit.init_weights(cfg, rng_stream(0, 0))
@@ -509,7 +531,7 @@ def test_tape_nodes_per_step(monkeypatch, tiny_store):
     total, _ = corrector.batch_loss(cfg, leaves, store, np.arange(10),
                                     corrector.default_scale(store.scene.chain),
                                     alpha, beta, gamma, "centered")
-    assert (len(leaves), len(tape)) == (60, 120)
+    assert (len(leaves), len(tape)) == (60, 67)
     assert total.nid == len(tape) - 1
 
     sizes = []
@@ -518,7 +540,7 @@ def test_tape_nodes_per_step(monkeypatch, tiny_store):
                         lambda loss: sizes.append(len(loss.tape)) or backward(loss))
     baseline._loss_and_grad(store.scene, store.theta_noisy[0], store.q_noisy_full[0, :3],
                             store.masks_ref[0].astype(float), store.keypoints[0], alpha, beta)
-    assert sizes == [7]
+    assert sizes == [6]
 
 
 def small_cfg(**kw):

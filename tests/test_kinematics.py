@@ -132,41 +132,42 @@ Q_FIRST = np.array([[0.05, -0.05, 0.12]])
 
 
 def test_fk_gradient_wrt_joints_matches_finite_differences(tool_scene):
-    pose = _base_pose(tool_scene)
-    q0 = np.array([[0.5, 0.2, -0.4, 0.6]])
+    # theta is one leaf: the base pose, then the joints
+    theta0 = np.concatenate([_base_pose(tool_scene), [[0.5, 0.2, -0.4, 0.6]]], axis=1)
     w = RNG.normal(size=(1, len(tool_scene.point_links), 2))
 
-    def f(q):
-        xy, _ = scenemod.project_theta(tool_scene, ad.concatenate([pose, q], axis=1), Q_FIRST)
+    def f(theta):
+        xy, _ = scenemod.project_theta(tool_scene, theta, Q_FIRST)
         return weighted_sum(xy, w)
 
-    rep = ad.finite_diff_check(f, q0, epsilon=1e-6, tolerance=1e-6)
+    rep = ad.finite_diff_check(f, theta0, epsilon=1e-6, tolerance=1e-6)
     assert rep.passed, rep
+    assert np.count_nonzero(rep.analytic[0, 6:]) == 4
 
 
 def test_fk_gradient_wrt_base_euler_pose(tool_scene):
-    pose0 = _base_pose(tool_scene)
-    q = np.array([[0.3, 0.2, -0.1, 0.4]])
+    # the keypoints, the last k points, weighted; the vertices weigh nothing
+    theta0 = np.concatenate([_base_pose(tool_scene), [[0.3, 0.2, -0.1, 0.4]]], axis=1)
     k = len(tool_scene.chain.keypoints)
-    w = RNG.normal(size=(1, k, 2))
+    w = np.zeros((1, len(tool_scene.point_links), 2))
+    w[:, -k:] = RNG.normal(size=(1, k, 2))
 
-    def f(p):
-        xy, _ = scenemod.project_theta(tool_scene, ad.concatenate([p, q], axis=1), Q_FIRST)
-        return weighted_sum(ad.take(xy, (slice(None), slice(-k, None))), w)
+    def f(theta):
+        xy, _ = scenemod.project_theta(tool_scene, theta, Q_FIRST)
+        return weighted_sum(xy, w)
 
-    rep = ad.finite_diff_check(f, pose0, epsilon=1e-6, tolerance=1e-6)
+    rep = ad.finite_diff_check(f, theta0, epsilon=1e-6, tolerance=1e-6)
     assert rep.passed, rep
+    assert np.count_nonzero(rep.analytic[0, :6]) == 6
 
 
 def test_every_eef_coordinate_differentiable(tool_scene):
     # the moving jaw tip, the last keypoint, in both image coordinates
-    pose = _base_pose(tool_scene)
-    q0 = np.array([[-0.5, 0.3, 0.2, 0.7]])
+    theta0 = np.concatenate([_base_pose(tool_scene), [[-0.5, 0.3, 0.2, 0.7]]], axis=1)
     for coord in range(2):
-        def f(q, coord=coord):
-            xy, _ = scenemod.project_theta(tool_scene, ad.concatenate([pose, q], axis=1),
-                                           Q_FIRST)
+        def f(theta, coord=coord):
+            xy, _ = scenemod.project_theta(tool_scene, theta, Q_FIRST)
             return ad.take(xy, (0, -1, coord))
 
-        rep = ad.finite_diff_check(f, q0, epsilon=1e-6, tolerance=1e-6)
+        rep = ad.finite_diff_check(f, theta0, epsilon=1e-6, tolerance=1e-6)
         assert rep.passed, (coord, rep)

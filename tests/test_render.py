@@ -404,11 +404,13 @@ def test_soft_gradients_match_finite_differences_ten_params():
     scale = np.array([0.175] * 3 + [0.02] * 3 + [0.25] * 4)
 
     def f(pn):
-        p = ad.linear(ad.reshape(pn, (1, 10)), np.diag(scale), params0)
+        # p = params0 + scale * pn, as one node on the (1, 10) leaf
+        p = ad.from_op(params0 + scale * ad._val(pn), [pn] if isinstance(pn, ad.DiffValue)
+                       else [], lambda g: (g * scale,))
         mask, _ = corrector.render_corrected(sc, p, q_first[None])
         return weighted_sum(mask, 1.0)
 
-    rep = ad.finite_diff_check(f, np.zeros(10), epsilon=1e-4, tolerance=1e-3)
+    rep = ad.finite_diff_check(f, np.zeros((1, 10)), epsilon=1e-4, tolerance=1e-3)
     assert rep.passed, rep
 
 

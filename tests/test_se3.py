@@ -121,12 +121,15 @@ def test_euler_to_matrix_gradients():
     q_first = np.array([[0.05, -0.05, 0.13]] * 2)
     w = RNG.normal(size=(2, len(sc.point_links), 2))
 
-    def f(e):
-        xy, _ = scene.project_theta(sc, ad.concatenate([e, rest], axis=1), q_first)
+    def f(theta):
+        xy, _ = scene.project_theta(sc, theta, q_first)
         return weighted_sum(xy, w)
 
-    rep = ad.finite_diff_check(f, e0, epsilon=1e-6, tolerance=1e-6)
+    # theta is one leaf; its Euler angles are the first three columns
+    rep = ad.finite_diff_check(f, np.concatenate([e0, rest], axis=1), epsilon=1e-6,
+                               tolerance=1e-6)
     assert rep.passed, rep
+    assert np.count_nonzero(rep.analytic[:, :3]) == 6
 
 
 def test_euler_vector_order_is_euler_then_translation():
