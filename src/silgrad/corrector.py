@@ -345,6 +345,11 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
     masters with the gradients cast to float64. Validation, the returned model
     and the saved files are float64.
 
+    A seeded run repeats bit for bit only at a fixed BLAS thread count: the
+    BLAS may order a matrix product's sums differently for another number of
+    threads, so a run with one thread and one with two end with weights that
+    differ in the last bits.
+
     Returns (model, log) where log holds one record per epoch. Checkpoints
     are written on every validation improvement when ``out_dir`` is given.
     """

@@ -3,7 +3,12 @@
 Two masks stack in the channel dimension, are cut into patches, and pass
 through a pre-norm encoder; the class-token encoding is concatenated with the
 normalized 10-D configuration and regressed through two GELU layers to the
-raw correction outputs.
+raw correction outputs. Since the head reads the class token alone, the last
+encoder layer computes only that token's row: its layer norm and q/k/v
+projection cover every token, for the keys and values, but the class token is
+its only query, and the rest of the layer and the final norm run on its row
+(the class-attention form of CaiT, Touvron et al., arXiv:2103.17239). The
+output is that of the network run on every token, up to rounding.
 
 The forward pass is dual-mode: weights given as DiffValues record the whole
 network as one autodiff node, whose parents are those weights; plain arrays
@@ -165,24 +170,30 @@ def _layer_norm(x, gain, bias):
     return xhat * gain + bias, back
 
 
-def _attention(qkv, heads: int):
+def _attention(qkv, heads: int, queries: int | None = None):
     """Multi-head softmax attention over queries, keys and values packed
-    along the last axis, (B, T, 3D); returns the merged heads, (B, T, D)."""
+    along the last axis, (B, T, 3D). Only the first ``queries`` tokens (all
+    when None) are queried, over all T keys and values; returns their merged
+    heads, (B, queries, D). The backward's q-gradient is zero on the rows of
+    the tokens not queried."""
     b, t, d3 = qkv.shape
+    tq = t if queries is None else queries
     dh = d3 // (3 * heads)
     q, k, v = np.transpose(qkv.reshape(b, t, 3, heads, dh), (2, 0, 3, 1, 4))  # (B, H, T, dh)
+    q = q[:, :, :tq]                                                           # (B, H, Tq, dh)
     scale = 1.0 / math.sqrt(dh)  # a Python float keeps float32 operands float32
-    s = np.matmul(q, np.swapaxes(k, -1, -2)) * scale                          # (B, H, T, T)
+    s = np.matmul(q, np.swapaxes(k, -1, -2)) * scale                          # (B, H, Tq, T)
     e = np.exp(s - np.max(s, axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
-    out = np.transpose(np.matmul(p, v), (0, 2, 1, 3)).reshape(b, t, d3 // 3)
+    out = np.transpose(np.matmul(p, v), (0, 2, 1, 3)).reshape(b, tq, d3 // 3)
 
     def back(g):
-        go = np.transpose(g.reshape(b, t, heads, dh), (0, 2, 1, 3))
+        go = np.transpose(g.reshape(b, tq, heads, dh), (0, 2, 1, 3))
         gp = np.matmul(go, np.swapaxes(v, -1, -2))
         gs = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p * scale
         grad = np.empty((3, b, heads, t, dh), dtype=qkv.dtype)
-        grad[0] = np.matmul(gs, k)
+        grad[0, :, :, :tq] = np.matmul(gs, k)
+        grad[0, :, :, tq:] = 0.0
         grad[1] = np.matmul(np.swapaxes(gs, -1, -2), q)
         grad[2] = np.matmul(np.swapaxes(p, -1, -2), go)
         return np.transpose(grad, (1, 3, 0, 2, 4)).reshape(b, t, d3)
@@ -196,8 +207,24 @@ def _gelu(x):
     th = np.tanh(c * (x + 0.044715 * (x * (x * x))))
 
     def back(g):
-        du = c * (1.0 + 3.0 * 0.044715 * (x * x))
-        return g * (0.5 * (1.0 + th) + (x * 0.5) * ((1.0 - th * th) * du))
+        # g * (0.5 * (1 + th) + (x * 0.5) * ((1 - th * th) * du)) with
+        # du = c * (1 + 3 * 0.044715 * (x * x)): the same operations in the
+        # same order, on two buffers (the operands of a product or a sum
+        # commute exactly)
+        a = np.multiply(x, x)
+        a *= 3.0 * 0.044715
+        a += 1.0
+        a *= c                          # du
+        r = np.multiply(th, th)
+        np.subtract(1.0, r, out=r)
+        r *= a                          # (1 - th * th) * du
+        np.multiply(x, 0.5, out=a)
+        r *= a
+        np.add(1.0, th, out=a)
+        a *= 0.5
+        a += r
+        a *= g
+        return a
 
     return (x * 0.5) * (1.0 + th), back
 
@@ -210,6 +237,12 @@ def forward(config: VitConfig, weights: dict, masks: np.ndarray, theta_norm: np.
     Both inputs are cast to the weights' dtype; the output is float64. With
     any weight a DiffValue, the output is one node whose parents are the
     DiffValue weights.
+
+    Every encoder layer but the last runs on all T = num_patches + 1 tokens.
+    The last one queries the class token alone, over all T keys and values,
+    and its projection, MLP and the final norm run on (B, 1, D); the node's
+    backward mirrors this. The result equals the all-token network's up to
+    rounding: BLAS may sum a one-row product in another order.
     """
     b, c, h, wd = masks.shape
     if c != 2 or h != config.image_size or wd != config.image_size:
@@ -239,10 +272,13 @@ def forward(config: VitConfig, weights: dict, masks: np.ndarray, theta_norm: np.
     cls = np.broadcast_to(w["cls_token"].reshape(1, 1, d), (b, 1, d))
     x = np.concatenate([cls, x], axis=1) + w["pos_embed"]            # (B, T, D)
     for i in range(config.layers):
-        # each branch one expression, so no local keeps its activations alive
         p = f"enc{i}"
-        x = x + linear(f"{p}.proj", op(f"{p}.attn", _attention,
-                                        linear(f"{p}.qkv", norm(f"{p}.ln1", x)), config.heads))
+        # the head reads the class token alone, so the last layer queries it
+        # alone: from there on x is (B, 1, D)
+        rows = 1 if i == config.layers - 1 else None
+        # each branch one expression, so no local keeps its activations alive
+        x = x[:, :rows] + linear(f"{p}.proj", op(
+            f"{p}.attn", _attention, linear(f"{p}.qkv", norm(f"{p}.ln1", x)), config.heads, rows))
         x = x + linear(f"{p}.mlp2", op(f"{p}.gelu", _gelu,
                                         linear(f"{p}.mlp1", norm(f"{p}.ln2", x))))
     x = norm("final_ln", x)
@@ -252,7 +288,6 @@ def forward(config: VitConfig, weights: dict, masks: np.ndarray, theta_norm: np.
     out = linear("head3", hdn).astype(np.float64, copy=False)          # (B, 10)
     if backs is None:
         return out
-    t = x.shape[1]
 
     def vjp(g):
         grads = {}
@@ -268,17 +303,18 @@ def forward(config: VitConfig, weights: dict, masks: np.ndarray, theta_norm: np.
         g = g.astype(dtype, copy=False)
         g = backs["head2.gelu"](linear_back("head3", g))
         g = backs["head1.gelu"](linear_back("head2", g))
-        # the final norm ran on every token; only the class token's row has a gradient
-        gx = np.zeros((b, t, d), dtype)
-        gx[:, 0] = linear_back("head1", g)[:, :d]
-        gx = norm_back("final_ln", gx)
+        gx = norm_back("final_ln", linear_back("head1", g)[:, None, :d])   # (B, 1, D)
         for i in reversed(range(config.layers)):
             # each residual's gradient: the skip path's plus its branch's
             p = f"enc{i}"
             gh = linear_back(f"{p}.mlp1", backs[f"{p}.gelu"](linear_back(f"{p}.mlp2", gx)))
             gx = gx + norm_back(f"{p}.ln2", gh)
             ga = linear_back(f"{p}.qkv", backs[f"{p}.attn"](linear_back(f"{p}.proj", gx)))
-            gx = gx + norm_back(f"{p}.ln1", ga)
+            # ln1 ran on all T tokens; the last layer's skip path carries the
+            # class token's row alone
+            gl = norm_back(f"{p}.ln1", ga)
+            gl[:, :gx.shape[1]] += gx
+            gx = gl
         grads["pos_embed"] = gx.sum(axis=0)
         grads["cls_token"] = gx[:, :1].sum(axis=0, keepdims=True).reshape(1, d)
         linear_back("patch_embed", gx[:, 1:], dx=False)   # the masks take no gradient

@@ -173,7 +173,8 @@ def _vit_op(fn, x, unpack, *args, **back_kw):
 
 
 @pytest.mark.parametrize("name", [
-    "slice", "layer_norm", "attention", "gelu", "linear", "linear-plain-x",
+    "slice", "layer_norm", "attention", "attention-class-query", "gelu", "linear",
+    "linear-plain-x",
 ])
 def test_primitive_gradients_match_finite_differences(name):
     x0 = RNG.uniform(0.5, 1.5, size=(3, 4))
@@ -193,6 +194,9 @@ def test_primitive_gradients_match_finite_differences(name):
             vit._layer_norm, x, lambda a: (a[:3], a[3], a[4])), c),
         "attention": lambda x: weighted_sum(_vit_op(vit._attention, x, lambda a: (a,), 2),
                                             c_att),
+        # the first token alone queried, as in the ViT's last layer
+        "attention-class-query": lambda x: weighted_sum(
+            _vit_op(vit._attention, x, lambda a: (a,), 2, 1), c_att[:, :1]),
         "gelu": lambda x: weighted_sum(_vit_op(vit._gelu, x, lambda a: (a,)), c),
         "linear": lambda x: weighted_sum(_vit_op(
             vit._linear, x, lambda a: (a[:6].reshape(2, 3, 4), a[6:10], a[10])), c_lin),
@@ -200,9 +204,28 @@ def test_primitive_gradients_match_finite_differences(name):
         "linear-plain-x": lambda x: weighted_sum(_vit_op(
             vit._linear, x, lambda a: (c_lin, a[6:10], a[10]), dx=False), c_lin),
     }
-    inputs = {"layer_norm": ln0, "attention": qkv0, "gelu": x0 - 1.0, "linear": lin0,
-              "linear-plain-x": lin0}
+    inputs = {"layer_norm": ln0, "attention": qkv0, "attention-class-query": qkv0,
+              "gelu": x0 - 1.0, "linear": lin0, "linear-plain-x": lin0}
     _check(fns[name], inputs.get(name, x0))
+    if name == "attention-class-query":
+        # the q-gradient rows of the tokens not queried are exact zeros
+        out, back = vit._attention(qkv0, 2, 1)
+        assert out.shape == (2, 1, 4)
+        assert not back(c_att[:, :1])[:, 1:, :4].any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_backward_is_the_composed_expression_bit_for_bit(dtype):
+    x = np.concatenate([RNG.normal(0.0, 3.0, size=997), [0.0, -0.0, 1e-30, 40.0, -40.0]])
+    x = x.astype(dtype).reshape(2, 3, 167)
+    g = RNG.normal(size=x.shape).astype(dtype)
+    c = 0.7978845608028654
+    th = np.tanh(c * (x + 0.044715 * (x * (x * x))))
+    du = c * (1.0 + 3.0 * 0.044715 * (x * x))
+    composed = g * (0.5 * (1.0 + th) + (x * 0.5) * ((1.0 - th * th) * du))
+    grad = vit._gelu(x)[1](g)
+    assert grad.dtype == dtype and composed.dtype == dtype
+    assert np.array_equal(grad, composed)
 
 
 def _prismatic_roll_scene(sc):

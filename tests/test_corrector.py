@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -162,6 +163,105 @@ def test_float32_weights_run_the_vit_in_float32(monkeypatch):
     for k, g in grads.items():
         assert g.dtype == np.float32
         assert np.abs(g - grads64[k]).max() <= 1e-4 * np.abs(grads64[k]).max(), k
+
+
+def _full_token_vit(cfg, w, masks, theta):
+    """The ViT from vit's ops with every encoder layer and the final norm run
+    on all T tokens, the head then reading the class token's row: the
+    float64 output and its VJP, mapping the output's gradient to each
+    weight's."""
+    dtype = w["patch_embed.w"].dtype
+    backs = {}
+
+    def op(name, fn, *args):
+        out, backs[name] = fn(*args)
+        return out
+
+    def linear(name, x):
+        return op(name, vit._linear, x, w[f"{name}.w"], w[f"{name}.b"])
+
+    def norm(name, x):
+        return op(name, vit._layer_norm, x, w[f"{name}.g"], w[f"{name}.b"])
+
+    b, d = len(masks), cfg.embed_dim
+    x = linear("patch_embed", vit.patchify(masks.astype(dtype), cfg.patch_size))
+    x = np.concatenate([np.broadcast_to(w["cls_token"][None], (b, 1, d)), x], axis=1)
+    x = x + w["pos_embed"]
+    for i in range(cfg.layers):
+        p = f"enc{i}"
+        x = x + linear(f"{p}.proj", op(f"{p}.attn", vit._attention,
+                                        linear(f"{p}.qkv", norm(f"{p}.ln1", x)), cfg.heads))
+        x = x + linear(f"{p}.mlp2", op(f"{p}.gelu", vit._gelu,
+                                        linear(f"{p}.mlp1", norm(f"{p}.ln2", x))))
+    x = norm("final_ln", x)
+    hdn = op("head1.gelu", vit._gelu,
+             linear("head1", np.concatenate([x[:, 0], theta.astype(dtype)], axis=-1)))
+    out = linear("head3", op("head2.gelu", vit._gelu, linear("head2", hdn)))
+
+    def vjp(g):
+        grads = {}
+
+        def back(name, g, params=("w", "b")):
+            gx, grads[f"{name}.{params[0]}"], grads[f"{name}.{params[1]}"] = backs[name](g)
+            return gx
+
+        g = backs["head2.gelu"](back("head3", g.astype(dtype)))
+        g = backs["head1.gelu"](back("head2", g))
+        gx = np.zeros(x.shape, dtype)
+        gx[:, 0] = back("head1", g)[:, :d]
+        gx = back("final_ln", gx, ("g", "b"))
+        for i in reversed(range(cfg.layers)):
+            p = f"enc{i}"
+            gh = back(f"{p}.mlp1", backs[f"{p}.gelu"](back(f"{p}.mlp2", gx)))
+            gx = gx + back(f"{p}.ln2", gh, ("g", "b"))
+            ga = back(f"{p}.qkv", backs[f"{p}.attn"](back(f"{p}.proj", gx)))
+            gx = gx + back(f"{p}.ln1", ga, ("g", "b"))
+        grads["pos_embed"] = gx.sum(axis=0)
+        grads["cls_token"] = gx[:, :1].sum(axis=0)
+        back("patch_embed", gx[:, 1:])
+        return grads
+
+    return out.astype(np.float64), vjp
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_forward_matches_full_token_reference(monkeypatch, batch, layers, dtype, rtol):
+    # the last layer queries the class token alone and runs its MLP and the
+    # final norm on that token's row; the network's output and gradients
+    # are those of the network run on every token
+    cfg = dataclasses.replace(SMALL_VIT, layers=layers)
+    rng = rng_stream(21, 10 * layers + batch)
+    w = {k: (v + rng.normal(0.0, 0.3, v.shape)).astype(dtype)
+         for k, v in vit.init_weights(cfg, rng).items()}
+    masks = (rng.uniform(size=(batch, 2, 16, 16)) > 0.5).astype(float)
+    theta, cot = rng.normal(size=(2, batch, 10))
+    ref, ref_vjp = _full_token_vit(cfg, w, masks, theta)
+    ref_grads = ref_vjp(cot)
+
+    shapes = {"_gelu": [], "_layer_norm": []}   # each call's input shape
+    for name, seen in shapes.items():
+        def recording(x, *args, fn=getattr(vit, name), seen=seen):
+            seen.append(x.shape)
+            return fn(x, *args)
+        monkeypatch.setattr(vit, name, recording)
+    tape = ad.Tape()
+    leaves = {k: ad.leaf(tape, v) for k, v in w.items()}
+    out = vit.forward(cfg, leaves, masks, theta)
+    grads = ad.backward(weighted_sum(out, cot))
+
+    t, d = cfg.num_patches + 1, cfg.embed_dim
+    assert shapes["_layer_norm"] == [(batch, t, d)] * (2 * layers - 1) + [(batch, 1, d)] * 2
+    assert shapes["_gelu"] == ([(batch, t, cfg.mlp_ratio * d)] * (layers - 1)
+                               + [(batch, 1, cfg.mlp_ratio * d)]
+                               + [(batch, width) for width in cfg.head_widths])
+    for value in (out.value, vit.forward(cfg, w, masks, theta)):
+        assert np.abs(value - ref).max() <= rtol * np.abs(ref).max()
+    for k, leaf in leaves.items():
+        g = grads[leaf.nid]
+        assert g.dtype == dtype and g.shape == w[k].shape, k
+        assert np.abs(g - ref_grads[k]).max() <= rtol * np.abs(ref_grads[k]).max(), k
 
 
 def test_plain_forward_keeps_no_backward():
