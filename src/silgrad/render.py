@@ -32,11 +32,28 @@ outlines coincide, and one scene-wide sign turns an outline inside another
 part into a dip.
 
 Both rasterizers share one pixel-triangle pair enumeration, which walks
-scanline spans. A triangle with halo h visits the rows of its bounding box
-widened by h; in each row it visits the x-range of the triangle clipped to
-the band [yc - h, yc + h] around the row's center yc, widened by h plus a
-one-pixel guard against rounding. Every pixel center within distance h of
-the triangle is visited, in (triangle, row, column) order.
+scanline spans, in (triangle, row, column) order. A triangle with halo h
+visits the rows of its bounding box widened by h. At h > 0 a row visits the
+x-range of the triangle clipped to the band [yc - h, yc + h] around the
+row's center yc, widened by h plus a one-pixel guard against rounding, so
+every pixel center within distance h of the triangle is visited. That
+visited set is part of the soft raster's output (see below), so its guard
+stays a whole pixel.
+
+At h = 0 the triangle is wound counter-clockwise and a row visits the pixel
+centers between the crossings of its three edge lines with the row (the
+row's cut through the inside test's half-planes), widened by a rounding
+guard of 8 eps (W + 3 + M) px, with eps = 2^-52, W the image width and M
+the largest |x| of the triangle's vertices. With u = eps / 2, the inside
+test computes e = dx (y - ay) - dy (x - ax) to within 2u (|dx (y - ay)| +
+|dy (x - ax)|), so it can only misjudge a pixel center that lies within
+about 4u (W + M) of the exact crossing. The computed crossing ax + (yc -
+ay) fl(dx / dy) and the rounding of the span end add about 6u (W + 2M + 3)
+more, and the sum stays under the guard, 16u (W + M + 3). A level edge
+takes or drops its row whole, by the sign of the test's own e. So in each
+row no pixel center that the inside test passes is dropped, and with the
+tool in view the guard is below 1e-12 px: a row visits the pixels it covers
+and at most one more at either end.
 
 They also share one coverage pass: the valid triangles of nonzero area,
 wound counter-clockwise, at h = 0 with the top-left rule. The hard raster
@@ -47,23 +64,33 @@ h = 3 sqrt(sigma_r) + 0.5 px, so every pixel center within h of the edge is
 visited, and d2_P is the minimum over the visited edges of P. A pixel
 farther than h from every contour edge of P has |z| > h^2/sigma_r for P,
 at most sigmoid(-9) = 1.2e-4 away from 0 or 1; if no edge of P visits it,
-d2_P is infinite and it reads exactly 1 inside P and 0 outside.
+d2_P is infinite and it reads exactly 1 inside P and 0 outside. The contour
+edges come from the mesh's edge table (:func:`face_edges`), which the
+caller builds once for its faces.
 
 Past the coverage pass and one boolean union over parts, the soft raster's
-work follows the outline. The nearest edge of each (visited pixel, part)
-cell is a scatter-min of d2 followed by the lowest pair index among the
-pairs at that minimum (ties to the first edge), with no sort. The max over
-parts (ties to the first part) and the sigmoid run only at the pixels some
-contour edge visits, with d2 infinite for a part none of whose edges
-reaches the pixel; every other pixel reads 1 where a part covers it and 0
-elsewhere, which is the sigmoid of +-inf. On the 128 px tool scene (median
-over the 38 soft-raster calls of a `track` round), the distance pass visits
-2,600 of the 16,384 pixels; the coverage pass visits 20x fewer pairs than
-each triangle's bounding box (6-29x), and the two soft passes together 13x
-fewer than those boxes widened by h where the triangle owns a contour edge
-(4-20x). The gradient w.r.t. projected vertices is hand-derived (envelope
-theorem on the pixel's one winning contour edge) and exposed as a single
-fused autodiff op.
+work and memory follow the outline. A distance pair keeps its edge, its
+(visited pixel, part) cell and its d2, and nothing else outlives the pass.
+The nearest edge of each cell is a scatter-min of d2 followed by the lowest
+edge among the pairs at that minimum (ties to the first edge), with no
+sort. The max over parts (ties to the first part) and the sigmoid run only
+at the pixels some contour edge visits, with d2 infinite for a part none
+of whose edges reaches the pixel; every other pixel reads 1 where a part
+covers it and 0 elsewhere, which is the sigmoid of +-inf. The gradient
+w.r.t. projected vertices is hand-derived (envelope theorem on the pixel's
+one winning contour edge) and exposed as a single fused autodiff op, which
+keeps per pixel only the winning edge and dO/dd2 and recomputes the nearest
+point in its VJP.
+
+On the 128 px tool scene (median over the 36 soft-raster calls of a
+`track` round, range in brackets), the coverage pass visits 2,500 pairs
+(530-4,000), every one of them covered, 58x fewer than the triangles'
+bounding boxes (29-81x); the one-pixel guard it had before visited 7,400.
+The distance pass visits 6,500 pairs (4,500-6,700) of 38 contour edges and
+2,600 of the 16,384 pixels, and the two passes together 20x fewer pairs
+than the bounding boxes widened by h where a triangle owns a contour edge
+(6-32x). A taped call peaks at 380 KB of allocations (450 KB), 130 KB of
+them the returned image.
 """
 
 from __future__ import annotations
@@ -128,28 +155,42 @@ def project(camera: PinholeCamera, points: np.ndarray):
 # ---------------------------------------------------------------------------
 # pixel-triangle pair enumeration
 
-def _pair_blocks(tris: np.ndarray, width: int, height: int, halo: float):
-    """Yield (tri_idx, px, py) chunks of the scanline spans that hold every
-    pixel center within ``halo`` of each triangle (see the module docstring),
-    in (triangle, row, column) order.
+def _spans(tris: np.ndarray, width: int, height: int, halo: float):
+    """Scanline spans (tri_r, row, xs, cnt): triangle ``tri_r`` visits the
+    ``cnt`` pixel centers from column ``xs`` in row ``row``, one entry per
+    (triangle, row) with cnt >= 1, in (triangle, row) order. The spans hold
+    every pixel center within ``halo`` of each triangle and, at halo 0,
+    every pixel center the inside test of :func:`_coverage` can pass (see the
+    module docstring).
 
-    ``tris`` is (N, 3, 2) with finite coordinates; ``halo`` is in px. Pixel
-    coordinates are centers (col+0.5, row+0.5).
+    ``tris`` is (N, 3, 2) with finite coordinates, wound counter-clockwise
+    at halo 0; ``halo`` is in px. Pixel coordinates are centers (col+0.5,
+    row+0.5).
     """
-    if len(tris) == 0:
-        return
     h = float(halo)
     # clip in float before the integer cast: coordinates may lie far off-screen
-    x0 = np.ceil(np.clip(tris[:, :, 0].min(axis=1) - h - 0.5, 0, width))
-    x1 = np.floor(np.clip(tris[:, :, 0].max(axis=1) + h - 0.5, -1, width - 1))
     y0 = np.ceil(np.clip(tris[:, :, 1].min(axis=1) - h - 0.5, 0, height)).astype(np.int64)
     y1 = np.floor(np.clip(tris[:, :, 1].max(axis=1) + h - 0.5, -1, height - 1)).astype(np.int64)
     ny = np.maximum(y1 - y0 + 1, 0)
     tri_r = np.repeat(np.arange(len(tris)), ny)
-    row = np.arange(len(tri_r)) - np.repeat(np.cumsum(ny) - ny - y0, ny)
+    row = np.repeat(y0 - (np.cumsum(ny) - ny), ny)
+    row += np.arange(len(row))
+    if h > 0:
+        xs, xe = _halo_span(tris, tri_r, row, width, h)
+    else:
+        xs, xe = _cover_span(tris, tri_r, row, width)
+    keep = np.flatnonzero(xe >= xs)
+    xs = xs[keep].astype(np.int32)
+    return tri_r[keep], row[keep].astype(np.int32), xs, xe[keep].astype(np.int64) - xs + 1
 
-    # x-range of each triangle within its rows' bands: clip every edge to
-    # the band (Liang-Barsky in y) and take the extremes of the clipped ends
+
+def _halo_span(tris, tri_r, row, width, h):
+    """Column range of each row entry: the x-range of the triangle clipped to
+    the band [yc - h, yc + h], widened by h plus a one-pixel guard."""
+    x0 = np.ceil(np.clip(tris[:, :, 0].min(axis=1) - h - 0.5, 0, width))
+    x1 = np.floor(np.clip(tris[:, :, 0].max(axis=1) + h - 0.5, -1, width - 1))
+    # clip every edge to the band (Liang-Barsky in y) and take the extremes
+    # of the clipped ends
     lo, hi = row + 0.5 - h, row + 0.5 + h
     xl = np.full(len(row), np.inf)
     xr = np.full(len(row), -np.inf)
@@ -166,24 +207,51 @@ def _pair_blocks(tris: np.ndarray, width: int, height: int, halo: float):
         xa, xb = ax + s0 * dx, ax + s1 * dx
         xl = np.where(hit, np.minimum(xl, np.minimum(xa, xb)), xl)
         xr = np.where(hit, np.maximum(xr, np.maximum(xa, xb)), xr)
-    xs = np.maximum(np.ceil(xl - h - 1.5), x0[tri_r])
-    xe = np.minimum(np.floor(xr + h + 0.5), x1[tri_r])
-    keep = xe >= xs
-    tri_r, row = tri_r[keep], row[keep]
-    xs = xs[keep].astype(np.int64)
-    cnt = xe[keep].astype(np.int64) - xs + 1
-    ends = np.cumsum(cnt)
+    return (np.maximum(np.ceil(xl - h - 1.5), x0[tri_r]),
+            np.minimum(np.floor(xr + h + 0.5), x1[tri_r]))
 
-    r0 = 0
-    while r0 < len(cnt):
-        base = ends[r0] - cnt[r0]
-        r1 = max(int(np.searchsorted(ends, base + _PAIR_CHUNK, side="right")), r0 + 1)
-        c = cnt[r0:r1]
-        tri = np.repeat(tri_r[r0:r1], c)
-        py = np.repeat(row[r0:r1], c)
-        px = np.arange(len(tri)) + np.repeat(xs[r0:r1] - (ends[r0:r1] - c - base), c)
-        yield tri, px, py
-        r0 = r1
+
+def _cover_span(tris, tri_r, row, width):
+    """Column range of each row entry at halo 0: the row's cut through the
+    half-planes of the triangle's edge lines, widened by the rounding guard."""
+    yc = row + 0.5
+    xl = np.full(len(row), -np.inf)
+    xr = np.full(len(row), np.inf)
+    for k in range(3):
+        ax, ay = tris[:, k, 0], tris[:, k, 1]
+        dx, dy = tris[:, (k + 1) % 3, 0] - ax, tris[:, (k + 1) % 3, 1] - ay
+        # the edge line crosses the row at ax + (yc - ay) dx / dy; inside lies
+        # left of it where dy > 0 (y down) and right of it where dy < 0. A
+        # nan crossing bounds nothing (fmax, fmin): an edge's crossing is nan
+        # on the side it does not bound, and where it is 0 * inf
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            q = yc - ay[tri_r]
+            q *= (dx / dy)[tri_r]
+            np.fmax(xl, q + np.where(dy < 0, ax, np.nan)[tri_r], out=xl)
+            np.fmin(xr, q + np.where(dy > 0, ax, np.nan)[tri_r], out=xr)
+        del q
+        # a level edge passes its whole row or none of it, by the sign of
+        # the inside test's own e = dx (yc - ay)
+        if (dy == 0).any():
+            lv = np.flatnonzero((dy == 0)[tri_r])
+            t = tri_r[lv]
+            e = dx[t] * (yc[lv] - ay[t])
+            xl[lv[~((e > 0) | ((e == 0) & (dx[t] < 0)))]] = np.inf
+    g = (8.0 * np.finfo(float).eps) * (width + 3.0 + np.abs(tris[:, :, 0]).max(axis=1))
+    g = g[tri_r]
+    xl = np.ceil(np.clip(xl, -1, width + 1) - g - 0.5)
+    xr = np.floor(np.clip(xr, -1, width + 1) + g - 0.5)
+    return np.maximum(xl, 0), np.minimum(xr, width - 1)
+
+
+def _pairs(tri_r, row, xs, cnt):
+    """(tri, px, py): the pixel-triangle pairs of spans, in span and column
+    order; px and py as int32."""
+    tri = np.repeat(tri_r, cnt)
+    py = np.repeat(row, cnt)
+    px = np.repeat(xs, cnt)
+    px += np.arange(len(px)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    return tri, px, py
 
 
 def _orient_ccw(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -202,7 +270,13 @@ def _coverage(tris: np.ndarray, cell: np.ndarray, size: int, width: int,
     """Boolean (size,) array with ``cell[i] + row * width + col`` set for
     every pixel center that CCW triangle i covers under the top-left rule."""
     out = np.zeros(size, dtype=bool)
-    for tri, px, py in _pair_blocks(tris, width, height, 0.0):
+    tri_r, row, xs, cnt = _spans(tris, width, height, 0.0)
+    ends = np.cumsum(cnt)
+    r0 = 0
+    while r0 < len(cnt):
+        r1 = max(int(np.searchsorted(ends, ends[r0] - cnt[r0] + _PAIR_CHUNK, side="right")),
+                 r0 + 1)
+        tri, px, py = _pairs(tri_r[r0:r1], row[r0:r1], xs[r0:r1], cnt[r0:r1])
         x, y = px + 0.5, py + 0.5
         inside = np.ones(len(tri), dtype=bool)
         for k in range(3):
@@ -211,7 +285,8 @@ def _coverage(tris: np.ndarray, cell: np.ndarray, size: int, width: int,
             topleft = ((dy == 0) & (dx < 0)) | (dy > 0)  # y-down
             e = dx[tri] * (y - ay[tri]) - dy[tri] * (x - ax[tri])
             inside &= (e > 0) | ((e == 0) & topleft[tri])
-        out[(cell[tri] + py * width + px)[inside]] = True
+        out[(cell[tri] + py * np.int64(width) + px)[inside]] = True
+        r0 = r1
     return out
 
 
@@ -232,34 +307,83 @@ def hard_occupancy(verts2d: np.ndarray, faces: np.ndarray, valid: np.ndarray,
     return occ
 
 
-def _contour_slots(area2: np.ndarray, faces: np.ndarray, valid: np.ndarray,
-                   num_verts: int) -> np.ndarray:
-    """(B, T, 3) flags marking face edge k (vertex k to k+1) as a contour edge.
+def face_edges(faces: np.ndarray) -> np.ndarray:
+    """(T, 3) index of face edge k (vertex k to k + 1) among the mesh's
+    undirected edges, numbered in order of (lower vertex, higher vertex).
+    :func:`soft_occupancy` takes it for the same ``faces``."""
+    a, b = faces, faces[:, [1, 2, 0]]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    _, edge = np.unique(lo * (int(hi.max(initial=0)) + 1) + hi, return_inverse=True)
+    return edge.reshape(faces.shape)
+
+
+def _contour_edges(area2: np.ndarray, faces: np.ndarray, edges: np.ndarray,
+                   parts: np.ndarray, valid: np.ndarray, kept: np.ndarray):
+    """(image, start, end, part) of each contour edge of each image that a
+    kept face owns, in (image, edge) order; start and end are vertex indices,
+    in the order the kept faces that own the edge run it counter-clockwise.
 
     ``area2`` (B, T) is each face's projected signed area in face order. A
     valid face lies left or right of each of its projected edges; an edge is
     a contour edge when its valid faces do not lie on both sides.
     """
-    B = area2.shape[0]
-    a, b = faces, np.roll(faces, -1, axis=1)
-    uniq, edge = np.unique(np.minimum(a, b) * num_verts + np.maximum(a, b),
-                           return_inverse=True)
-    n_edges = len(uniq)
+    B, n_edges = area2.shape[0], int(edges.max(initial=-1)) + 1
+    a, b = faces, faces[:, [1, 2, 0]]
+    lo, hi, part = np.zeros((3, n_edges), dtype=np.int64)
+    lo[edges], hi[edges], part[edges] = np.minimum(a, b), np.maximum(a, b), parts[:, None]
+    # +1 where a face lies on the side of the edge that it runs from lo to hi
     side = np.where(valid, np.sign(area2), 0.0)[:, :, None] * np.where(a < b, 1.0, -1.0)
-    flat = (np.arange(B)[:, None, None] * n_edges + edge.reshape(faces.shape)).reshape(-1)
-    left = np.bincount(flat, weights=side.reshape(-1) > 0, minlength=B * n_edges) > 0
-    right = np.bincount(flat, weights=side.reshape(-1) < 0, minlength=B * n_edges) > 0
-    return ~(left & right)[flat].reshape(side.shape)
+    side = side.reshape(-1)
+    flat = (np.arange(B)[:, None, None] * n_edges + edges).reshape(-1)
+    left, right, owned = np.zeros((3, B * n_edges), dtype=bool)
+    left[flat[side > 0]] = True
+    right[flat[side < 0]] = True
+    owned[flat[np.repeat(kept.reshape(-1), 3)]] = True
+    contour = np.flatnonzero(owned & ~(left & right))
+    img, edge = np.divmod(contour, n_edges)
+    # the kept faces that own a contour edge lie on one side of it, so they
+    # all run it the same way
+    up = left[contour]
+    return img, np.where(up, lo[edge], hi[edge]), np.where(up, hi[edge], lo[edge]), part[edge]
 
 
-def soft_occupancy(verts2d, faces: np.ndarray, parts: np.ndarray, valid: np.ndarray,
-                   width: int, height: int, sigma_r: float):
+def _to_segments(segs: np.ndarray, e: np.ndarray, px: np.ndarray, py: np.ndarray):
+    """(t, rx, ry): the nearest point q = A + t(B - A) of segment ``e`` to
+    the pixel center p = (px + 0.5, py + 0.5), and p - q."""
+    ax, ay = segs[:, 0, 0], segs[:, 0, 1]
+    abx, aby = segs[:, 1, 0] - ax, segs[:, 1, 1] - ay
+    len2 = np.maximum(abx * abx + aby * aby, 1e-30)
+    rx = px + 0.5
+    rx -= ax[e]
+    ry = py + 0.5
+    ry -= ay[e]
+    # in place, with one pair-length temporary at a time
+    t = abx[e]
+    t *= rx
+    q = aby[e]
+    q *= ry
+    t += q
+    del q
+    t /= len2[e]
+    np.clip(t, 0.0, 1.0, out=t)
+    q = abx[e]
+    q *= t
+    rx -= q
+    del q
+    q = aby[e]
+    q *= t
+    ry -= q
+    return t, rx, ry
+
+
+def soft_occupancy(verts2d, faces: np.ndarray, edges: np.ndarray, parts: np.ndarray,
+                   valid: np.ndarray, width: int, height: int, sigma_r: float):
     """Soft silhouette coverage, differentiable w.r.t. ``verts2d``.
 
-    verts2d: (B, V, 2) array or DiffValue; faces: (T, 3); parts: (T,) part
-    index of each face, 0 to P - 1, where faces of different parts share no
-    edge; valid: (B, T) marks triangles to rasterize (callers exclude
-    fully-behind-camera faces).
+    verts2d: (B, V, 2) array or DiffValue; faces: (T, 3); edges: the
+    :func:`face_edges` of ``faces``; parts: (T,) part index of each face, 0
+    to P - 1, where faces of different parts share no edge; valid: (B, T)
+    marks triangles to rasterize (callers exclude fully-behind-camera faces).
     Returns (B, H, W). An image with a non-finite vertex is all NaN, and so
     is the gradient w.r.t. its vertices.
     """
@@ -273,64 +397,65 @@ def soft_occupancy(verts2d, faces: np.ndarray, parts: np.ndarray, valid: np.ndar
     tris, area2 = _orient_ccw(v2[:, faces, :].reshape(-1, 3, 2))
     area2 = area2.reshape(B, T)
     # as in the hard raster, a zero-area triangle covers no pixel center;
-    # _contour_slots gives it no side, so its edges count only through the
+    # _contour_edges gives it no side, so its edges count only through the
     # faces that share them
     kept = valid & (area2 != 0.0)
     sel = np.flatnonzero(kept)
     P = int(parts.max(initial=0)) + 1
     # cells are (part, image, pixel); a part's sign is +1 where it covers
     inside = _coverage(tris[sel], (parts[sel % T] * B + sel // T) * HW, P * B * HW,
-                       width, height)
+                       width, height).reshape(P, B * HW)
+    del tris, sel
 
-    # each contour edge of an image once, as it runs in the CCW slot of a
-    # kept face that owns it: the faces that own it lie on one side of it,
-    # so they all run it the same way
-    img, f, k = np.nonzero(_contour_slots(area2, faces, valid, V) & kept[:, :, None])
-    fwd = area2[img, f] > 0
-    ea = img * V + np.where(fwd, faces[f, k], faces[f, (k + 1) % 3])
-    eb = img * V + np.where(fwd, faces[f, (k + 1) % 3], faces[f, k])
-    _, first = np.unique(np.minimum(ea, eb) * (B * V) + np.maximum(ea, eb),
-                         return_index=True)
-    ea, eb = ea[first], eb[first]
-    edge_pix, edge_part = img[first] * HW, parts[f[first]]
+    img, ea, eb, edge_part = _contour_edges(area2, faces, edges, parts, valid, kept)
+    ea += img * V
+    eb += img * V
     # an edge AB is the degenerate triangle (A, B, B): its pairs are the
     # pixel centers within the halo of the segment
     segs = v2.reshape(-1, 2)[np.stack([ea, eb, eb], axis=1)]
-    blocks = [(np.zeros(0, dtype=np.int64),) * 3]  # concatenates even without edges
-    blocks += _pair_blocks(segs, width, height, _HALO_SIGMAS * np.sqrt(sigma_r) + 0.5)
-    e, px, py = (np.concatenate(c) for c in zip(*blocks))
-    # the nearest point q = A + t(B - A) of segment e to each pixel center p
-    ax, ay = segs[:, 0, 0][e], segs[:, 0, 1][e]
-    abx, aby = (segs[:, 1, 0] - segs[:, 0, 0])[e], (segs[:, 1, 1] - segs[:, 0, 1])[e]
-    pax, pay = px + 0.5 - ax, py + 0.5 - ay
-    len2 = np.maximum(abx * abx + aby * aby, 1e-30)
-    t = np.clip((pax * abx + pay * aby) / len2, 0.0, 1.0)
-    rx, ry = pax - t * abx, pay - t * aby
-    d2 = rx * rx + ry * ry
+    e, px, py = _pairs(*_spans(segs, width, height, _HALO_SIGMAS * np.sqrt(sigma_r) + 0.5))
+    rx, ry = _to_segments(segs, e, px, py)[1:]
+    d2 = rx * rx
+    ry *= ry
+    d2 += ry
+    del rx, ry
     # the visited pixels, ascending, and cells (visited pixel, part)
-    pix = edge_pix[e] + py * width + px
+    pix = (img * HW)[e]
+    pix += py * np.int64(width)
+    pix += px
+    del px, py
     seen = np.zeros(B * HW, dtype=bool)
     seen[pix] = True
     vis = np.flatnonzero(seen)
-    slot = np.empty(B * HW, dtype=np.int64)
-    slot[vis] = np.arange(len(vis))
-    key = slot[pix] * P + edge_part[e]
+    del seen
+    covers = inside.take(vis, axis=1).T.reshape(-1)
+    occ = inside.any(axis=0)
+    del inside
+    key = np.searchsorted(vis, pix)
+    del pix
+    key *= P
+    key += edge_part[e]
     # nearest edge per cell, ties to the first edge
-    d2_cell = np.full(len(vis) * P, np.inf)
-    np.minimum.at(d2_cell, key, d2)
-    tie = np.flatnonzero(d2 == d2_cell[key])
-    win = np.full(len(vis) * P, len(e))
-    np.minimum.at(win, key[tie], tie)
+    z = np.full(len(vis) * P, np.inf)
+    np.minimum.at(z, key, d2)
+    tie = np.flatnonzero(d2 == z[key])
+    key, e = key[tie], e[tie]
+    del d2, tie
+    win = np.full(len(vis) * P, len(ea), dtype=np.int32)
+    np.minimum.at(win, key, e)
+    del key, e
     # max over parts, ties to the first part; a part with no edge in reach
     # reads +inf inside and -inf outside, so a pixel no edge visits reads
     # 1 where some part covers it and 0 elsewhere
-    by_part = inside.reshape(P, B * HW)
-    sign = np.where(by_part.take(vis, axis=1).T, 1.0, -1.0).reshape(-1)
-    z = (sign * d2_cell / sigma_r).reshape(-1, P)
-    best = z.argmax(axis=1)
-    cell = np.arange(len(vis)) * P + best
-    occ = by_part.any(axis=0).astype(float)
-    occ[vis] = ad.stable_sigmoid(z.reshape(-1)[cell])
+    z[~covers] *= -1.0
+    z /= sigma_r
+    best = np.arange(len(vis)) * P
+    best += z.reshape(-1, P).argmax(axis=1)
+    z, won, covers = z[best], win[best], covers[best]
+    del win, best
+    occ = occ.astype(float)
+    occ[vis] = ad.stable_sigmoid(z)
+    del z
     occ = occ.reshape(B, height, width)
     occ[~finite] = np.nan
 
@@ -339,20 +464,31 @@ def soft_occupancy(verts2d, faces: np.ndarray, parts: np.ndarray, valid: np.ndar
 
     # envelope theorem on the winning contour edge AB with nearest point
     # q = A + t(B - A): dd2/dA = -2(1-t)(p-q), dd2/dB = -2t(p-q)
-    has = win[cell] < len(e)
-    pix, won = vis[has], win[cell[has]]
-    ew, t, rx, ry = e[won], t[won], rx[won], ry[won]
+    has = won < len(ea)
+    pix, won = vis[has], won[has].astype(np.intp)  # an int32 index gathers slower
     occ_px = occ.reshape(-1)[pix]
-    do_dd2 = occ_px * (1.0 - occ_px) * (sign[cell[has]] / sigma_r)
-    ca, cb = -2.0 * do_dd2 * (1.0 - t), -2.0 * do_dd2 * t
-    idx = np.concatenate([ea[ew] * 2, ea[ew] * 2 + 1, eb[ew] * 2, eb[ew] * 2 + 1])
-    w = np.concatenate([ca * rx, ca * ry, cb * rx, cb * ry])
-    bad = np.repeat(~finite, V * 2)
+    do_dd2 = occ_px * (1.0 - occ_px) * (np.where(covers[has], 1.0, -1.0) / sigma_r)
+    del covers, vis, has, occ_px
+    bad = np.repeat(~finite, V)
 
     def vjp(g):
-        # an empty ``weights`` makes bincount return int64
-        grad = np.bincount(idx, weights=np.tile(g.reshape(-1)[pix], 4) * w,
-                           minlength=B * V * 2).astype(np.float64, copy=False)
+        py, px = np.divmod(pix % HW, width)
+        t, rx, ry = _to_segments(segs, won, px, py)
+        del px, py
+        c = np.empty((2, len(pix)))
+        np.multiply(-2.0, do_dd2, out=c[0])
+        np.multiply(c[0], t, out=c[1])
+        c[0] *= 1.0 - t
+        del t
+        # per coordinate, a vertex sums its terms as the start A of a
+        # winning edge, in pixel order, then as its end B
+        ends = np.concatenate([ea[won], eb[won]])
+        gp = g.reshape(-1)[pix]
+        grad = np.empty((B * V, 2))
+        for j, r in enumerate((rx, ry)):
+            w = c * r
+            w *= gp
+            grad[:, j] = np.bincount(ends, weights=w.reshape(-1), minlength=B * V)
         grad[bad] = np.nan
         return (grad.reshape(B, V, 2),)
 

@@ -57,6 +57,7 @@ class ToolScene:
     vert_slices: tuple = field(init=False)         # [(joint_index, lo, hi)] vertex ranges
     point_links: np.ndarray = field(init=False)    # (V + K,) link of each posed point
     face_parts: np.ndarray = field(init=False)     # (T,) mesh of each face, by vert_slices index
+    face_edges: np.ndarray = field(init=False)     # (T, 3) render.face_edges of faces
 
     def __post_init__(self):
         verts, faces, slices = [], [], []
@@ -74,6 +75,7 @@ class ToolScene:
         object.__setattr__(self, "vert_slices", tuple(slices))
         object.__setattr__(self, "face_parts",
                            np.repeat(np.arange(len(faces)), [len(f) for f in faces]))
+        object.__setattr__(self, "face_edges", render.face_edges(self.faces))
         links = [np.full(hi - lo, ji) for ji, lo, hi in slices]
         object.__setattr__(self, "point_links", np.concatenate(
             links + [[k.joint_index for k in self.chain.keypoints]]))
@@ -145,8 +147,8 @@ def render_points(scene: ToolScene, xy, depth: np.ndarray, mode: str):
     if mode == "hard":
         masks = render.hard_occupancy(verts, scene.faces, valid, cam.width, cam.height)
     else:
-        masks = render.soft_occupancy(verts, scene.faces, scene.face_parts, valid,
-                                      cam.width, cam.height, scene.sigma_r)
+        masks = render.soft_occupancy(verts, scene.faces, scene.face_edges, scene.face_parts,
+                                      valid, cam.width, cam.height, scene.sigma_r)
     return masks, ad.take(xy, (slice(None), slice(v, None)))
 
 

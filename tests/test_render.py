@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,12 @@ from conftest import weighted_sum
 
 def cam(fx=100.0, size=64, near=0.01, far=10.0):
     return render.PinholeCamera(fx, fx, size / 2.0, size / 2.0, size, size, near, far)
+
+
+def soft_occupancy(verts, faces, parts, valid, width, height, sigma_r):
+    """render.soft_occupancy with the edge table of ``faces``."""
+    return render.soft_occupancy(verts, faces, render.face_edges(faces), parts, valid,
+                                 width, height, sigma_r)
 
 
 # --------------------------------------------------------------- projection
@@ -87,8 +95,7 @@ def rasterize(meshes_poses, camera, mode="hard", sigma_r=None):
     if mode == "hard":
         img = render.hard_occupancy(xy, faces, valid, camera.width, camera.height)
     else:
-        img = render.soft_occupancy(xy, faces, parts, valid, camera.width, camera.height,
-                                    sigma_r)
+        img = soft_occupancy(xy, faces, parts, valid, camera.width, camera.height, sigma_r)
     return img[0]
 
 
@@ -219,6 +226,29 @@ def _edge_case_triangles(case, rng, width, height):
         out[:, 1, 1] = out[:, 0, 1] = np.floor(out[:, 0, 1]) + 0.5
         out[::2, :2, 0] = np.floor(out[::2, :2, 0]) + 0.5
         return out
+    if case == "ulp-off-centre":
+        # every coordinate on a line of pixel centres or one ulp either side
+        on = np.floor(general) + 0.5
+        return np.nextafter(on, on + rng.choice([-1.0, 0.0, 1.0], on.shape))
+    if case == "rounded-crossing":
+        # vertex 1 on a pixel centre, reached from vertex 0 at a slope
+        # dx / dy whose line crosses vertex 1's row a little left of it in
+        # float, dy * fl(dx / dy) < dx; vertex 2 below vertex 1
+        out = np.floor(rng.uniform(0.0, [width, height], (24, 3, 2))) + 0.5
+        dx, dy = np.mgrid[-300:300, 1:300].reshape(2, -1)
+        left = np.flatnonzero(dy * (dx / dy) < dx)
+        out[:, 0] = out[:, 1] - np.stack([dx, dy], axis=1)[rng.choice(left, 24)]
+        out[:, 2] = out[:, 1] + rng.integers([-20, 1], [20, 20], (24, 2))
+        return out
+    if case == "near-level":
+        # edge 0-1 all but level, |dy| = 1e-12 |dx|, from a pixel centre or
+        # from a row of them
+        out = general.copy()
+        out[:, 0, 1] = np.floor(out[:, 0, 1]) + 0.5
+        out[::2, 0, 0] = np.floor(out[::2, 0, 0]) + 0.5
+        slope = rng.choice([-1e-12, 1e-12], 24)
+        out[:, 1, 1] = out[:, 0, 1] + slope * (out[:, 1, 0] - out[:, 0, 0])
+        return out
     # far off-screen: one vertex, or every vertex, at +-1e6 px
     out = general.copy()
     far = rng.choice([-1e6, 1e6], (24, 2))
@@ -228,7 +258,11 @@ def _edge_case_triangles(case, rng, width, height):
     return out
 
 
-@pytest.mark.parametrize("case", ["half-integer", "centre-row-edges", "far-off-screen"])
+EDGE_CASES = ["half-integer", "centre-row-edges", "ulp-off-centre", "rounded-crossing",
+              "near-level", "far-off-screen"]
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
 def test_hard_edge_cases_match_all_pixels_edge_test(case):
     width, height = 40, 32
     tris = _edge_case_triangles(case, np.random.default_rng(31), width, height)
@@ -268,13 +302,24 @@ def test_hard_nonfinite_vertex_poisons_only_its_image():
     assert np.isnan(occ[1]).all()
 
 
+SLIVER = render._orient_ccw(np.array([[[0.0, 0.7], [0.7, 0.0], [128.0, 128.0]]]))[0]
+
+
 @pytest.mark.parametrize("halo", [0.0, 3.0 * np.sqrt(render.default_sigma_r(128)) + 0.5])
 def test_diagonal_sliver_pairs_follow_its_length(halo):
     # a 1 px wide sliver from corner to corner of a 128 px image: its
     # bounding box holds every pixel, its spans about 4h + 3 per row
-    tri = np.array([[[0.0, 0.7], [0.7, 0.0], [128.0, 128.0]]])
-    pairs = sum(len(t) for t, _, _ in render._pair_blocks(tri, 128, 128, halo))
+    pairs = render._spans(SLIVER, 128, 128, halo)[3].sum()
     assert 128 <= pairs <= 128 * 2 * (2 * halo + 3)
+
+
+def test_coverage_pass_visits_covered_pixels_and_rounding_guard_only():
+    # at h = 0 a row's span is its cut through the triangle widened by
+    # ~1e-12 px, so a visited pixel it does not cover is a span end
+    _, row, _, cnt = render._spans(SLIVER, 128, 128, 0.0)
+    covered = _brute_hard(SLIVER, 128, 128)
+    assert covered.sum() >= 128
+    assert cnt.sum() <= covered.sum() + 2 * len(row)
 
 
 # ------------------------------------------------------------- soft raster
@@ -285,16 +330,16 @@ ONE_PART = np.zeros(1, dtype=np.int64)  # the part of a lone triangle
 def test_soft_pixel_on_edge_is_half():
     verts = np.array([[[31.5, 10.0], [31.5, 50.0], [60.0, 30.0]]])
     faces = np.array([[0, 1, 2]])
-    occ = render.soft_occupancy(verts, faces, ONE_PART, np.ones((1, 1), bool), 64, 64,
-                                sigma_r=0.41)
+    occ = soft_occupancy(verts, faces, ONE_PART, np.ones((1, 1), bool), 64, 64,
+                         sigma_r=0.41)
     assert occ[0, 29, 31] == 0.5
 
 
 def test_soft_saturation_inside_and_outside():
     verts = np.array([[[10.0, 10.0], [50.0, 10.0], [30.0, 50.0]]])
     faces = np.array([[0, 1, 2]])
-    occ = render.soft_occupancy(verts, faces, ONE_PART, np.ones((1, 1), bool), 64, 64,
-                                sigma_r=0.41)
+    occ = soft_occupancy(verts, faces, ONE_PART, np.ones((1, 1), bool), 64, 64,
+                         sigma_r=0.41)
     assert occ[0, 25, 29] > 1.0 - 1e-9      # deep inside
     assert occ[0, 1, 1] < 1e-9              # far outside (beyond halo: exactly 0)
 
@@ -303,26 +348,26 @@ def test_soft_zero_area_triangle_covers_nothing():
     # three collinear vertices on a row of pixel centers, x 10 -> 30: no
     # pixel center is inside, so none may read 0.5 or more
     verts = np.array([[[10.0, 20.5], [30.0, 20.5], [20.0, 20.5]]])
-    occ = render.soft_occupancy(verts, np.array([[0, 1, 2]]), ONE_PART, np.ones((1, 1), bool),
-                                64, 64, sigma_r=0.41)
+    occ = soft_occupancy(verts, np.array([[0, 1, 2]]), ONE_PART, np.ones((1, 1), bool),
+                         64, 64, sigma_r=0.41)
     assert occ.max() < 0.5
 
 
 def test_soft_rejects_bad_temperature():
     with pytest.raises(ValueError):
-        render.soft_occupancy(np.zeros((1, 3, 2)), np.array([[0, 1, 2]]), ONE_PART,
-                              np.ones((1, 1), bool), 64, 64, sigma_r=0.0)
+        soft_occupancy(np.zeros((1, 3, 2)), np.array([[0, 1, 2]]), ONE_PART,
+                       np.ones((1, 1), bool), 64, 64, sigma_r=0.0)
 
 
 def test_soft_growth_monotone():
     verts = np.array([[[20.0, 20.0], [44.0, 22.0], [30.0, 44.0]]])
     faces = np.array([[0, 1, 2]])
-    occ0 = render.soft_occupancy(verts, faces, ONE_PART, np.ones((1, 1), bool), 64, 64,
-                                 sigma_r=0.41)
+    occ0 = soft_occupancy(verts, faces, ONE_PART, np.ones((1, 1), bool), 64, 64,
+                          sigma_r=0.41)
     centroid = verts.mean(axis=1, keepdims=True)
     grown = centroid + (verts - centroid) * 1.15
-    occ1 = render.soft_occupancy(grown, faces, ONE_PART, np.ones((1, 1), bool), 64, 64,
-                                 sigma_r=0.41)
+    occ1 = soft_occupancy(grown, faces, ONE_PART, np.ones((1, 1), bool), 64, 64,
+                          sigma_r=0.41)
     assert np.all(occ1 - occ0 >= -1e-12)
 
 
@@ -359,8 +404,8 @@ def test_soft_nonfinite_vertex_poisons_only_its_image():
     tape = ad.Tape()
     v = ad.leaf(tape, verts)
     nodes = len(tape)
-    occ = render.soft_occupancy(v, np.array([[0, 1, 2]]), ONE_PART, np.ones((2, 1), bool),
-                                64, 64, sigma_r=0.41)
+    occ = soft_occupancy(v, np.array([[0, 1, 2]]), ONE_PART, np.ones((2, 1), bool),
+                         64, 64, sigma_r=0.41)
     assert len(tape) == nodes + 1  # one fused node
     assert np.isfinite(ad._val(occ)[0]).all()
     assert np.isnan(ad._val(occ)[1]).all()
@@ -390,6 +435,28 @@ def test_soft_converges_to_hard_mask():
             assert hard.sum() > 50  # tool visibly in frame
             off = soft != 0.5
             np.testing.assert_array_equal((soft > 0.5)[off], (hard == 1.0)[off])
+
+
+def test_soft_call_memory_follows_the_outline():
+    # one taped call at 128 px keeps per distance pair only its edge, pixel
+    # and squared distance: its allocations peak far below the ~1.9 MB that
+    # fifteen pair-length temporaries and a full-image int64 table take
+    sc = scene.reference_scene(128)
+    q = visible_config(np.random.default_rng(2))[None]
+    _, world = scene.posed_points(sc, sc.base.rotation[None], sc.base.translation[None], q)
+    xy, _ = render.project(sc.camera, world)
+    v = len(sc.verts_local)
+    verts = ad.leaf(ad.Tape(), xy[:, :v])
+    valid = render.face_validity(world[:, :v, 2], sc.faces, sc.camera, "soft")
+    tracemalloc.start()
+    try:
+        occ = render.soft_occupancy(verts, sc.faces, sc.face_edges, sc.face_parts, valid,
+                                    128, 128, sc.sigma_r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ad._val(occ).sum() > 500  # tool visibly in frame
+    assert peak < 900 * 1024, peak
 
 
 def test_soft_gradients_match_finite_differences_ten_params():
@@ -443,8 +510,8 @@ def test_project_theta_points_are_the_rasterized_points(monkeypatch):
 def test_soft_gradient_zero_without_triangles():
     tape = ad.Tape()
     v = ad.leaf(tape, np.zeros((1, 3, 2)))
-    occ = render.soft_occupancy(v, np.array([[0, 1, 2]]), ONE_PART, np.zeros((1, 1), bool),
-                                64, 64, sigma_r=0.41)
+    occ = soft_occupancy(v, np.array([[0, 1, 2]]), ONE_PART, np.zeros((1, 1), bool),
+                         64, 64, sigma_r=0.41)
     assert ad._val(occ).sum() == 0.0
     np.testing.assert_array_equal(ad.backward(weighted_sum(occ, 1.0))[v.nid], 0.0)
 
@@ -460,8 +527,8 @@ def test_soft_vjp_of_single_image_without_pairs(case):
         verts[0, 0, 0] = np.nan
     tape = ad.Tape()
     v = ad.leaf(tape, verts)
-    occ = render.soft_occupancy(v, np.array([[0, 1, 2]]), ONE_PART, np.ones((1, 1), bool),
-                                64, 64, sigma_r=0.41)
+    occ = soft_occupancy(v, np.array([[0, 1, 2]]), ONE_PART, np.ones((1, 1), bool),
+                         64, 64, sigma_r=0.41)
     grad = ad.backward(weighted_sum(occ, 1.0))[v.nid]
     assert grad.dtype == np.float64
     if case == "off-screen":
@@ -469,10 +536,13 @@ def test_soft_vjp_of_single_image_without_pairs(case):
     else:
         assert np.isnan(grad).all()
 
-def _all_pairs(tris, width, height, halo):
-    """Every pixel against every triangle, in (triangle, row, column) order."""
-    idx = np.arange(len(tris) * height * width)
-    yield idx // (height * width), idx % width, idx // width % height
+def _all_spans(tris, width, height, halo):
+    """Every pixel against every triangle: each row of the image, whole,
+    in (triangle, row) order."""
+    n = len(tris)
+    return (np.repeat(np.arange(n, dtype=np.int32), height),
+            np.tile(np.arange(height, dtype=np.int32), n),
+            np.zeros(n * height, dtype=np.int32), np.full(n * height, width))
 
 
 def _assert_soft_matches_all_pairs(monkeypatch, verts, faces, parts, valid, width, height,
@@ -481,12 +551,12 @@ def _assert_soft_matches_all_pairs(monkeypatch, verts, faces, parts, valid, widt
     Returns both occupancies and sigmoid(-h^2/sigma_r)."""
     def run():
         v = ad.leaf(ad.Tape(), verts)
-        occ = render.soft_occupancy(v, faces, parts, valid, width, height, sigma_r)
+        occ = soft_occupancy(v, faces, parts, valid, width, height, sigma_r)
         return v, occ
 
     v, occ = run()
     with monkeypatch.context() as m:
-        m.setattr(render, "_pair_blocks", _all_pairs)
+        m.setattr(render, "_spans", _all_spans)
         v_ref, occ_ref = run()
     h = 3.0 * np.sqrt(sigma_r) + 0.5
     s_lo, s_hi = ad.stable_sigmoid(np.array([-1.0, 1.0]) * h * h / sigma_r)
@@ -510,9 +580,9 @@ def test_soft_tool_scene_matches_all_pairs(monkeypatch):
     seen = {}
     soft = render.soft_occupancy
 
-    def record(xy, faces, parts, valid, *rest):
+    def record(xy, faces, edges, parts, valid, *rest):
         seen.update(xy=ad._val(xy), valid=valid)
-        return soft(xy, faces, parts, valid, *rest)
+        return soft(xy, faces, edges, parts, valid, *rest)
 
     with monkeypatch.context() as m:
         m.setattr(render, "soft_occupancy", record)
@@ -522,6 +592,19 @@ def test_soft_tool_scene_matches_all_pairs(monkeypatch):
                                                     sc.sigma_r)
     # farther pixels stay saturated: both within sigmoid(-h^2/sigma_r) of 0 or 1
     assert np.abs(o - o_ref).max() <= 1.01 * s_lo
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_soft_edge_cases_match_all_pairs(monkeypatch, case):
+    # the coverage pass's rounding guard and the halo pass drop nothing that
+    # testing every pixel against every triangle and edge would keep
+    width, height = 40, 32
+    tris = _edge_case_triangles(case, np.random.default_rng(31), width, height)
+    n = len(tris)
+    # one image per triangle, so that no triangle hides under another
+    _assert_soft_matches_all_pairs(monkeypatch, np.stack([tris.reshape(-1, 2)] * n),
+                                   np.arange(3 * n).reshape(-1, 3), np.zeros(n, dtype=int),
+                                   np.eye(n, dtype=bool), width, height, 0.41)
 
 
 @pytest.mark.parametrize("sigma_r", [0.41, 2.0])
@@ -590,7 +673,7 @@ def _assert_soft_matches_oracle(verts, faces):
 
     def run(g):
         v = ad.leaf(ad.Tape(), np.stack([verts] * 2))
-        occ = render.soft_occupancy(v, faces, np.arange(n), valid, width, height, sigma_r)
+        occ = soft_occupancy(v, faces, np.arange(n), valid, width, height, sigma_r)
         return ad._val(occ), ad.backward(weighted_sum(occ, g))[v.nid]
 
     o, _ = run(np.zeros((2, height, width)))
@@ -645,12 +728,24 @@ def test_scene_parts_are_its_closed_link_meshes():
     assert sum(map(len, vertex_sets)) == len(set().union(*vertex_sets))
 
 
+def test_scene_edge_table_numbers_each_mesh_edge_once():
+    # edge k of face f (vertex k to k + 1) is the undirected edge
+    # face_edges[f, k], numbered in (lower vertex, higher vertex) order; on
+    # the closed link meshes every edge has two faces
+    sc = scene.reference_scene(64)
+    np.testing.assert_array_equal(sc.face_edges, render.face_edges(sc.faces))
+    a, b = sc.faces, np.roll(sc.faces, -1, axis=1)
+    ends = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=-1).reshape(-1, 2)
+    np.testing.assert_array_equal(np.unique(ends, axis=0)[sc.face_edges.reshape(-1)], ends)
+    np.testing.assert_array_equal(np.bincount(sc.face_edges.reshape(-1)), 2)
+
+
 def _one_pixel_gradient(tris, row, col, width=64, height=64, sigma_r=0.41):
     """(occupancy, gradient of the occupancy of one pixel) of single-triangle parts."""
     n = len(tris)
     v = ad.leaf(ad.Tape(), np.asarray(tris, dtype=float).reshape(1, -1, 2))
-    occ = render.soft_occupancy(v, np.arange(3 * n).reshape(n, 3), np.arange(n),
-                                np.ones((1, n), bool), width, height, sigma_r)
+    occ = soft_occupancy(v, np.arange(3 * n).reshape(n, 3), np.arange(n),
+                         np.ones((1, n), bool), width, height, sigma_r)
     g = np.zeros((1, height, width))
     g[0, row, col] = 1.0
     return ad._val(occ)[0], ad.backward(weighted_sum(occ, g))[v.nid].reshape(n, 3, 2)
