@@ -287,18 +287,39 @@ class AdamState:
 
 def adam_step(weights: dict, grads: dict, state: AdamState, lr: float,
               weight_decay: float) -> None:
+    """One Adam step with L2 weight decay folded into the gradient: for each
+    tensor, g = grad + weight_decay * w, m = b1 m + (1 - b1) g, v = b2 v +
+    (1 - b2) g g, and w - lr m^ / (sqrt(v^) + eps) with the bias-corrected
+    m^ and v^.
+
+    Rebinds each name of ``weights``, ``state.m`` and ``state.v`` to a new
+    array and writes into none of the arrays passed in, so a caller may keep
+    them. Each tensor takes four new arrays, five with weight decay, and
+    the remaining passes write into them.
+    """
     b1, b2, eps = 0.9, 0.999, 1e-8
     state.t += 1
     t = state.t
     for name, w in weights.items():
         g = grads[name]
         if weight_decay:
-            g = g + weight_decay * w
-        state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
-        mhat = state.m[name] / (1 - b1 ** t)
-        vhat = state.v[name] / (1 - b2 ** t)
-        weights[name] = w - lr * mhat / (np.sqrt(vhat) + eps)
+            g = np.multiply(w, weight_decay)
+            g += grads[name]
+        m = np.multiply(state.m[name], b1)
+        s = np.multiply(g, 1 - b1)
+        m += s
+        v = np.multiply(state.v[name], b2)
+        np.multiply(g, 1 - b2, out=s)
+        s *= g
+        v += s
+        state.m[name], state.v[name] = m, v
+        step = np.divide(m, 1 - b1 ** t)            # m^
+        step *= lr
+        np.divide(v, 1 - b2 ** t, out=s)            # v^
+        np.sqrt(s, out=s)
+        s += eps
+        step /= s
+        weights[name] = np.subtract(w, step, out=step)
 
 
 def batch_loss(model_cfg: vit.VitConfig, weights: dict, store: FrameStore,

@@ -387,8 +387,8 @@ def soft_occupancy(verts2d, faces: np.ndarray, edges: np.ndarray, parts: np.ndar
     Returns (B, H, W). An image with a non-finite vertex is all NaN, and so
     is the gradient w.r.t. its vertices.
     """
-    if sigma_r <= 0:
-        raise ValueError("sigma_r must be positive")
+    if not (np.isfinite(sigma_r) and sigma_r > 0):
+        raise ValueError(f"sigma_r must be finite and positive, got {sigma_r!r}")
     v2 = ad._val(verts2d)
     B, V = v2.shape[0], v2.shape[1]
     T, HW = faces.shape[0], height * width
@@ -441,7 +441,9 @@ def soft_occupancy(verts2d, faces: np.ndarray, edges: np.ndarray, parts: np.ndar
     tie = np.flatnonzero(d2 == z[key])
     key, e = key[tie], e[tie]
     del d2, tie
-    win = np.full(len(vis) * P, len(ea), dtype=np.int32)
+    # the table, its index and its values share one dtype, intp: with an
+    # int32 table, np.minimum.at casts on numpy's slow path, 30x slower
+    win = np.full(len(vis) * P, len(ea), dtype=np.intp)
     np.minimum.at(win, key, e)
     del key, e
     # max over parts, ties to the first part; a part with no edge in reach
@@ -465,7 +467,7 @@ def soft_occupancy(verts2d, faces: np.ndarray, edges: np.ndarray, parts: np.ndar
     # envelope theorem on the winning contour edge AB with nearest point
     # q = A + t(B - A): dd2/dA = -2(1-t)(p-q), dd2/dB = -2t(p-q)
     has = won < len(ea)
-    pix, won = vis[has], won[has].astype(np.intp)  # an int32 index gathers slower
+    pix, won = vis[has], won[has]
     occ_px = occ.reshape(-1)[pix]
     do_dd2 = occ_px * (1.0 - occ_px) * (np.where(covers[has], 1.0, -1.0) / sigma_r)
     del covers, vis, has, occ_px

@@ -18,6 +18,20 @@ module's ops: linear (one GEMM), layer norm, attention over the packed q/k/v
 projection, and GELU. A plain pass keeps no op's backward, so it frees each
 op's activations as soon as the next op has run.
 
+The ops write their passes into arrays they own. Each allocates its
+output, what its backward keeps and at most two scratch buffers, and runs
+its elementwise steps in place in them (in-place ufuncs, ``out=``, products
+into views of the packed result). The steps are those of the plain
+expression in its order, with at most the operands of a product or a sum
+swapped, which is exact, so every result is the expression's bit for bit.
+A backward keeps: linear its flattened input; layer norm the normalized
+input and the rows' std; attention the probabilities and its input's q, k
+and v; GELU its input and the tanh. Nothing a backward keeps is written
+after its op returns: a backward writes only into the gradients it returns
+and its own scratch, and :func:`forward` adds the residuals and the
+position embedding into the token array or a branch's output, which no
+backward keeps.
+
 It computes in the dtype of ``patch_embed.w``: float32 weights run the
 network in float32 (training does), anything else in float64 (inference,
 saved models). The output is float64 either way, and the recorded node casts
@@ -150,24 +164,39 @@ def _linear(x, w, b):
         g2 = g.reshape(-1, w.shape[1])
         return (g2 @ w.T).reshape(x.shape) if dx else None, x2.T @ g2, g2.sum(axis=0)
 
-    return (x2 @ w + b).reshape(x.shape[:-1] + w.shape[1:]), back
+    y = x2 @ w
+    y += b
+    return y.reshape(x.shape[:-1] + w.shape[1:]), back
 
 
 def _layer_norm(x, gain, bias):
     """Normalize the last axis to zero mean and unit variance, then
     ``* gain + bias``. ``back(g)`` returns (gx, ggain, gbias)."""
     mu = x.mean(axis=-1, keepdims=True)
-    std = np.sqrt(((x - mu) ** 2).mean(axis=-1, keepdims=True) + 1e-5)
-    xhat = (x - mu) / std
+    xhat = x - mu
+    y = np.square(xhat)                 # (x - mu) ** 2
+    std = y.mean(axis=-1, keepdims=True)
+    std += 1e-5
+    np.sqrt(std, out=std)
+    xhat /= std
     lead = tuple(range(x.ndim - 1))
 
     def back(g):
-        gh = g * gain
-        gx = (gh - gh.mean(axis=-1, keepdims=True)
-              - xhat * (gh * xhat).mean(axis=-1, keepdims=True)) / std
-        return gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+        # (gh - mean(gh) - xhat * mean(gh * xhat)) / std with gh = g * gain,
+        # on gh and one scratch buffer
+        gh = np.multiply(g, gain)
+        s = np.multiply(gh, xhat)
+        m = s.mean(axis=-1, keepdims=True)
+        gh -= gh.mean(axis=-1, keepdims=True)
+        np.multiply(xhat, m, out=s)
+        gh -= s
+        gh /= std
+        np.multiply(g, xhat, out=s)
+        return gh, s.sum(axis=lead), g.sum(axis=lead)
 
-    return xhat * gain + bias, back
+    np.multiply(xhat, gain, out=y)
+    y += bias
+    return y, back
 
 
 def _attention(qkv, heads: int, queries: int | None = None):
@@ -182,35 +211,52 @@ def _attention(qkv, heads: int, queries: int | None = None):
     q, k, v = np.transpose(qkv.reshape(b, t, 3, heads, dh), (2, 0, 3, 1, 4))  # (B, H, T, dh)
     q = q[:, :, :tq]                                                           # (B, H, Tq, dh)
     scale = 1.0 / math.sqrt(dh)  # a Python float keeps float32 operands float32
-    s = np.matmul(q, np.swapaxes(k, -1, -2)) * scale                          # (B, H, Tq, T)
-    e = np.exp(s - np.max(s, axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
-    out = np.transpose(np.matmul(p, v), (0, 2, 1, 3)).reshape(b, tq, d3 // 3)
+    p = np.matmul(q, np.swapaxes(k, -1, -2))                                   # (B, H, Tq, T)
+    p *= scale
+    p -= np.max(p, axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    # the heads' outputs land merged: (B, Tq, H, dh) seen as (B, H, Tq, dh)
+    out = np.empty((b, tq, heads, dh), dtype=p.dtype)
+    np.matmul(p, v, out=np.transpose(out, (0, 2, 1, 3)))
 
     def back(g):
         go = np.transpose(g.reshape(b, tq, heads, dh), (0, 2, 1, 3))
-        gp = np.matmul(go, np.swapaxes(v, -1, -2))
-        gs = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p * scale
-        grad = np.empty((3, b, heads, t, dh), dtype=qkv.dtype)
-        grad[0, :, :, :tq] = np.matmul(gs, k)
-        grad[0, :, :, tq:] = 0.0
-        grad[1] = np.matmul(np.swapaxes(gs, -1, -2), q)
-        grad[2] = np.matmul(np.swapaxes(p, -1, -2), go)
-        return np.transpose(grad, (1, 3, 0, 2, 4)).reshape(b, t, d3)
+        # gs = (gp - sum(gp * p)) * p * scale with gp = go @ v^T, on gp and
+        # one scratch buffer
+        gs = np.matmul(go, np.swapaxes(v, -1, -2))
+        s = np.multiply(gs, p)
+        gs -= s.sum(axis=-1, keepdims=True)
+        del s
+        gs *= p
+        gs *= scale
+        # the q, k and v gradients land packed: (B, T, 3, H, dh) seen as
+        # (3, B, H, T, dh)
+        grad = np.empty((b, t, 3, heads, dh), dtype=qkv.dtype)
+        gq, gk, gv = np.transpose(grad, (2, 0, 3, 1, 4))
+        np.matmul(gs, k, out=gq[:, :, :tq])
+        gq[:, :, tq:] = 0.0
+        np.matmul(np.swapaxes(gs, -1, -2), q, out=gk)
+        np.matmul(np.swapaxes(p, -1, -2), go, out=gv)
+        return grad.reshape(b, t, d3)
 
-    return out, back
+    return out.reshape(b, tq, d3 // 3), back
 
 
 def _gelu(x):
-    """tanh-approximation GELU."""
+    """tanh-approximation GELU, (x * 0.5) * (1 + th) with th = tanh(c * (x +
+    0.044715 * (x * (x * x)))) and c = sqrt(2/pi)."""
     c = 0.7978845608028654  # sqrt(2/pi)
-    th = np.tanh(c * (x + 0.044715 * (x * (x * x))))
+    th = np.multiply(x, x)
+    th *= x
+    th *= 0.044715
+    th += x
+    th *= c
+    np.tanh(th, out=th)
 
     def back(g):
         # g * (0.5 * (1 + th) + (x * 0.5) * ((1 - th * th) * du)) with
-        # du = c * (1 + 3 * 0.044715 * (x * x)): the same operations in the
-        # same order, on two buffers (the operands of a product or a sum
-        # commute exactly)
+        # du = c * (1 + 3 * 0.044715 * (x * x)), on two buffers
         a = np.multiply(x, x)
         a *= 3.0 * 0.044715
         a += 1.0
@@ -226,7 +272,9 @@ def _gelu(x):
         a *= g
         return a
 
-    return (x * 0.5) * (1.0 + th), back
+    y = np.multiply(x, 0.5)
+    y *= 1.0 + th
+    return y, back
 
 
 def forward(config: VitConfig, weights: dict, masks: np.ndarray, theta_norm: np.ndarray):
@@ -270,17 +318,23 @@ def forward(config: VitConfig, weights: dict, masks: np.ndarray, theta_norm: np.
 
     x = linear("patch_embed", patchify(np.asarray(masks, dtype=dtype), config.patch_size))
     cls = np.broadcast_to(w["cls_token"].reshape(1, 1, d), (b, 1, d))
-    x = np.concatenate([cls, x], axis=1) + w["pos_embed"]            # (B, T, D)
+    x = np.concatenate([cls, x], axis=1)                              # (B, T, D)
+    x += w["pos_embed"]
     for i in range(config.layers):
         p = f"enc{i}"
         # the head reads the class token alone, so the last layer queries it
         # alone: from there on x is (B, 1, D)
         rows = 1 if i == config.layers - 1 else None
-        # each branch one expression, so no local keeps its activations alive
-        x = x[:, :rows] + linear(f"{p}.proj", op(
+        # each branch one expression, so no local keeps its activations
+        # alive; the residual adds into the branch's output, which no
+        # backward keeps
+        h = linear(f"{p}.proj", op(
             f"{p}.attn", _attention, linear(f"{p}.qkv", norm(f"{p}.ln1", x)), config.heads, rows))
-        x = x + linear(f"{p}.mlp2", op(f"{p}.gelu", _gelu,
-                                        linear(f"{p}.mlp1", norm(f"{p}.ln2", x))))
+        h += x[:, :rows]
+        x = h
+        h = linear(f"{p}.mlp2", op(f"{p}.gelu", _gelu, linear(f"{p}.mlp1", norm(f"{p}.ln2", x))))
+        h += x
+        x = h
     x = norm("final_ln", x)
     fused = np.concatenate([x[:, 0], np.asarray(theta_norm, dtype=dtype)], axis=-1)
     hdn = op("head1.gelu", _gelu, linear("head1", fused))
@@ -308,7 +362,9 @@ def forward(config: VitConfig, weights: dict, masks: np.ndarray, theta_norm: np.
             # each residual's gradient: the skip path's plus its branch's
             p = f"enc{i}"
             gh = linear_back(f"{p}.mlp1", backs[f"{p}.gelu"](linear_back(f"{p}.mlp2", gx)))
-            gx = gx + norm_back(f"{p}.ln2", gh)
+            gh = norm_back(f"{p}.ln2", gh)
+            gh += gx
+            gx = gh
             ga = linear_back(f"{p}.qkv", backs[f"{p}.attn"](linear_back(f"{p}.proj", gx)))
             # ln1 ran on all T tokens; the last layer's skip path carries the
             # class token's row alone

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -214,18 +215,113 @@ def test_primitive_gradients_match_finite_differences(name):
         assert not back(c_att[:, :1])[:, 1:, :4].any()
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_gelu_backward_is_the_composed_expression_bit_for_bit(dtype):
-    x = np.concatenate([RNG.normal(0.0, 3.0, size=997), [0.0, -0.0, 1e-30, 40.0, -40.0]])
-    x = x.astype(dtype).reshape(2, 3, 167)
-    g = RNG.normal(size=x.shape).astype(dtype)
+# the ViT's ops as plain composed expressions, one new array per step: each
+# in-place op in vit must equal its expression bit for bit
+
+def _composed_linear(x, w, b):
+    x2 = x.reshape(-1, w.shape[0])
+
+    def back(g):
+        g2 = g.reshape(-1, w.shape[1])
+        return (g2 @ w.T).reshape(x.shape), x2.T @ g2, g2.sum(axis=0)
+
+    return (x2 @ w + b).reshape(x.shape[:-1] + w.shape[1:]), back
+
+
+def _composed_layer_norm(x, gain, bias):
+    mu = x.mean(axis=-1, keepdims=True)
+    std = np.sqrt(((x - mu) ** 2).mean(axis=-1, keepdims=True) + 1e-5)
+    xhat = (x - mu) / std
+    lead = tuple(range(x.ndim - 1))
+
+    def back(g):
+        gh = g * gain
+        gx = (gh - gh.mean(axis=-1, keepdims=True)
+              - xhat * (gh * xhat).mean(axis=-1, keepdims=True)) / std
+        return gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+    return xhat * gain + bias, back
+
+
+def _composed_attention(qkv, heads, queries=None):
+    b, t, d3 = qkv.shape
+    tq = t if queries is None else queries
+    dh = d3 // (3 * heads)
+    q, k, v = np.transpose(qkv.reshape(b, t, 3, heads, dh), (2, 0, 3, 1, 4))
+    q = q[:, :, :tq]
+    scale = 1.0 / math.sqrt(dh)
+    s = np.matmul(q, np.swapaxes(k, -1, -2)) * scale
+    e = np.exp(s - np.max(s, axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+
+    def back(g):
+        go = np.transpose(g.reshape(b, tq, heads, dh), (0, 2, 1, 3))
+        gp = np.matmul(go, np.swapaxes(v, -1, -2))
+        gs = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p * scale
+        gq = np.concatenate([np.matmul(gs, k), np.zeros_like(k[:, :, tq:])], axis=2)
+        grad = np.stack([gq, np.matmul(np.swapaxes(gs, -1, -2), q),
+                         np.matmul(np.swapaxes(p, -1, -2), go)])
+        return np.transpose(grad, (1, 3, 0, 2, 4)).reshape(b, t, d3)
+
+    return np.transpose(np.matmul(p, v), (0, 2, 1, 3)).reshape(b, tq, d3 // 3), back
+
+
+def _composed_gelu(x):
     c = 0.7978845608028654
     th = np.tanh(c * (x + 0.044715 * (x * (x * x))))
-    du = c * (1.0 + 3.0 * 0.044715 * (x * x))
-    composed = g * (0.5 * (1.0 + th) + (x * 0.5) * ((1.0 - th * th) * du))
-    grad = vit._gelu(x)[1](g)
-    assert grad.dtype == dtype and composed.dtype == dtype
-    assert np.array_equal(grad, composed)
+
+    def back(g):
+        du = c * (1.0 + 3.0 * 0.044715 * (x * x))
+        return g * (0.5 * (1.0 + th) + (x * 0.5) * ((1.0 - th * th) * du))
+
+    return (x * 0.5) * (1.0 + th), back
+
+
+def _op_case(name, rng, dtype):
+    """(vit's op, its composed expression, operands, output cotangent) at
+    the ViT's own shapes: B = 2, T = 65 tokens, D = 64, 4 heads."""
+    def draw(*shape, scale=1.0):
+        return (scale * rng.normal(size=shape)).astype(dtype)
+
+    b, t, d = 2, 65, 64
+    if name == "linear":
+        return vit._linear, _composed_linear, (draw(b, t, d), draw(d, 3 * d), draw(3 * d)), \
+            draw(b, t, 3 * d)
+    if name.startswith("layer_norm"):
+        x, gain, bias = draw(b, t, d, scale=3.0) + 1.0, draw(d), draw(d)
+        if name == "layer_norm-class-row":
+            # as the final norm runs: the class token's row of x, and a
+            # cotangent that is a strided view of the head's input gradient
+            return vit._layer_norm, _composed_layer_norm, (x[:, :1], gain, bias), \
+                draw(b, d + 10)[:, None, :d]
+        return vit._layer_norm, _composed_layer_norm, (x, gain, bias), draw(b, t, d)
+    if name.startswith("attention"):
+        queries = 1 if name == "attention-class-query" else None
+        return vit._attention, _composed_attention, (draw(b, t, 3 * d, scale=2.0), 4, queries), \
+            draw(b, queries or t, d)
+    x = np.concatenate([rng.normal(0.0, 3.0, size=b * t * 4 * d - 5),
+                        [0.0, -0.0, 1e-30, 40.0, -40.0]]).astype(dtype).reshape(b, t, 4 * d)
+    return vit._gelu, _composed_gelu, (x,), draw(b, t, 4 * d)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", ["linear", "layer_norm", "layer_norm-class-row", "attention",
+                                  "attention-class-query", "gelu"])
+def test_op_is_the_composed_expression_bit_for_bit(name, dtype):
+    op, composed, args, g = _op_case(name, np.random.default_rng(7), dtype)
+    before = [a.copy() for a in args if isinstance(a, np.ndarray)] + [g.copy()]
+    out, back = op(*args)
+    want_out, want_back = composed(*args)
+    assert out.dtype == dtype and np.array_equal(out, want_out)
+    want = want_back(g)
+    # twice: a backward writes nothing it keeps
+    for _ in range(2):
+        got = back(g)
+        for got_part, want_part in zip(*(p if type(p) is tuple else (p,) for p in (got, want))):
+            assert got_part.dtype == dtype and np.array_equal(got_part, want_part)
+    # and neither pass writes its operands or the cotangent
+    after = [a for a in args if isinstance(a, np.ndarray)] + [g]
+    assert all(np.array_equal(x, y) for x, y in zip(before, after))
 
 
 def _prismatic_roll_scene(sc):

@@ -643,10 +643,11 @@ def test_tape_nodes_per_step(monkeypatch, tiny_store):
     assert sizes == [6]
 
 
+SMALL_TRAIN_VIT = vit.VitConfig(image_size=64, patch_size=16, embed_dim=32, heads=2, layers=1)
+
+
 def small_cfg(**kw):
-    base = dict(epochs=1, batch_size=10, lr=1e-4, seed=5,
-                vit_config=vit.VitConfig(image_size=64, patch_size=16,
-                                         embed_dim=32, heads=2, layers=1))
+    base = dict(epochs=1, batch_size=10, lr=1e-4, seed=5, vit_config=SMALL_TRAIN_VIT)
     base.update(kw)
     return corrector.TrainConfig(**base)
 
@@ -663,6 +664,57 @@ def small_cfg(**kw):
 def test_train_config_rejects_bad_field(name, bad):
     with pytest.raises(ValueError, match=name):
         corrector.TrainConfig(**{name: bad})
+
+
+def test_adam_step_is_the_written_out_update_and_keeps_its_inputs():
+    rng = np.random.default_rng(8)
+    w0 = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=5)}
+    zeros = {n: np.zeros_like(w) for n, w in w0.items()}
+    # m and v start as the same arrays, as shallow copies of one dict would
+    weights, state = dict(w0), corrector.AdamState(m=dict(zeros), v=dict(zeros))
+    lr, wd, b1, b2, eps = 1e-3, 1e-2, 0.9, 0.999, 1e-8
+    want_w, want_m, want_v = dict(w0), dict(zeros), dict(zeros)
+    for t in range(1, 4):
+        grads = {n: rng.normal(size=w.shape) for n, w in w0.items()}
+        passed = [*weights.values(), *state.m.values(), *state.v.values(), *grads.values()]
+        copies = [a.copy() for a in passed]
+        corrector.adam_step(weights, grads, state, lr, wd)
+        for a, copy in zip(passed, copies):
+            np.testing.assert_array_equal(a, copy)
+        for n in w0:
+            g = grads[n] + wd * want_w[n]
+            want_m[n] = b1 * want_m[n] + (1 - b1) * g
+            want_v[n] = b2 * want_v[n] + (1 - b2) * g * g
+            m_hat = want_m[n] / (1 - b1 ** t)
+            v_hat = want_v[n] / (1 - b2 ** t)
+            want_w[n] = want_w[n] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            for got, want in ((weights, want_w), (state.m, want_m), (state.v, want_v)):
+                assert np.array_equal(got[n], want[n]), (t, n)
+    assert state.t == 3
+
+
+def test_evaluate_loss_is_the_frame_weighted_mean_of_batch_losses(tiny_store):
+    store, cfg = tiny_store, SMALL_TRAIN_VIT
+    n = corrector._EVAL_BATCH + 8  # one full batch and one of 8 frames
+    assert len(store) >= n
+    rng = rng_stream(9, 0)
+    w = {k: v + rng.normal(0.0, 0.05, v.shape) for k, v in vit.init_weights(cfg, rng).items()}
+    k = corrector.default_scale(store.scene.chain)
+    alpha, beta, gamma = corrector.default_loss_weights(store.scene.camera)
+    model = corrector.CorrectorModel(cfg, w, k, "centered", alpha, beta, gamma)
+    idx = rng.permutation(len(store))[:n]
+    got = corrector.evaluate_loss(model, store, idx, alpha, beta, gamma)
+
+    want, means = dict.fromkeys(got, 0.0), []
+    for sel in (idx[:corrector._EVAL_BATCH], idx[corrector._EVAL_BATCH:]):
+        total, parts = corrector.batch_loss(cfg, w, store, sel, k, alpha, beta, gamma,
+                                            "centered")
+        means.append(float(total))
+        for key, value in {"total": float(total), **parts}.items():
+            want[key] += value * len(sel) / n
+    assert got == pytest.approx(want, rel=1e-12)
+    # the batches' plain mean is another number: the weights are tested
+    assert abs(np.mean(means) - got["total"]) > 1e-6 * got["total"]
 
 
 def test_zero_lr_keeps_weights(tiny_train, tiny_val):

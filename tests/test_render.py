@@ -354,9 +354,13 @@ def test_soft_zero_area_triangle_covers_nothing():
 
 
 def test_soft_rejects_bad_temperature():
-    with pytest.raises(ValueError):
-        soft_occupancy(np.zeros((1, 3, 2)), np.array([[0, 1, 2]]), ONE_PART,
-                       np.ones((1, 1), bool), 64, 64, sigma_r=0.0)
+    # unchecked, nan would give a 0/1 mask with no halo and inf 0.5 at
+    # every visited pixel
+    verts = np.array([[[10.0, 10.0], [50.0, 10.0], [30.0, 50.0]]])
+    for bad in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match=f"sigma_r .* got {bad!r}"):
+            soft_occupancy(verts, np.array([[0, 1, 2]]), ONE_PART,
+                           np.ones((1, 1), bool), 64, 64, sigma_r=bad)
 
 
 def test_soft_growth_monotone():
