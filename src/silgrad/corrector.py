@@ -15,7 +15,6 @@ slices between.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -272,7 +271,7 @@ class TrainConfig:
             value = getattr(self, name)
             if not vit.is_count(value):
                 raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
-        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
+        if not vit.is_integer(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.squash not in _SQUASH_MODES:
             raise ValueError(f"squash: unknown squashing mode {self.squash!r}")
@@ -424,6 +423,9 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
             adam_step(weights, {name: grads[dv.nid].astype(np.float64)
                                 for name, dv in dvs.items()},
                       state, cfg.lr, cfg.weight_decay)
+            # the tape holds the whole ViT node: free it before the next
+            # step's forward pass, not after it
+            del tape, dvs, total, grads
             train_sums["total"] += value
             for key in ("render", "keypoints", "joints"):
                 train_sums[key] += parts[key]

@@ -10,6 +10,18 @@ Every trajectory owns a counter-based RNG stream keyed by (global seed,
 trajectory index), so a trajectory does not depend on how many others are
 generated before it, and the same seed writes the same bytes.
 
+A target is a uniform in-limits configuration whose keypoints and end
+effector project inside the view box; about 1 candidate in 35 is accepted
+at 64 and at 128 px, since the box scales with the camera. The sampler draws
+candidates in blocks of ``_SAMPLE_BLOCK`` = 64 and runs forward kinematics,
+keypoints and projection once per block. At that rate a block holds a hit
+about 84% of the time; 64 was the fastest of block sizes 8 to 256 on a
+2-core Xeon (0.37 ms per target at 64 px, against 0.44 ms for 32 and 128,
+and 6 ms one candidate at a time). On a hit at row k the stream is rewound
+to the block's start and k + 1 rows are drawn again, so the target and
+every later draw of the trajectory are those of the one-at-a-time loop: the
+bytes of a split do not depend on the block size.
+
 A dataset carries no copy of the scene: the manifest records the camera and
 the :func:`~silgrad.scene.geometry_digest` of the built-in tool, and
 :func:`read_dataset` rebuilds it with ``reference_scene(camera=...)``.
@@ -42,6 +54,9 @@ SEGMENT_STEPS = 50
 MAX_REJECTIONS = 10000
 _VIEW_MARGIN = 0.1
 _RENDER_SLAB = 128
+# candidates per forward-kinematics pass in sample_target_pose (see the
+# module docstring)
+_SAMPLE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -101,34 +116,49 @@ def rng_stream(global_seed: int, index: int) -> np.random.Generator:
 # sampling and interpolation
 
 def _view_points(scene: ToolScene, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Projected (keypoints + end effector) and their depths at truth base."""
+    """Projected keypoints and end effector (..., 7, 2) and their depths
+    (..., 7) at the true base, for configurations q of shape (..., J)."""
     base = scene.base
-    links = kin.forward_kinematics(scene.chain, base.rotation[None],
-                                   base.translation[None], q[None])
-    pts = np.vstack([kin.keypoints_3d(scene.chain, links)[0], links[-1][1]])
+    links = kin.forward_kinematics(scene.chain, base.rotation, base.translation, q)
+    pts = np.concatenate([kin.keypoints_3d(scene.chain, links), links[-1][1][..., None, :]],
+                         axis=-2)
     xy, _ = render.project(scene.camera, pts)
-    return xy, pts[:, 2]
+    return xy, pts[..., 2]
 
 
-def _in_box(scene: ToolScene, xy: np.ndarray, z: np.ndarray, margin: float) -> bool:
+def _in_box(scene: ToolScene, xy: np.ndarray, z: np.ndarray, margin: float) -> np.ndarray:
+    """Whether every point of each configuration's (..., P) points lies
+    strictly inside the margin box and the depth range, shape (...)."""
     cam = scene.camera
     x0, x1 = margin * cam.width, (1 - margin) * cam.width
     y0, y1 = margin * cam.height, (1 - margin) * cam.height
-    return bool(np.all((xy[:, 0] > x0) & (xy[:, 0] < x1)
-                       & (xy[:, 1] > y0) & (xy[:, 1] < y1)
-                       & (z > cam.near) & (z < cam.far)))
+    return np.all((xy[..., 0] > x0) & (xy[..., 0] < x1)
+                  & (xy[..., 1] > y0) & (xy[..., 1] < y1)
+                  & (z > cam.near) & (z < cam.far), axis=-1)
 
 
 def sample_target_pose(scene: ToolScene, rng: np.random.Generator,
                        max_rejections: int = MAX_REJECTIONS) -> np.ndarray:
     """Uniform in-limits config whose keypoints and end effector all project
-    strictly inside the 10%-margin view box."""
+    strictly inside the 10%-margin view box.
+
+    This is rejection sampling of one candidate at a time, run in blocks of
+    ``_SAMPLE_BLOCK`` candidates with one forward-kinematics pass each (see
+    the module docstring for the size). On a hit at row k the stream is
+    rewound to the block's start and k + 1 rows are drawn again, so the
+    result and the stream's next draw are those of the one-at-a-time loop.
+    A block without a hit keeps its draws, as the loop would. At most
+    ``max_rejections`` candidates are drawn in all.
+    """
     lo, hi = scene.chain.lower_limits, scene.chain.upper_limits
-    for _ in range(max_rejections):
-        q = rng.uniform(lo, hi)
-        xy, z = _view_points(scene, q)
-        if _in_box(scene, xy, z, _VIEW_MARGIN):
-            return q
+    for start in range(0, max_rejections, _SAMPLE_BLOCK):
+        rows = min(_SAMPLE_BLOCK, max_rejections - start)
+        state = rng.bit_generator.state
+        q = rng.uniform(lo, hi, (rows, len(lo)))
+        hits = np.flatnonzero(_in_box(scene, *_view_points(scene, q), _VIEW_MARGIN))
+        if len(hits):
+            rng.bit_generator.state = state
+            return rng.uniform(lo, hi, (hits[0] + 1, len(lo)))[-1]
     raise RuntimeError(
         f"no in-view configuration found after {max_rejections} rejections; "
         "camera or chain is misconfigured")
@@ -340,15 +370,27 @@ def generate_dataset(out_dir, split: str, trajectories: int, duration_s: float,
                      noise: NoiseSpec | None = None,
                      frames_per_trajectory: int | None = None) -> Dataset:
     """Generate and persist a dataset split; returns the readable handle.
-    ``scene`` must have the built-in geometry, since the split records only
-    its camera and geometry digest; ValueError before any write otherwise."""
-    if not np.isfinite(duration_s):
-        raise ValueError(f"duration_s must be finite, got {duration_s!r}")
-    frames = frames_per_trajectory if frames_per_trajectory is not None \
-        else int(round(duration_s * FRAME_RATE))
+
+    Each trajectory holds ``frames_per_trajectory`` frames, or
+    ``round(duration_s * FRAME_RATE)`` when that is None. ``scene`` must have
+    the built-in geometry, since the split records only its camera and
+    geometry digest. A bad size, duration, seed or scene raises ValueError,
+    naming the field, before any write."""
+    if not (vit.is_real(duration_s) and 0 < duration_s < np.inf):
+        raise ValueError(f"duration_s must be a finite positive number of seconds, "
+                         f"got {duration_s!r}")
+    if frames_per_trajectory is None:
+        frames = int(round(duration_s * FRAME_RATE))
+        if frames < 1:
+            raise ValueError(f"duration_s must be long enough for one frame at {FRAME_RATE} Hz, "
+                             f"got {duration_s!r}")
+    else:
+        frames = frames_per_trajectory
     for name, value in (("trajectories", trajectories), ("frames_per_trajectory", frames)):
         if not vit.is_count(value):
             raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    if not vit.is_integer(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     scene = scene or reference_scene(64)
     geometry = geometry_digest(scene)
     if geometry != geometry_digest(reference_scene(camera=scene.camera)):

@@ -52,9 +52,14 @@ import numpy as np
 from . import autodiff as ad
 
 
+def is_integer(value) -> bool:
+    """An integer (not a bool): a seed in a config."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def is_count(value) -> bool:
     """An integer (not a bool) of at least 1: a size or a count in a config."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+    return is_integer(value) and value >= 1
 
 
 def is_real(value) -> bool:

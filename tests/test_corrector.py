@@ -717,6 +717,40 @@ def test_evaluate_loss_is_the_frame_weighted_mean_of_batch_losses(tiny_store):
     assert abs(np.mean(means) - got["total"]) > 1e-6 * got["total"]
 
 
+def test_train_frees_each_step_before_the_next(tiny_train, tiny_val, tiny_store):
+    # one step's tape holds the whole ViT node; a train() call that keeps the
+    # last step's tape through the next forward pass peaks near two steps
+    # (1.74 here), one that frees it near one step plus its stores (1.15)
+    cfg = corrector.TrainConfig(epochs=1, batch_size=10, seed=5)
+    w = vit.init_weights(cfg.vit_config, rng_stream(5, 0))
+    state = corrector.AdamState(m={n: np.zeros_like(v) for n, v in w.items()},
+                                v={n: np.zeros_like(v) for n, v in w.items()})
+    k = corrector.default_scale(tiny_store.scene.chain)
+    alpha = corrector.default_loss_weights(tiny_store.scene.camera)[0]
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def step():
+        tape = ad.Tape()
+        dvs = {n: ad.leaf(tape, v.astype(np.float32)) for n, v in w.items()}
+        total, _ = corrector.batch_loss(cfg.vit_config, dvs, tiny_store, np.arange(10), k,
+                                        alpha, cfg.beta, cfg.gamma, cfg.squash)
+        grads = ad.backward(total)
+        corrector.adam_step(w, {n: grads[dv.nid].astype(np.float64) for n, dv in dvs.items()},
+                            state, cfg.lr, cfg.weight_decay)
+
+    assert len(tiny_store) >= 3 * cfg.batch_size
+    one_step = peak(step)
+    whole = peak(lambda: corrector.train(tiny_train, tiny_val, cfg, log_fn=None))
+    assert whole < 1.4 * one_step, (whole, one_step)
+
+
 def test_zero_lr_keeps_weights(tiny_train, tiny_val):
     model, _ = corrector.train(tiny_train, tiny_val, small_cfg(lr=0.0), log_fn=None)
     fresh = vit.init_weights(model.config, rng_stream(5, corrector._TRAIN_STREAM))

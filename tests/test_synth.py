@@ -47,6 +47,71 @@ def test_sample_target_errors_when_camera_looks_away():
         synth.sample_target_pose(bad, synth.rng_stream(1, 0), max_rejections=500)
 
 
+def _one_at_a_time(scene_, rng, max_rejections=synth.MAX_REJECTIONS):
+    """The rejection sampler as one candidate and one FK pass at a time: the
+    reference the block sampler must match, draw for draw."""
+    lo, hi = scene_.chain.lower_limits, scene_.chain.upper_limits
+    for _ in range(max_rejections):
+        q = rng.uniform(lo, hi)
+        if synth._in_box(scene_, *synth._view_points(scene_, q), synth._VIEW_MARGIN):
+            return q
+    raise RuntimeError("no in-view configuration")
+
+
+def _sample_or_none(sample, scene_, rng, **kw):
+    try:
+        return sample(scene_, rng, **kw)
+    except RuntimeError:
+        return None
+
+
+@pytest.mark.parametrize("size", [64, 128])
+def test_block_sampler_is_the_one_at_a_time_loop(size):
+    sc = scene.reference_scene(size)
+    for index in range(12):
+        block, ref = synth.rng_stream(31, index), synth.rng_stream(31, index)
+        for _ in range(3):
+            assert synth.sample_target_pose(sc, block).tobytes() == \
+                _one_at_a_time(sc, ref).tobytes()
+        # the stream is left where the loop leaves it
+        assert block.random(5).tobytes() == ref.random(5).tobytes()
+
+
+@pytest.mark.parametrize("cap", [1, 20, synth._SAMPLE_BLOCK + 36])
+def test_block_sampler_keeps_the_loops_cap(cap):
+    # a stream whose first `cap` candidates hold a hit and one whose do not;
+    # on a miss both draw exactly `cap` candidates before raising
+    outcomes = {}
+    for index in range(2000):
+        q = _sample_or_none(_one_at_a_time, SCENE, synth.rng_stream(32, index),
+                            max_rejections=cap)
+        outcomes.setdefault(q is None, index)
+        if len(outcomes) == 2:
+            break
+    assert len(outcomes) == 2
+    for index in outcomes.values():
+        block, ref = synth.rng_stream(32, index), synth.rng_stream(32, index)
+        got = _sample_or_none(synth.sample_target_pose, SCENE, block, max_rejections=cap)
+        want = _sample_or_none(_one_at_a_time, SCENE, ref, max_rejections=cap)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.tobytes() == want.tobytes()
+        assert block.random(5).tobytes() == ref.random(5).tobytes()
+
+
+@pytest.mark.parametrize("size", [64, 128])
+def test_view_points_rows_are_the_single_configuration_results(size):
+    sc = scene.reference_scene(size)
+    q = synth.rng_stream(33, 0).uniform(sc.chain.lower_limits, sc.chain.upper_limits, (40, 7))
+    xy, z = synth._view_points(sc, q)
+    inside = synth._in_box(sc, xy, z, synth._VIEW_MARGIN)
+    assert xy.shape == (40, 7, 2) and z.shape == (40, 7) and inside.shape == (40,)
+    for row in range(len(q)):
+        xy_one, z_one = synth._view_points(sc, q[row])
+        assert xy_one.tobytes() == xy[row].tobytes() and z_one.tobytes() == z[row].tobytes()
+        assert synth._in_box(sc, xy_one, z_one, synth._VIEW_MARGIN) == inside[row]
+
+
 def test_trajectory_frame_count_and_structure():
     rec = synth.generate_trajectory(60, SCENE, synth.default_noise_spec(), 5)
     assert rec.num_frames == 60
@@ -56,9 +121,13 @@ def test_trajectory_frame_count_and_structure():
     np.testing.assert_allclose(np.diff(rec.times), 1.0 / 30.0, atol=1e-12)
 
 
-def test_duration_30s_gives_900_frames():
-    n = int(round(30.0 * synth.FRAME_RATE))
-    assert n == 900  # duration x rate wins over any per-set frame count
+def test_duration_30s_gives_900_frames(tmp_path):
+    # with no frame count, a split holds round(duration x rate) frames
+    for duration, frames in ((30.0, 900), (0.25, 8)):
+        ds = synth.generate_dataset(tmp_path / str(duration), "t", 1, duration, seed=2,
+                                    scene=SCENE)
+        assert ds.manifest["frames_per_trajectory"] == frames
+        assert synth.read_trajectory(ds.trajectory_path(0)).num_frames == frames
 
 
 def test_zero_noise_reproduces_truth_exactly():
@@ -156,12 +225,14 @@ def test_noise_spec_rejects_nonfinite(field, value):
     ("trajectories", 2.5), ("trajectories", 0), ("trajectories", "2"), ("trajectories", True),
     ("frames_per_trajectory", 2.5), ("frames_per_trajectory", 0),
     ("frames_per_trajectory", True),
-    ("duration_s", np.nan), ("duration_s", np.inf),
+    ("duration_s", np.nan), ("duration_s", np.inf), ("duration_s", True), ("duration_s", "2"),
+    ("duration_s", None), ("duration_s", -1.0), ("duration_s", 0.01),
+    ("seed", True), ("seed", 1.5), ("seed", "3"),
 ])
 def test_dataset_rejects_bad_size_before_writing(tmp_path, name, value):
-    args = {"trajectories": 1, "duration_s": 0.1, name: value}
+    args = {"trajectories": 1, "duration_s": 0.1, "seed": 2, name: value}
     with pytest.raises(ValueError, match=f"^{name} must be"):
-        synth.generate_dataset(tmp_path / "d", "t", seed=2, scene=SCENE, **args)
+        synth.generate_dataset(tmp_path / "d", "t", scene=SCENE, **args)
     assert not (tmp_path / "d").exists()
 
 
