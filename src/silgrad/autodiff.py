@@ -11,10 +11,11 @@ vector-Jacobian product through :func:`from_op`: the whole network
 correction's squashing (``corrector.apply_correction``), the pose geometry
 (``scene.project_theta``: Euler angles, forward kinematics and projection),
 the soft rasterizer (in ``render``) and the weighted loss
-(``corrector.weighted_loss``). The one generic op left is :func:`take`: it
-parts the geometry node's output into vertices and keypoints, where a
-two-output node would sum its VJP in another order and move seeded results.
-:func:`finite_diff_check` compares a tape gradient with central differences.
+(``corrector.weighted_loss``). The geometry node's one point array feeds both
+the soft rasterizer, which reads its vertex rows, and the loss, which reads
+its keypoint rows; the two VJPs it receives are disjoint, so their sum is
+exact. :func:`finite_diff_check` compares a tape gradient with central
+differences.
 
 An op given no :class:`DiffValue` operand evaluates on the plain arrays and
 returns a plain array, so the network, the correction and the loss run both
@@ -142,26 +143,6 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-_BASIC_INDEX = (int, slice, type(...))  # by exact type, so a bool is not an int
-
-
-def take(a, idx):
-    """Basic indexing (ints, slices, ``...``); the backward writes ``g`` into zeros."""
-    for i in idx if type(idx) is tuple else (idx,):
-        if type(i) not in _BASIC_INDEX and not isinstance(i, np.integer):
-            raise ValueError(f"take: index {i!r} is not an int, a slice or ...")
-    av = _val(a)
-    if not _is_dv(a):
-        return av[idx]
-
-    def vjp(g):
-        grad = np.zeros_like(av)
-        grad[idx] = g
-        return (grad,)
-
-    return a.tape.add_node(av[idx], (a.nid,), vjp)
 
 
 def from_op(out_value: np.ndarray, parents: list, vjp):

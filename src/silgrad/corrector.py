@@ -9,8 +9,8 @@ zero therefore means "no correction". The literal one-sided squashing
 Training backpropagates the weighted silhouette + keypoint + joint loss
 through the soft rasterizer and the pose-geometry Jacobian into the network.
 After the weight leaves, a step's tape holds one node per stage: the network,
-the correction, the pose geometry, the soft raster and the loss, with two
-slices between.
+the correction, the pose geometry, the soft raster and the loss. The pose
+geometry's one point array goes whole to the soft raster and to the loss.
 """
 
 from __future__ import annotations
@@ -83,34 +83,42 @@ def apply_correction(raw, theta_noisy, k, chain, squash: str = "centered"):
 
 
 def render_corrected(scene: ToolScene, theta_hat, q_noisy_first3):
-    """Soft mask (B,H,W) and projected keypoints (B,6,2) at the corrected pose.
+    """Soft mask (B,H,W) and projected points (B,V+K,2) at the corrected
+    pose: the mesh vertices, then the K keypoints.
 
     Joints 1-3 come from the noisy reading; the corrected vector supplies the
     base pose and the four visible joints: one pose-geometry node, one soft
     raster node.
     """
     xy, depth = project_theta(scene, theta_hat, q_noisy_first3)
-    return render_points(scene, xy, depth, "soft")
+    return render_points(scene, xy, depth, "soft"), xy
 
 
 # ---------------------------------------------------------------------------
 # loss
 
-def weighted_loss(s_hat, kp_hat, theta_hat, m_ref, kp_ref, joints_ref,
+def weighted_loss(s_hat, points, theta_hat, m_ref, kp_ref, joints_ref,
                   alpha: float, beta: float, gamma: float):
     """Batch mean of alpha |s_hat - m_ref|^2 + beta |kp_hat - kp_ref|^2 +
-    gamma |j_hat - joints_ref|^2 as one node, where j_hat are the visible
-    joints of ``theta_hat`` (B, 10).
+    gamma |j_hat - joints_ref|^2 as one node, where kp_hat are the last K
+    rows of ``points`` (B, N, 2), K the rows of ``kp_ref`` (B, K, 2), and
+    j_hat the visible joints of ``theta_hat`` (B, 10). Fewer than K rows of
+    points raise :class:`~silgrad.autodiff.ShapeMismatch`.
 
     Returns (total, parts): ``parts`` holds the plain per-frame squared
     errors "render", "keypoints" and "joints", each (B,). Dual-mode in the
     three predictions; the VJP to each taped prediction p with reference r
-    and weight w is 2 w (p - r) / B.
+    and weight w is 2 w (p - r) / B, zero on the rows of ``points`` before
+    the keypoints.
     """
-    preds = (s_hat, kp_hat, theta_hat)
-    sv, kv, tv = (ad._val(p) for p in preds)
+    preds = (s_hat, points, theta_hat)
+    sv, pv, tv = (ad._val(p) for p in preds)
+    kr = ad._val(kp_ref)
+    first = pv.shape[-2] - kr.shape[-2]
+    if first < 0:
+        raise ad.ShapeMismatch("weighted_loss", pv.shape, kr.shape)
     d_s = sv - ad._val(m_ref)
-    d_k = kv - ad._val(kp_ref)
+    d_k = pv[..., first:, :] - kr
     d_j = tv[..., 6:10] - ad._val(joints_ref)
     parts = {"render": np.sum(np.power(d_s, 2.0), axis=(-2, -1)),
              "keypoints": np.sum(np.power(d_k, 2.0), axis=(-2, -1)),
@@ -121,9 +129,11 @@ def weighted_loss(s_hat, kp_hat, theta_hat, m_ref, kp_ref, joints_ref,
 
     def vjp(g):
         c = g * (1.0 / n)
+        g_points = np.zeros_like(pv)
+        g_points[..., first:, :] = ((c * beta) * 2.0) * d_k
         g_theta = np.zeros_like(tv)
         g_theta[..., 6:10] = ((c * gamma) * 2.0) * d_j
-        grads = (((c * alpha) * 2.0) * d_s, ((c * beta) * 2.0) * d_k, g_theta)
+        grads = (((c * alpha) * 2.0) * d_s, g_points, g_theta)
         return tuple(gr for gr, t in zip(grads, taped) if t)
 
     return (ad.from_op(np.sum(per_frame) * (1.0 / n),
@@ -332,8 +342,8 @@ def batch_loss(model_cfg: vit.VitConfig, weights: dict, store: FrameStore,
     theta_noisy = store.theta_noisy[idx]
     raw = vit.forward(model_cfg, weights, masks, theta_noisy / k)
     theta_hat = apply_correction(raw, theta_noisy, k, store.scene.chain, squash)
-    s_hat, kp_hat = render_corrected(store.scene, theta_hat, store.q_noisy_full[idx, :3])
-    total, parts = weighted_loss(s_hat, kp_hat, theta_hat, store.masks_ref[idx],
+    s_hat, points = render_corrected(store.scene, theta_hat, store.q_noisy_full[idx, :3])
+    total, parts = weighted_loss(s_hat, points, theta_hat, store.masks_ref[idx],
                                  store.keypoints[idx], store.q_true_full[idx, VISIBLE_SLICE],
                                  alpha, beta, gamma)
     return total, {name: float(np.mean(part)) for name, part in parts.items()}

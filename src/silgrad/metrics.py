@@ -280,6 +280,9 @@ def read_pose_csv(path) -> list[PoseSeries]:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
             if not np.all(np.isfinite(rows[-1])):
                 raise ValueError(f"{path}, line {lineno}: non-finite value")
+            if rows[-1][-1] < 0 or not rows[-1][-1].is_integer():
+                raise ValueError(f"{path}, line {lineno}: iters {fields[-1].strip()!r} "
+                                 "is not a nonnegative integer")
     if not rows:
         return []
     rows = np.array(rows)

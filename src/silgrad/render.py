@@ -31,42 +31,39 @@ part where parts overlap: a union over parts double-counts halos where
 outlines coincide, and one scene-wide sign turns an outline inside another
 part into a dip.
 
-Both rasterizers share one pixel-triangle pair enumeration, which walks
-scanline spans, in (triangle, row, column) order. A triangle with halo h
-visits the rows of its bounding box widened by h. At h > 0 a row visits the
-x-range of the triangle clipped to the band [yc - h, yc + h] around the
-row's center yc, widened by h plus a one-pixel guard against rounding, so
-every pixel center within distance h of the triangle is visited. That
-visited set is part of the soft raster's output (see below), so its guard
-stays a whole pixel.
+Both rasterizers share one coverage pass over pixel-triangle pairs, which
+walks scanline spans in (triangle, row) order: the valid triangles of
+nonzero area, wound counter-clockwise, with the top-left rule. A triangle
+visits the rows of its bounding box, and a row visits the pixel centers
+between the crossings of its three edge lines with the row (the row's cut
+through the inside test's half-planes), widened by a rounding guard of
+8 eps (W + 3 + M) px, with eps = 2^-52, W the image width and M the largest
+|x| of the triangle's vertices. With u = eps / 2, the inside test computes
+e = dx (y - ay) - dy (x - ax) to within 2u (|dx (y - ay)| + |dy (x - ax)|),
+so it can only misjudge a pixel center that lies within about 4u (W + M) of
+the exact crossing. The computed crossing ax + (yc - ay) fl(dx / dy) and
+the rounding of the span end add about 6u (W + 2M + 3) more, and the sum
+stays under the guard, 16u (W + M + 3). A level edge takes or drops its row
+whole, by the sign of the test's own e. So in each row no pixel center that
+the inside test passes is dropped, and with the tool in view the guard is
+below 1e-12 px: a row visits the pixels it covers and at most one more at
+either end.
 
-At h = 0 the triangle is wound counter-clockwise and a row visits the pixel
-centers between the crossings of its three edge lines with the row (the
-row's cut through the inside test's half-planes), widened by a rounding
-guard of 8 eps (W + 3 + M) px, with eps = 2^-52, W the image width and M
-the largest |x| of the triangle's vertices. With u = eps / 2, the inside
-test computes e = dx (y - ay) - dy (x - ax) to within 2u (|dx (y - ay)| +
-|dy (x - ax)|), so it can only misjudge a pixel center that lies within
-about 4u (W + M) of the exact crossing. The computed crossing ax + (yc -
-ay) fl(dx / dy) and the rounding of the span end add about 6u (W + 2M + 3)
-more, and the sum stays under the guard, 16u (W + M + 3). A level edge
-takes or drops its row whole, by the sign of the test's own e. So in each
-row no pixel center that the inside test passes is dropped, and with the
-tool in view the guard is below 1e-12 px: a row visits the pixels it covers
-and at most one more at either end.
-
-They also share one coverage pass: the valid triangles of nonzero area,
-wound counter-clockwise, at h = 0 with the top-left rule. The hard raster
-keys the covered pixels by image, the soft raster by (part, image), which
-gives sign_P. The soft raster then makes one distance pass: each contour
-edge AB of an image goes in once, as the degenerate triangle (A, B, B) with
-h = 3 sqrt(sigma_r) + 0.5 px, so every pixel center within h of the edge is
-visited, and d2_P is the minimum over the visited edges of P. A pixel
-farther than h from every contour edge of P has |z| > h^2/sigma_r for P,
-at most sigmoid(-9) = 1.2e-4 away from 0 or 1; if no edge of P visits it,
-d2_P is infinite and it reads exactly 1 inside P and 0 outside. The contour
-edges come from the mesh's edge table (:func:`face_edges`), which the
-caller builds once for its faces.
+The hard raster keys the covered pixels by image, the soft raster by (part,
+image), which gives sign_P. The soft raster then makes one distance pass
+over pixel-segment pairs: each contour edge AB of an image goes in once, as
+the segment AB with halo h = 3 sqrt(sigma_r) + 0.5 px. The segment visits
+the rows of its bounding box widened by h, and a row visits the x-range of
+the segment clipped to the band [yc - h, yc + h] around the row's center
+yc, widened by h plus a one-pixel guard against rounding, so every pixel
+center within h of the edge is visited. That visited set is part of the
+soft raster's output (see below), so its guard stays a whole pixel. The two
+passes share the row expansion. d2_P is the minimum over the visited edges
+of P. A pixel farther than h from every contour edge of P has
+|z| > h^2/sigma_r for P, at most sigmoid(-9) = 1.2e-4 away from 0 or 1; if
+no edge of P visits it, d2_P is infinite and it reads exactly 1 inside P and
+0 outside. The contour edges come from the mesh's edge table
+(:func:`face_edges`), which the caller builds once for its faces.
 
 Past the coverage pass and one boolean union over parts, the soft raster's
 work and memory follow the outline. A distance pair keeps its edge, its
@@ -155,65 +152,33 @@ def project(camera: PinholeCamera, points: np.ndarray):
 # ---------------------------------------------------------------------------
 # pixel-triangle pair enumeration
 
-def _spans(tris: np.ndarray, width: int, height: int, halo: float):
-    """Scanline spans (tri_r, row, xs, cnt): triangle ``tri_r`` visits the
-    ``cnt`` pixel centers from column ``xs`` in row ``row``, one entry per
-    (triangle, row) with cnt >= 1, in (triangle, row) order. The spans hold
-    every pixel center within ``halo`` of each triangle and, at halo 0,
-    every pixel center the inside test of :func:`_coverage` can pass (see the
-    module docstring).
-
-    ``tris`` is (N, 3, 2) with finite coordinates, wound counter-clockwise
-    at halo 0; ``halo`` is in px. Pixel coordinates are centers (col+0.5,
-    row+0.5).
-    """
-    h = float(halo)
+def _rows(ys: np.ndarray, height: int, h: float):
+    """(r, row): the rows of the image whose pixel center lies within ``h``
+    px of the y-range of points ``ys[r]`` (N, k), in (r, row) order."""
     # clip in float before the integer cast: coordinates may lie far off-screen
-    y0 = np.ceil(np.clip(tris[:, :, 1].min(axis=1) - h - 0.5, 0, height)).astype(np.int64)
-    y1 = np.floor(np.clip(tris[:, :, 1].max(axis=1) + h - 0.5, -1, height - 1)).astype(np.int64)
+    y0 = np.ceil(np.clip(ys.min(axis=1) - h - 0.5, 0, height)).astype(np.int64)
+    y1 = np.floor(np.clip(ys.max(axis=1) + h - 0.5, -1, height - 1)).astype(np.int64)
     ny = np.maximum(y1 - y0 + 1, 0)
-    tri_r = np.repeat(np.arange(len(tris)), ny)
+    r = np.repeat(np.arange(len(ys)), ny)
     row = np.repeat(y0 - (np.cumsum(ny) - ny), ny)
     row += np.arange(len(row))
-    if h > 0:
-        xs, xe = _halo_span(tris, tri_r, row, width, h)
-    else:
-        xs, xe = _cover_span(tris, tri_r, row, width)
+    return r, row
+
+
+def _nonempty(r, row, xs, xe):
+    """Spans (r, row, xs, cnt) of the column ranges [xs, xe] holding a pixel."""
     keep = np.flatnonzero(xe >= xs)
     xs = xs[keep].astype(np.int32)
-    return tri_r[keep], row[keep].astype(np.int32), xs, xe[keep].astype(np.int64) - xs + 1
+    return r[keep], row[keep].astype(np.int32), xs, xe[keep].astype(np.int64) - xs + 1
 
 
-def _halo_span(tris, tri_r, row, width, h):
-    """Column range of each row entry: the x-range of the triangle clipped to
-    the band [yc - h, yc + h], widened by h plus a one-pixel guard."""
-    x0 = np.ceil(np.clip(tris[:, :, 0].min(axis=1) - h - 0.5, 0, width))
-    x1 = np.floor(np.clip(tris[:, :, 0].max(axis=1) + h - 0.5, -1, width - 1))
-    # clip every edge to the band (Liang-Barsky in y) and take the extremes
-    # of the clipped ends
-    lo, hi = row + 0.5 - h, row + 0.5 + h
-    xl = np.full(len(row), np.inf)
-    xr = np.full(len(row), -np.inf)
-    for k in range(3):
-        ax, ay = tris[:, k, 0][tri_r], tris[:, k, 1][tri_r]
-        dx = (tris[:, (k + 1) % 3, 0] - tris[:, k, 0])[tri_r]
-        dy = (tris[:, (k + 1) % 3, 1] - tris[:, k, 1])[tri_r]
-        flat = dy == 0.0
-        dy = np.where(flat, 1.0, dy)
-        ta, tb = (lo - ay) / dy, (hi - ay) / dy
-        s0 = np.where(flat, 0.0, np.maximum(np.minimum(ta, tb), 0.0))
-        s1 = np.where(flat, 1.0, np.minimum(np.maximum(ta, tb), 1.0))
-        hit = (s0 <= s1) & ~(flat & ((ay < lo) | (ay > hi)))
-        xa, xb = ax + s0 * dx, ax + s1 * dx
-        xl = np.where(hit, np.minimum(xl, np.minimum(xa, xb)), xl)
-        xr = np.where(hit, np.maximum(xr, np.maximum(xa, xb)), xr)
-    return (np.maximum(np.ceil(xl - h - 1.5), x0[tri_r]),
-            np.minimum(np.floor(xr + h + 0.5), x1[tri_r]))
-
-
-def _cover_span(tris, tri_r, row, width):
-    """Column range of each row entry at halo 0: the row's cut through the
-    half-planes of the triangle's edge lines, widened by the rounding guard."""
+def _spans(tris: np.ndarray, width: int, height: int):
+    """Scanline spans (tri_r, row, xs, cnt): triangle ``tri_r`` visits the
+    ``cnt`` >= 1 pixel centers from column ``xs`` in row ``row``, in
+    (triangle, row) order, and so every pixel center the inside test of
+    :func:`_coverage` can pass (see the module docstring). ``tris`` is
+    (N, 3, 2), finite and wound counter-clockwise."""
+    tri_r, row = _rows(tris[:, :, 1], height, 0.0)
     yc = row + 0.5
     xl = np.full(len(row), -np.inf)
     xr = np.full(len(row), np.inf)
@@ -241,12 +206,37 @@ def _cover_span(tris, tri_r, row, width):
     g = g[tri_r]
     xl = np.ceil(np.clip(xl, -1, width + 1) - g - 0.5)
     xr = np.floor(np.clip(xr, -1, width + 1) + g - 0.5)
-    return np.maximum(xl, 0), np.minimum(xr, width - 1)
+    return _nonempty(tri_r, row, np.maximum(xl, 0), np.minimum(xr, width - 1))
+
+
+def _segment_spans(segs: np.ndarray, width: int, height: int, halo: float):
+    """The spans of :func:`_spans` for finite segments ``segs`` (N, 2, 2):
+    every pixel center within ``halo`` px of each (see the module
+    docstring)."""
+    h = float(halo)
+    seg_r, row = _rows(segs[:, :, 1], height, h)
+    x0 = np.ceil(np.clip(segs[:, :, 0].min(axis=1) - h - 0.5, 0, width))
+    x1 = np.floor(np.clip(segs[:, :, 0].max(axis=1) + h - 0.5, -1, width - 1))
+    # clip the segment to the band (Liang-Barsky in y); rounding may leave
+    # the band's edge row with no part of it
+    lo, hi = row + 0.5 - h, row + 0.5 + h
+    ax, ay = segs[seg_r, 0, 0], segs[seg_r, 0, 1]
+    dx, dy = (segs[:, 1] - segs[:, 0])[seg_r].T
+    flat = dy == 0.0
+    dy = np.where(flat, 1.0, dy)
+    ta, tb = (lo - ay) / dy, (hi - ay) / dy
+    s0 = np.where(flat, 0.0, np.maximum(np.minimum(ta, tb), 0.0))
+    s1 = np.where(flat, 1.0, np.minimum(np.maximum(ta, tb), 1.0))
+    miss = (s0 > s1) | (flat & ((ay < lo) | (ay > hi)))
+    xa, xb = ax + s0 * dx, ax + s1 * dx
+    xl = np.where(miss, np.inf, np.minimum(xa, xb))
+    return _nonempty(seg_r, row, np.maximum(np.ceil(xl - h - 1.5), x0[seg_r]),
+                     np.minimum(np.floor(np.maximum(xa, xb) + h + 0.5), x1[seg_r]))
 
 
 def _pairs(tri_r, row, xs, cnt):
-    """(tri, px, py): the pixel-triangle pairs of spans, in span and column
-    order; px and py as int32."""
+    """(tri, px, py): the pixel-triangle or pixel-segment pairs of spans, in
+    span and column order; px and py as int32."""
     tri = np.repeat(tri_r, cnt)
     py = np.repeat(row, cnt)
     px = np.repeat(xs, cnt)
@@ -270,7 +260,7 @@ def _coverage(tris: np.ndarray, cell: np.ndarray, size: int, width: int,
     """Boolean (size,) array with ``cell[i] + row * width + col`` set for
     every pixel center that CCW triangle i covers under the top-left rule."""
     out = np.zeros(size, dtype=bool)
-    tri_r, row, xs, cnt = _spans(tris, width, height, 0.0)
+    tri_r, row, xs, cnt = _spans(tris, width, height)
     ends = np.cumsum(cnt)
     r0 = 0
     while r0 < len(cnt):
@@ -294,8 +284,10 @@ def hard_occupancy(verts2d: np.ndarray, faces: np.ndarray, valid: np.ndarray,
                    width: int, height: int) -> np.ndarray:
     """Binary union coverage for batched screen-space geometry.
 
-    verts2d: (B, V, 2); faces: (T, 3); valid: (B, T). Returns (B, H, W) of
-    {0.0, 1.0}. An image with a non-finite vertex is all NaN.
+    verts2d: (B, N, 2) projected points, N >= V, of which the faces index
+    the first V; faces: (T, 3); valid: (B, T). Returns (B, H, W) of
+    {0.0, 1.0}. An image with a non-finite point, in any of its N rows, is
+    all NaN.
     """
     B, T, HW = verts2d.shape[0], faces.shape[0], height * width
     finite = np.isfinite(verts2d).all(axis=(1, 2))
@@ -380,12 +372,14 @@ def soft_occupancy(verts2d, faces: np.ndarray, edges: np.ndarray, parts: np.ndar
                    valid: np.ndarray, width: int, height: int, sigma_r: float):
     """Soft silhouette coverage, differentiable w.r.t. ``verts2d``.
 
-    verts2d: (B, V, 2) array or DiffValue; faces: (T, 3); edges: the
+    verts2d: (B, N, 2) array or DiffValue of projected points, N >= V, of
+    which the faces index the first V; faces: (T, 3); edges: the
     :func:`face_edges` of ``faces``; parts: (T,) part index of each face, 0
     to P - 1, where faces of different parts share no edge; valid: (B, T)
     marks triangles to rasterize (callers exclude fully-behind-camera faces).
-    Returns (B, H, W). An image with a non-finite vertex is all NaN, and so
-    is the gradient w.r.t. its vertices.
+    Returns (B, H, W). An image with a non-finite point, in any of its N
+    rows, is all NaN, and so is the gradient w.r.t. its points. The rows no
+    face indexes get an exactly zero gradient.
     """
     if not (np.isfinite(sigma_r) and sigma_r > 0):
         raise ValueError(f"sigma_r must be finite and positive, got {sigma_r!r}")
@@ -410,10 +404,10 @@ def soft_occupancy(verts2d, faces: np.ndarray, edges: np.ndarray, parts: np.ndar
     img, ea, eb, edge_part = _contour_edges(area2, faces, edges, parts, valid, kept)
     ea += img * V
     eb += img * V
-    # an edge AB is the degenerate triangle (A, B, B): its pairs are the
-    # pixel centers within the halo of the segment
-    segs = v2.reshape(-1, 2)[np.stack([ea, eb, eb], axis=1)]
-    e, px, py = _pairs(*_spans(segs, width, height, _HALO_SIGMAS * np.sqrt(sigma_r) + 0.5))
+    # the pairs of edge AB are the pixel centers within the halo of it
+    segs = v2.reshape(-1, 2)[np.stack([ea, eb], axis=1)]
+    h = _HALO_SIGMAS * np.sqrt(sigma_r) + 0.5
+    e, px, py = _pairs(*_segment_spans(segs, width, height, h))
     rx, ry = _to_segments(segs, e, px, py)[1:]
     d2 = rx * rx
     ry *= ry
@@ -499,11 +493,15 @@ def soft_occupancy(verts2d, faces: np.ndarray, edges: np.ndarray, parts: np.ndar
 
 def face_validity(depths: np.ndarray, faces: np.ndarray, camera: PinholeCamera,
                   mode: str) -> np.ndarray:
-    """Per-face inclusion from per-vertex depths (B, V).
+    """Per-face inclusion from per-point depths (B, N), of which the faces
+    index the first V.
 
     "hard": all vertices within (near, far); "soft": at least one vertex in
-    front of the near plane (fully-behind triangles are excluded).
+    front of the near plane (fully-behind triangles are excluded). Any
+    other mode raises ValueError.
     """
+    if mode not in ("hard", "soft"):
+        raise ValueError(f"unknown render mode {mode!r}, expected 'hard' or 'soft'")
     z = depths[:, faces]
     if mode == "hard":
         return ((z > camera.near) & (z < camera.far)).all(axis=2)

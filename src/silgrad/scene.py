@@ -5,11 +5,12 @@ with the instrument pointing at a work center ~14 cm in front of the camera,
 so sampled configurations keep the articulated head inside the view.
 
 :func:`posed_points`, the one posing path, runs forward kinematics once per
-pose. :func:`render_pose` projects and rasterizes its points in plain numpy.
-:func:`project_theta` maps 10-D configurations to projected points as one
-autodiff node, whose VJP is the geometric Jacobian of posing and projection.
-:func:`geometry_digest` identifies the geometry a generated dataset was
-rendered from.
+pose. :func:`render_points` rasterizes a whole projected point array, whose
+faces index the vertex rows alone, and :func:`render_pose` poses, projects
+and rasterizes in plain numpy. :func:`project_theta` maps 10-D
+configurations to projected points as one autodiff node, whose VJP is the
+geometric Jacobian of posing and projection. :func:`geometry_digest`
+identifies the geometry a generated dataset was rendered from.
 """
 
 from __future__ import annotations
@@ -137,19 +138,17 @@ def posed_points(scene: ToolScene, base_rotation, base_translation, q):
 
 
 def render_points(scene: ToolScene, xy, depth: np.ndarray, mode: str):
-    """Silhouettes (B, H, W) and keypoints (B, K, 2) from projected points
-    (B, V + K, 2) and their depths (B, V + K): binary union for "hard", soft
-    coverage otherwise. ``xy`` may be the node :func:`project_theta` records;
-    the soft raster is then a node too."""
-    v, cam = len(scene.verts_local), scene.camera
-    verts = ad.take(xy, (slice(None), slice(0, v)))
-    valid = render.face_validity(depth[:, :v], scene.faces, cam, mode)
+    """Silhouettes (B, H, W) of projected points (B, V + K, 2) with depths
+    (B, V + K): binary union for "hard", soft coverage for "soft". The faces
+    index the vertex rows alone. ``xy`` may be the node
+    :func:`project_theta` records; the soft raster is then a node too, whose
+    VJP is zero on the keypoint rows."""
+    cam = scene.camera
+    valid = render.face_validity(depth, scene.faces, cam, mode)
     if mode == "hard":
-        masks = render.hard_occupancy(verts, scene.faces, valid, cam.width, cam.height)
-    else:
-        masks = render.soft_occupancy(verts, scene.faces, scene.face_edges, scene.face_parts,
-                                      valid, cam.width, cam.height, scene.sigma_r)
-    return masks, ad.take(xy, (slice(None), slice(v, None)))
+        return render.hard_occupancy(xy, scene.faces, valid, cam.width, cam.height)
+    return render.soft_occupancy(xy, scene.faces, scene.face_edges, scene.face_parts,
+                                 valid, cam.width, cam.height, scene.sigma_r)
 
 
 def render_pose(scene: ToolScene, base_rotation, base_translation, q, mode: str):
@@ -157,7 +156,7 @@ def render_pose(scene: ToolScene, base_rotation, base_translation, q, mode: str)
     poses and joint values, from one forward-kinematics pass."""
     _, world = posed_points(scene, base_rotation, base_translation, q)
     xy, _ = render.project(scene.camera, world)
-    return render_points(scene, xy, world[..., 2], mode)
+    return render_points(scene, xy, world[..., 2], mode), xy[:, len(scene.verts_local):]
 
 
 def render_masks(scene: ToolScene, base_rotation, base_translation, q, mode: str):

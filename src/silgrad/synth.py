@@ -174,16 +174,12 @@ def interpolate_segment(q_start: np.ndarray, q_target: np.ndarray,
 
 
 def _segment_in_view(scene: ToolScene, seg: np.ndarray) -> bool:
-    """Ground-truth end effector stays inside the image for all frames."""
-    base = scene.base
-    links = kin.forward_kinematics(scene.chain, base.rotation[None],
-                                   base.translation[None], seg)
-    eef = links[-1][1]
-    xy, behind = render.project(scene.camera, eef)
-    cam = scene.camera
-    ok = ((xy[:, 0] >= 0) & (xy[:, 0] < cam.width)
-          & (xy[:, 1] >= 0) & (xy[:, 1] < cam.height) & ~behind)
-    return bool(np.all(ok))
+    """Ground-truth end effector stays inside the image and in front of the
+    near plane for all frames."""
+    xy, z = _view_points(scene, seg)
+    (x, y), cam = xy[:, -1].T, scene.camera
+    return bool(np.all((x >= 0) & (x < cam.width) & (y >= 0) & (y < cam.height)
+                       & (z[:, -1] > cam.near)))
 
 
 def _joint_path(scene: ToolScene, n_frames: int, rng: np.random.Generator) -> np.ndarray:

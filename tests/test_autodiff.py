@@ -174,7 +174,7 @@ def _vit_op(fn, x, unpack, *args, **back_kw):
 
 
 @pytest.mark.parametrize("name", [
-    "slice", "layer_norm", "attention", "attention-class-query", "gelu", "linear",
+    "layer_norm", "attention", "attention-class-query", "gelu", "linear",
     "linear-plain-x",
 ])
 def test_primitive_gradients_match_finite_differences(name):
@@ -190,7 +190,6 @@ def test_primitive_gradients_match_finite_differences(name):
     c_lin = RNG.normal(size=(2, 3, 4))
 
     fns = {
-        "slice": lambda x: weighted_sum(ad.take(x, (slice(1, 3), slice(0, 2))), 1.0),
         "layer_norm": lambda x: weighted_sum(_vit_op(
             vit._layer_norm, x, lambda a: (a[:3], a[3], a[4])), c),
         "attention": lambda x: weighted_sum(_vit_op(vit._attention, x, lambda a: (a,), 2),
@@ -361,21 +360,6 @@ def test_project_theta_gradients_match_finite_differences(case):
     _check(f, theta0)
 
 
-def test_take_rejects_advanced_indexing():
-    tape = ad.Tape()
-    for idx in (np.array([0, 2, 2, 4]), [0, 2], (slice(None), np.array([1])),
-                np.ones(5, dtype=bool), True, None):
-        for x in (np.zeros((5, 2)), ad.leaf(tape, np.zeros((5, 2)))):
-            with pytest.raises(ValueError, match="take"):
-                ad.take(x, idx)
-    # a numpy integer is a basic index
-    x = ad.leaf(tape, np.zeros((5, 2)))
-    expect = np.zeros((5, 2))
-    expect[4] = 1.0
-    np.testing.assert_array_equal(
-        grad_of(weighted_sum(ad.take(x, (np.int64(4), ...)), 1.0), x), expect)
-
-
 def test_two_tapes_bitwise_identical(tiny_store):
     # two threads, each with its own tape, take a float32 training step's
     # weight gradients at once; each equals a serial run's bit for bit
@@ -420,10 +404,9 @@ def test_leaf_and_plain_operands_follow_the_dtype_rule():
 
 def test_dual_mode_plain_arrays_pass_through():
     a = np.ones((2, 2))
-    out = ad.take(a, (slice(None), 0))
-    assert isinstance(out, np.ndarray)
-    np.testing.assert_array_equal(out, np.ones(2))
-    assert ad.from_op(out, [], lambda g: (g,)) is out
+    out = weighted_sum(a, 1.0)
+    assert not isinstance(out, ad.DiffValue) and out == 4.0
+    assert ad.from_op(a, [], lambda g: (g,)) is a
 
 
 def test_mixed_tapes_rejected():

@@ -533,6 +533,36 @@ def test_loss_node_taped_value_is_plain_value():
                                rtol=1e-15)
 
 
+def test_loss_reads_the_last_keypoint_rows_of_the_points():
+    # the keypoints ride at the end of the projected point array: the loss
+    # and its gradient equal those of the keypoint slice, and the rows
+    # before it get exactly 0
+    preds, refs = _loss_case()
+    rows = np.random.default_rng(11).uniform(0, 64, (3, 40, 2))
+    points = np.concatenate([rows, preds[1]], axis=1)
+    outs = []
+    for p in (points, preds[1]):
+        tape = ad.Tape()
+        leaf = ad.leaf(tape, p)
+        total, parts = corrector.weighted_loss(preds[0], leaf, preds[2], *refs,
+                                               0.3, 0.05, 500.0)
+        outs.append((total.value, parts, ad.backward(total)[leaf.nid]))
+    (total, parts, grad), (total_k, parts_k, grad_k) = outs
+    assert total == total_k and np.count_nonzero(grad_k)
+    for name, part in parts_k.items():
+        np.testing.assert_array_equal(parts[name], part)
+    np.testing.assert_array_equal(grad[:, 40:], grad_k)
+    np.testing.assert_array_equal(grad[:, :40], 0.0)
+
+
+def test_loss_rejects_fewer_points_than_keypoints():
+    preds, refs = _loss_case()
+    for rows in (0, 1, 5):
+        with pytest.raises(ad.ShapeMismatch, match=re.escape(f"(3, {rows}, 2) vs (3, 6, 2)")):
+            corrector.weighted_loss(preds[0], preds[1][:, :rows], preds[2], *refs,
+                                    0.3, 0.05, 500.0)
+
+
 # ------------------------------------------------- corrected-render pipeline
 
 def truth_theta(store, i):
@@ -547,12 +577,13 @@ def test_render_corrected_at_truth_matches_reference(tiny_store):
     store = tiny_store
     i = 7
     theta = truth_theta(store, i)[None]
-    s_hat, kp = corrector.render_corrected(store.scene, theta, store.q_true_full[i][None, :3])
+    s_hat, points = corrector.render_corrected(store.scene, theta,
+                                               store.q_true_full[i][None, :3])
     soft_bin = s_hat[0] > 0.5
     ref = store.masks_ref[i] > 0.5
     iou = np.logical_and(soft_bin, ref).sum() / np.logical_or(soft_bin, ref).sum()
     assert iou > 0.95
-    np.testing.assert_allclose(kp[0], store.keypoints[i], atol=0.5)
+    np.testing.assert_allclose(points[0, -6:], store.keypoints[i], atol=0.5)
 
 
 def test_zero_correction_renders_noisy_config(tiny_store):
@@ -620,8 +651,8 @@ def test_end_to_end_gradcheck_five_frames(tiny_store):
 def test_tape_nodes_per_step(monkeypatch, tiny_store):
     # pinned: a change that grows the tape updates these counts on purpose.
     # A default-ViT batch_loss step is 60 weight leaves, the ViT's one node,
-    # then the correction, the pose geometry, a slice, the soft raster, a
-    # slice and the loss. A baseline gradient is its leaf and the last five.
+    # then the correction, the pose geometry, the soft raster and the loss.
+    # A baseline gradient is its leaf and the last three.
     store = tiny_store
     cfg = vit.VitConfig()
     weights = vit.init_weights(cfg, rng_stream(0, 0))
@@ -631,7 +662,7 @@ def test_tape_nodes_per_step(monkeypatch, tiny_store):
     total, _ = corrector.batch_loss(cfg, leaves, store, np.arange(10),
                                     corrector.default_scale(store.scene.chain),
                                     alpha, beta, gamma, "centered")
-    assert (len(leaves), len(tape)) == (60, 67)
+    assert (len(leaves), len(tape)) == (60, 65)
     assert total.nid == len(tape) - 1
 
     sizes = []
@@ -640,7 +671,7 @@ def test_tape_nodes_per_step(monkeypatch, tiny_store):
                         lambda loss: sizes.append(len(loss.tape)) or backward(loss))
     baseline._loss_and_grad(store.scene, store.theta_noisy[0], store.q_noisy_full[0, :3],
                             store.masks_ref[0].astype(float), store.keypoints[0], alpha, beta)
-    assert sizes == [6]
+    assert sizes == [4]
 
 
 SMALL_TRAIN_VIT = vit.VitConfig(image_size=64, patch_size=16, embed_dim=32, heads=2, layers=1)

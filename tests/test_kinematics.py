@@ -165,9 +165,12 @@ def test_every_eef_coordinate_differentiable(tool_scene):
     # the moving jaw tip, the last keypoint, in both image coordinates
     theta0 = np.concatenate([_base_pose(tool_scene), [[-0.5, 0.3, 0.2, 0.7]]], axis=1)
     for coord in range(2):
-        def f(theta, coord=coord):
+        w = np.zeros((1, len(tool_scene.point_links), 2))
+        w[0, -1, coord] = 1.0
+
+        def f(theta, w=w):
             xy, _ = scenemod.project_theta(tool_scene, theta, Q_FIRST)
-            return ad.take(xy, (0, -1, coord))
+            return weighted_sum(xy, w)
 
         rep = ad.finite_diff_check(f, theta0, epsilon=1e-6, tolerance=1e-6)
         assert rep.passed, (coord, rep)

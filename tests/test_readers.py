@@ -142,6 +142,10 @@ CASES = {
                               _row(3, lambda r: b"x" + r), ValueError),
     "pose-csv-nan": (metrics.read_pose_csv, _pose_csv,
                      _row(3, lambda r: r.replace(b",0,", b",nan,", 1)), ValueError),
+    "pose-csv-fractional-iters": (metrics.read_pose_csv, _pose_csv,
+                                  _row(3, lambda r: r.rsplit(b",", 1)[0] + b",2.7"), ValueError),
+    "pose-csv-negative-iters": (metrics.read_pose_csv, _pose_csv,
+                                _row(3, lambda r: r.rsplit(b",", 1)[0] + b",-3"), ValueError),
 }
 # what the message must name right after the path, beyond the path itself
 AFTER_PATH = {case: ", line 3:" for case in CASES if case.startswith("pose-csv")}

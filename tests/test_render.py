@@ -41,10 +41,12 @@ def test_project_gradient_is_fx_over_z():
     theta0 = np.concatenate([pose, [0.4, 0.1, -0.2, 0.5]])[None]
     q_first = np.array([[0.05, -0.05, 0.13]])
     _, depth = scene.project_theta(sc, theta0, q_first)
+    w = np.zeros((1, depth.shape[1], 2))
+    w[0, 0, 0] = 1.0
 
     def f(theta):
         xy, _ = scene.project_theta(sc, theta, q_first)
-        return ad.take(xy, (0, 0, 0))
+        return weighted_sum(xy, w)
 
     rep = ad.finite_diff_check(f, theta0, epsilon=1e-6)
     assert rep.passed, rep
@@ -307,16 +309,20 @@ SLIVER = render._orient_ccw(np.array([[[0.0, 0.7], [0.7, 0.0], [128.0, 128.0]]])
 
 @pytest.mark.parametrize("halo", [0.0, 3.0 * np.sqrt(render.default_sigma_r(128)) + 0.5])
 def test_diagonal_sliver_pairs_follow_its_length(halo):
-    # a 1 px wide sliver from corner to corner of a 128 px image: its
-    # bounding box holds every pixel, its spans about 4h + 3 per row
-    pairs = render._spans(SLIVER, 128, 128, halo)[3].sum()
-    assert 128 <= pairs <= 128 * 2 * (2 * halo + 3)
+    # a 1 px wide sliver from corner to corner of a 128 px image, and at
+    # halo h > 0 its long edge as a segment: the bounding box holds every
+    # pixel, the spans about 4h + 3 per row
+    if halo:
+        spans = render._segment_spans(SLIVER[:, 1:], 128, 128, halo)
+    else:
+        spans = render._spans(SLIVER, 128, 128)
+    assert 128 <= spans[3].sum() <= 128 * 2 * (2 * halo + 3)
 
 
 def test_coverage_pass_visits_covered_pixels_and_rounding_guard_only():
     # at h = 0 a row's span is its cut through the triangle widened by
     # ~1e-12 px, so a visited pixel it does not cover is a span end
-    _, row, _, cnt = render._spans(SLIVER, 128, 128, 0.0)
+    _, row, _, cnt = render._spans(SLIVER, 128, 128)
     covered = _brute_hard(SLIVER, 128, 128)
     assert covered.sum() >= 128
     assert cnt.sum() <= covered.sum() + 2 * len(row)
@@ -504,11 +510,52 @@ def test_project_theta_points_are_the_rasterized_points(monkeypatch):
     _, kps = scene.render_pose(sc, se3.euler_to_matrix(base[:, :3]), base[:, 3:], q, "hard")
     theta = ad.leaf(ad.Tape(), np.concatenate([base, q[:, 3:]], axis=1))
     xy, depth = scene.project_theta(sc, theta, q[:, :3])
-    v = len(sc.verts_local)
-    np.testing.assert_array_equal(ad._val(xy)[:, :v], seen["xy"])
-    np.testing.assert_array_equal(ad._val(xy)[:, v:], kps)
+    np.testing.assert_array_equal(ad._val(xy), seen["xy"])
+    np.testing.assert_array_equal(ad._val(xy)[:, len(sc.verts_local):], kps)
     np.testing.assert_array_equal(
-        render.face_validity(depth[:, :v], sc.faces, sc.camera, "hard"), seen["valid"])
+        render.face_validity(depth, sc.faces, sc.camera, "hard"), seen["valid"])
+
+
+def _posed_tool(size, seed):
+    """The 64 px or 128 px scene and its projected points (1, V + K, 2) and
+    depths (1, V + K) at a visible configuration."""
+    sc = scene.reference_scene(size)
+    q = visible_config(np.random.default_rng(seed))[None]
+    _, world = scene.posed_points(sc, sc.base.rotation[None], sc.base.translation[None], q)
+    return sc, render.project(sc.camera, world)[0], world[..., 2]
+
+
+def test_soft_rows_no_face_uses_get_zero_gradient():
+    # the keypoint rows ride along with the vertices: the image and the
+    # vertex rows' VJP equal the vertex-only call's bit for bit, and the
+    # keypoint rows get exactly 0
+    sc, xy, depth = _posed_tool(64, 13)
+    v = len(sc.verts_local)
+    valid = render.face_validity(depth, sc.faces, sc.camera, "soft")
+    g = np.random.default_rng(14).normal(size=(1, 64, 64))
+
+    def run(points):
+        p = ad.leaf(ad.Tape(), points)
+        occ = render.soft_occupancy(p, sc.faces, sc.face_edges, sc.face_parts, valid,
+                                    64, 64, sc.sigma_r)
+        return ad._val(occ), ad.backward(weighted_sum(occ, g))[p.nid]
+
+    (occ, grad), (occ_v, grad_v) = run(xy), run(xy[:, :v])
+    assert xy.shape[1] > v and np.count_nonzero(grad_v)
+    np.testing.assert_array_equal(occ, occ_v)
+    np.testing.assert_array_equal(grad[:, :v], grad_v)
+    np.testing.assert_array_equal(grad[:, v:], 0.0)
+
+
+@pytest.mark.parametrize("call", ["face_validity", "render_points"])
+def test_unknown_render_mode_rejected(call):
+    sc, xy, depth = _posed_tool(64, 15)
+    for mode in ("Hard", "bogus", "soft "):
+        with pytest.raises(ValueError, match=f"render mode {mode!r}"):
+            if call == "face_validity":
+                render.face_validity(depth, sc.faces, sc.camera, mode)
+            else:
+                scene.render_points(sc, xy, depth, mode)
 
 
 def test_soft_gradient_zero_without_triangles():
@@ -540,9 +587,9 @@ def test_soft_vjp_of_single_image_without_pairs(case):
     else:
         assert np.isnan(grad).all()
 
-def _all_spans(tris, width, height, halo):
-    """Every pixel against every triangle: each row of the image, whole,
-    in (triangle, row) order."""
+def _all_spans(tris, width, height, halo=None):
+    """Every pixel against every triangle or segment: each row of the
+    image, whole, in (triangle, row) order."""
     n = len(tris)
     return (np.repeat(np.arange(n, dtype=np.int32), height),
             np.tile(np.arange(height, dtype=np.int32), n),
@@ -561,6 +608,7 @@ def _assert_soft_matches_all_pairs(monkeypatch, verts, faces, parts, valid, widt
     v, occ = run()
     with monkeypatch.context() as m:
         m.setattr(render, "_spans", _all_spans)
+        m.setattr(render, "_segment_spans", _all_spans)
         v_ref, occ_ref = run()
     h = 3.0 * np.sqrt(sigma_r) + 0.5
     s_lo, s_hi = ad.stable_sigmoid(np.array([-1.0, 1.0]) * h * h / sigma_r)
