@@ -11,11 +11,13 @@ vector-Jacobian product through :func:`from_op`: the whole network
 correction's squashing (``corrector.apply_correction``), the pose geometry
 (``scene.project_theta``: Euler angles, forward kinematics and projection),
 the soft rasterizer (in ``render``) and the weighted loss
-(``corrector.weighted_loss``). The geometry node's one point array feeds both
-the soft rasterizer, which reads its vertex rows, and the loss, which reads
-its keypoint rows; the two VJPs it receives are disjoint, so their sum is
-exact. :func:`finite_diff_check` compares a tape gradient with central
-differences.
+(``corrector.weighted_loss``). The last three are ``corrector.pose_loss``,
+the objective the corrector and the baseline share. The geometry node's one
+point array feeds both the soft rasterizer, which reads its vertex rows, and
+the loss, which reads its keypoint rows; the two VJPs it receives are
+disjoint, so their sum is exact. A leaf is a node without a VJP, and
+:func:`backward` returns the gradients of the leaves the loss depends on.
+:func:`finite_diff_check` compares a tape gradient with central differences.
 
 An op given no :class:`DiffValue` operand evaluates on the plain arrays and
 returns a plain array, so the network, the correction and the loss run both
@@ -57,28 +59,23 @@ class ShapeMismatch(ValueError):
 class Tape:
     """Ordered record of nodes; a node's inputs always precede it."""
 
-    __slots__ = ("_parents", "_vjps", "_leaf_ids")
+    __slots__ = ("_parents", "_vjps")
 
     def __init__(self):
         self._parents: list[tuple[int, ...]] = []
         self._vjps: list = []
-        self._leaf_ids: list[int] = []
 
     def __len__(self) -> int:
         return len(self._parents)
 
     def add_node(self, value: np.ndarray, parents: tuple[int, ...], vjp) -> "DiffValue":
         """Append a node and wrap ``value``. ``vjp(g)`` must return one
-        gradient array per parent, in order."""
+        gradient array per parent, in order; a leaf has no parents and a
+        ``vjp`` of None."""
         nid = len(self._parents)
         self._parents.append(parents)
         self._vjps.append(vjp)
         return DiffValue(value, self, nid)
-
-    def add_leaf(self, value: np.ndarray) -> "DiffValue":
-        dv = self.add_node(value, (), None)
-        self._leaf_ids.append(dv.nid)
-        return dv
 
 
 class DiffValue:
@@ -103,7 +100,7 @@ class DiffValue:
 def leaf(tape: Tape, value):
     """Lift a numpy value onto the tape as a differentiable leaf: a float32
     array stays float32, anything else becomes float64."""
-    return tape.add_leaf(_val(value))
+    return tape.add_node(_val(value), (), None)
 
 
 def _is_dv(x) -> bool:
@@ -186,7 +183,7 @@ def backward(loss) -> dict[int, np.ndarray]:
         for pid, pg in zip(parents, vjp(g)):
             acc = grads.get(pid)
             grads[pid] = pg if acc is None else acc + pg
-    return {nid: grads[nid] for nid in tape._leaf_ids if nid in grads}
+    return grads
 
 
 class FiniteDiffReport:

@@ -1,13 +1,13 @@
 """Per-frame iterative pose correction by gradient descent.
 
 Each frame optimizes the 10-D parametrization (base Euler pose + visible
-joints) against the corrector's weighted silhouette + keypoint loss, with a
+joints) against the corrector's objective, ``corrector.pose_loss``, with a
 zero joint weight: no joint truth is available to this method. Raw gradients
 mix units, so updates take fixed per-coordinate steps along the gradient sign
 (angles ~step*1e-2 rad, translations ~step*1e-3 m), with a decaying factor
-when the loss worsens. Each iteration records four nodes: the (1, 10) leaf,
-the pose-geometry node, the soft raster and the loss node, which reads the
-keypoint rows of the geometry node's point array.
+when the loss worsens. Each iteration records four nodes: the (1, 10) leaf
+and the three of ``pose_loss``, the pose geometry, the soft raster and the
+loss.
 
 Within a trajectory, each frame is warm-started from the previous frame's
 base estimate while the joint half restarts from the frame's own noisy
@@ -81,13 +81,12 @@ class BaselineConfig:
 def _loss_and_grad(scene: ToolScene, theta: np.ndarray, q_first3: np.ndarray,
                    m_ref: np.ndarray, kp_ref: np.ndarray, alpha: float, beta: float):
     """The frame's loss and its gradient w.r.t. ``theta``: the corrector's
-    loss node with gamma = 0, whose joint term compares the plain estimate
-    with itself and so adds nothing."""
+    objective with gamma = 0, whose joint term compares the estimate with
+    itself and so adds nothing."""
     tape = ad.Tape()
     th = ad.leaf(tape, theta[None])
-    s_hat, points = corrector.render_corrected(scene, th, q_first3[None])
-    total, _ = corrector.weighted_loss(s_hat, points, theta[None], m_ref[None],
-                                       kp_ref[None], theta[None, 6:10], alpha, beta, 0.0)
+    total, _ = corrector.pose_loss(scene, th, q_first3[None], m_ref[None], kp_ref[None],
+                                   theta[None, 6:10], alpha, beta, 0.0)
     return float(ad._val(total)), ad.backward(total)[th.nid][0]
 
 

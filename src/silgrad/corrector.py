@@ -6,17 +6,20 @@ squash through a centered sigmoid scaled by per-coordinate bounds ``k``; raw
 zero therefore means "no correction". The literal one-sided squashing
 (k * sigmoid, strictly positive corrections) stays available for comparison.
 
-Training backpropagates the weighted silhouette + keypoint + joint loss
-through the soft rasterizer and the pose-geometry Jacobian into the network.
-After the weight leaves, a step's tape holds one node per stage: the network,
-the correction, the pose geometry, the soft raster and the loss. The pose
-geometry's one point array goes whole to the soft raster and to the loss.
+Both methods minimize :func:`pose_loss`, the weighted silhouette, keypoint
+and joint loss through the pose geometry and the soft rasterizer: training
+backpropagates it into the network, the baseline into the configuration.
+After the weight leaves, a training step's tape holds one node per stage:
+the network, the correction, the pose geometry, the soft raster and the
+loss. :class:`CorrectorModel` holds the model and owns its file.
 """
 
 from __future__ import annotations
 
+import json
 import time
-from dataclasses import dataclass, field
+import zipfile
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +34,7 @@ BETA, GAMMA = 0.05, 500.0  # default keypoint and joint loss weights
 _SQUASH_MODES = ("centered", "literal")
 _TRAIN_STREAM = 1 << 32  # RNG stream ids above the trajectory namespace
 _EVAL_BATCH = 32         # frames per evaluate_loss batch
+_VAL_STRIDE = 5          # train validates on every 5th frame of the split
 
 
 def default_scale(chain) -> np.ndarray:
@@ -82,18 +86,6 @@ def apply_correction(raw, theta_noisy, k, chain, squash: str = "centered"):
     return ad.from_op(theta, [raw], vjp)
 
 
-def render_corrected(scene: ToolScene, theta_hat, q_noisy_first3):
-    """Soft mask (B,H,W) and projected points (B,V+K,2) at the corrected
-    pose: the mesh vertices, then the K keypoints.
-
-    Joints 1-3 come from the noisy reading; the corrected vector supplies the
-    base pose and the four visible joints: one pose-geometry node, one soft
-    raster node.
-    """
-    xy, depth = project_theta(scene, theta_hat, q_noisy_first3)
-    return render_points(scene, xy, depth, "soft"), xy
-
-
 # ---------------------------------------------------------------------------
 # loss
 
@@ -140,6 +132,17 @@ def weighted_loss(s_hat, points, theta_hat, m_ref, kp_ref, joints_ref,
                        [p for p, t in zip(preds, taped) if t], vjp), parts)
 
 
+def pose_loss(scene: ToolScene, theta_hat, q_first3, m_ref, kp_ref, joints_ref,
+              alpha: float, beta: float, gamma: float):
+    """:func:`weighted_loss` at configurations ``theta_hat`` (B, 10) with
+    the reading ``q_first3`` (B, 3) of joints 1-3. Taped, it records three
+    nodes: the pose geometry, the soft raster of its vertex rows and the
+    loss, which reads its keypoint rows."""
+    xy, depth = project_theta(scene, theta_hat, q_first3)
+    s_hat = render_points(scene, xy, depth, "soft")
+    return weighted_loss(s_hat, xy, theta_hat, m_ref, kp_ref, joints_ref, alpha, beta, gamma)
+
+
 # ---------------------------------------------------------------------------
 # frame store: a dataset split flattened into training tensors
 
@@ -168,12 +171,19 @@ def noisy_theta_vector(rec) -> np.ndarray:
 
 
 def build_frame_store(ds: Dataset, stride: int = 1) -> FrameStore:
-    """Load a split into memory; renders the uncorrected prediction masks."""
+    """Load a split into memory; renders the uncorrected prediction masks.
+    The store holds one true base: a split whose true bases differ raises
+    ValueError naming the first trajectory file that differs."""
     from .synth import render_truth
 
     recs = [ds.load_trajectory(i) for i in range(ds.num_trajectories)]
+    base = recs[0].base_true
     parts = {k: [] for k in ("mr", "mn", "tn", "qn", "qt", "kp", "tj", "tm")}
     for i, rec in enumerate(recs):
+        if not (np.array_equal(rec.base_true.rotation, base.rotation)
+                and np.array_equal(rec.base_true.translation, base.translation)):
+            raise ValueError(f"{ds.trajectory_path(i)}: true base differs from "
+                             f"trajectory 0's, and a frame store holds one")
         sel = slice(0, rec.num_frames, stride)
         noisy_masks, _ = render_truth(ds.scene, rec.base_noisy, rec.q_noisy[sel])
         parts["mr"].append(rec.masks[sel])
@@ -193,13 +203,15 @@ def build_frame_store(ds: Dataset, stride: int = 1) -> FrameStore:
         q_true_full=np.concatenate(parts["qt"]),
         keypoints=np.concatenate(parts["kp"]),
         traj_of=np.concatenate(parts["tj"]),
-        base_true=recs[0].base_true,
+        base_true=base,
         times=np.concatenate(parts["tm"]),
     )
 
 
 # ---------------------------------------------------------------------------
-# model container
+# the model and its file: a numpy .npz archive, one float64 array per weight
+# tensor plus ``meta``, a 0-d string array holding the JSON header {"config":
+# the VitConfig's fields, "k", "squash", "alpha", "beta", "gamma"}
 
 @dataclass
 class CorrectorModel:
@@ -212,16 +224,56 @@ class CorrectorModel:
     gamma: float
 
     def save(self, path) -> None:
-        vit.save_weights(path, self.config, self.weights, extra={
-            "k": [float(v) for v in self.k],
-            "squash": self.squash,
-            "alpha": self.alpha, "beta": self.beta, "gamma": self.gamma,
-        })
+        meta = json.dumps({"config": asdict(self.config),
+                           "k": [float(v) for v in self.k], "squash": self.squash,
+                           "alpha": self.alpha, "beta": self.beta, "gamma": self.gamma},
+                          sort_keys=True)
+        with open(path, "wb") as fh:
+            np.savez(fh, meta=np.array(meta), **{
+                name: np.asarray(w, dtype=np.float64) for name, w in self.weights.items()})
 
     @staticmethod
     def load(path) -> "CorrectorModel":
-        """Raises ValueError naming the path for a missing or malformed entry."""
-        config, weights, meta = vit.load_weights(path)
+        """The model at ``path``: its config holds exactly the VitConfig's
+        fields, and its tensors are those of ``vit.init_weights(config)``,
+        each finite float64. Raises FileNotFoundError, or ValueError naming
+        the path and the missing or malformed entry."""
+        path = Path(path)
+        try:
+            # through our own handle: np.load leaks the one it opens when the
+            # zip directory is unreadable
+            with open(path, "rb") as fh:
+                archive = np.load(fh)
+                if not isinstance(archive, np.lib.npyio.NpzFile):
+                    raise ValueError("a single array, not an .npz archive")
+                with archive:
+                    weights = {name: archive[name] for name in archive.files}
+        except OSError as exc:
+            raise FileNotFoundError(f"weights file not readable: {path}") from exc
+        # MemoryError: a tensor header that claims more values than memory holds
+        except (ValueError, EOFError, MemoryError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"{path}: not a weights archive: {exc}") from exc
+        blob = weights.pop("meta", None)
+        if blob is None or blob.shape != () or blob.dtype.kind != "U":
+            raise ValueError(f"{path}: no 'meta' string")
+        try:
+            meta = json.loads(str(blob))
+            conf = meta["config"]
+            odd = sorted(conf.keys() ^ {f.name for f in fields(vit.VitConfig)})
+            if odd:
+                raise ValueError(f"missing or unexpected config keys {odd}")
+            config = vit.VitConfig(**{**conf, "head_widths": tuple(conf["head_widths"])})
+            expected = vit.init_weights(config, np.random.default_rng(0))
+        except (ValueError, TypeError, KeyError, AttributeError) as exc:
+            raise ValueError(f"{path}: malformed meta: {exc!r}") from exc
+        if weights.keys() != expected.keys():
+            raise ValueError(f"{path}: missing or unexpected tensors "
+                             f"{sorted(weights.keys() ^ expected.keys())}")
+        for name, w in weights.items():
+            if w.shape != expected[name].shape or w.dtype != np.float64 \
+                    or not np.isfinite(w).all():
+                raise ValueError(f"{path}: tensor {name!r} is not finite float64 "
+                                 f"of shape {expected[name].shape}")
         for key in ("k", "squash", "alpha", "beta", "gamma"):
             if key not in meta:
                 raise ValueError(f"{path}: no {key!r} entry")
@@ -268,7 +320,6 @@ class TrainConfig:
     seed: int = 0
     patience: int = 20
     squash: str = "centered"
-    val_stride: int = 5
     vit_config: vit.VitConfig = field(default_factory=vit.VitConfig)
 
     def __post_init__(self):
@@ -277,7 +328,7 @@ class TrainConfig:
             value = getattr(self, name)
             if not (vit.is_real(value) and 0 <= value < np.inf):
                 raise ValueError(f"{name} must be a finite nonnegative number, got {value!r}")
-        for name in ("epochs", "batch_size", "patience", "val_stride"):
+        for name in ("epochs", "batch_size", "patience"):
             value = getattr(self, name)
             if not vit.is_count(value):
                 raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
@@ -285,6 +336,8 @@ class TrainConfig:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.squash not in _SQUASH_MODES:
             raise ValueError(f"squash: unknown squashing mode {self.squash!r}")
+        if not isinstance(self.vit_config, vit.VitConfig):
+            raise ValueError(f"vit_config must be a vit.VitConfig, got {self.vit_config!r}")
 
 
 @dataclass
@@ -342,21 +395,21 @@ def batch_loss(model_cfg: vit.VitConfig, weights: dict, store: FrameStore,
     theta_noisy = store.theta_noisy[idx]
     raw = vit.forward(model_cfg, weights, masks, theta_noisy / k)
     theta_hat = apply_correction(raw, theta_noisy, k, store.scene.chain, squash)
-    s_hat, points = render_corrected(store.scene, theta_hat, store.q_noisy_full[idx, :3])
-    total, parts = weighted_loss(s_hat, points, theta_hat, store.masks_ref[idx],
-                                 store.keypoints[idx], store.q_true_full[idx, VISIBLE_SLICE],
-                                 alpha, beta, gamma)
+    total, parts = pose_loss(store.scene, theta_hat, store.q_noisy_full[idx, :3],
+                             store.masks_ref[idx], store.keypoints[idx],
+                             store.q_true_full[idx, VISIBLE_SLICE], alpha, beta, gamma)
     return total, {name: float(np.mean(part)) for name, part in parts.items()}
 
 
-def evaluate_loss(model: CorrectorModel, store: FrameStore, idx: np.ndarray,
-                  alpha: float, beta: float, gamma: float) -> dict:
-    """Plain-numpy loss over the given frames (no tape)."""
+def evaluate_loss(model: CorrectorModel, store: FrameStore, idx: np.ndarray) -> dict:
+    """Plain-numpy loss over the given frames (no tape), with the model's
+    loss weights."""
     sums = {"total": 0.0, "render": 0.0, "keypoints": 0.0, "joints": 0.0}
     for lo in range(0, len(idx), _EVAL_BATCH):
         sel = idx[lo:lo + _EVAL_BATCH]
         total, parts = batch_loss(model.config, model.weights, store, sel,
-                                  model.k, alpha, beta, gamma, model.squash)
+                                  model.k, model.alpha, model.beta, model.gamma,
+                                  model.squash)
         n = len(sel)
         sums["total"] += float(ad._val(total)) * n
         for key in ("render", "keypoints", "joints"):
@@ -390,17 +443,15 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
             raise ValueError(f"{ds.root}: camera is {cam.width}x{cam.height}, "
                              f"the ViT takes {size}x{size} masks")
     store = build_frame_store(train_ds)
-    val_store = build_frame_store(val_ds, stride=cfg.val_stride)
-    camera = train_ds.scene.camera
-    alpha = default_loss_weights(camera)[0]
-    k = default_scale(train_ds.scene.chain)
+    val_store = build_frame_store(val_ds, stride=_VAL_STRIDE)
 
     rng = rng_stream(cfg.seed, _TRAIN_STREAM)
     weights = vit.init_weights(cfg.vit_config, rng)
     state = AdamState(m={n: np.zeros_like(w) for n, w in weights.items()},
                       v={n: np.zeros_like(w) for n, w in weights.items()})
-    model = CorrectorModel(cfg.vit_config, weights, k, cfg.squash,
-                           alpha, cfg.beta, cfg.gamma)
+    model = CorrectorModel(cfg.vit_config, weights, default_scale(train_ds.scene.chain),
+                           cfg.squash, default_loss_weights(train_ds.scene.camera)[0],
+                           cfg.beta, cfg.gamma)
 
     n = len(store)
     val_idx = np.arange(len(val_store))
@@ -421,8 +472,8 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
             idx = order[lo:lo + cfg.batch_size]
             tape = ad.Tape()
             dvs = {name: ad.leaf(tape, w.astype(np.float32)) for name, w in weights.items()}
-            total, parts = batch_loss(cfg.vit_config, dvs, store, idx, model.k,
-                                      alpha, cfg.beta, cfg.gamma, cfg.squash)
+            total, parts = batch_loss(model.config, dvs, store, idx, model.k, model.alpha,
+                                      model.beta, model.gamma, model.squash)
             value = float(ad._val(total))
             if not np.isfinite(value):
                 frames = [(int(store.traj_of[i]), float(store.times[i])) for i in idx]
@@ -441,7 +492,7 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
                 train_sums[key] += parts[key]
             batches += 1
 
-        val = evaluate_loss(model, val_store, val_idx, alpha, cfg.beta, cfg.gamma)
+        val = evaluate_loss(model, val_store, val_idx)
         rec = {"epoch": epoch,
                "train": {key: v / max(batches, 1) for key, v in train_sums.items()},
                "val": val, "seconds": round(time.time() - t0, 2)}

@@ -137,16 +137,15 @@ def default_camera(size: int = 128) -> PinholeCamera:
 def project(camera: PinholeCamera, points: np.ndarray):
     """Project camera-frame points (..., 3) to pixels (..., 2).
 
-    The camera looks down +Z. Points with Z <= near are flagged behind-camera
-    and projected with Z clamped to near so losses stay continuous. Returns
-    (xy, behind_flags), plain arrays; ``scene.project_theta`` carries the
-    derivative of this map in its Jacobian.
+    The camera looks down +Z. Points with Z <= near are projected with Z
+    clamped to near so losses stay continuous. Returns a plain array;
+    ``scene.project_theta`` carries the derivative of this map in its
+    Jacobian.
     """
     p = np.asarray(points, dtype=float)
     z = np.clip(p[..., 2], camera.near, None)
-    xy = np.stack([camera.fx * (p[..., 0] / z) + camera.cx,
-                   camera.fy * (p[..., 1] / z) + camera.cy], axis=-1)
-    return xy, p[..., 2] <= camera.near
+    return np.stack([camera.fx * (p[..., 0] / z) + camera.cx,
+                     camera.fy * (p[..., 1] / z) + camera.cy], axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,7 @@ def render_pose(scene: ToolScene, base_rotation, base_translation, q, mode: str)
     """Silhouettes (B, H, W) and projected keypoints (B, K, 2) at plain base
     poses and joint values, from one forward-kinematics pass."""
     _, world = posed_points(scene, base_rotation, base_translation, q)
-    xy, _ = render.project(scene.camera, world)
+    xy = render.project(scene.camera, world)
     return render_points(scene, xy, world[..., 2], mode), xy[:, len(scene.verts_local):]
 
 
@@ -174,7 +174,7 @@ def project_theta(scene: ToolScene, theta, q_first3: np.ndarray):
     rot = se3.euler_to_matrix(th[:, :3])
     q = np.concatenate([np.asarray(q_first3, dtype=np.float64), th[:, 6:]], axis=1)
     links, world = posed_points(scene, rot, th[:, 3:6], q)
-    xy, _ = render.project(scene.camera, world)
+    xy = render.project(scene.camera, world)
     if isinstance(theta, ad.DiffValue):
         jac = _theta_jacobian(scene, th, rot, links, world)
         xy = ad.from_op(xy, [theta], lambda g: (np.einsum("bnk,bnkj->bj", g, jac),))

@@ -66,9 +66,11 @@ class NoiseSpec:
     joint_sigma: np.ndarray                      # (7,) rad or m
 
     def __post_init__(self):
-        for name in ("transform_translation_halfwidth", "transform_euler_halfwidth",
-                     "joint_sigma"):
+        for name, n in (("transform_translation_halfwidth", 3),
+                        ("transform_euler_halfwidth", 3), ("joint_sigma", 7)):
             v = np.asarray(getattr(self, name), dtype=float)
+            if v.shape != (n,):
+                raise ValueError(f"{name} must have shape ({n},), got {v.shape}")
             if not np.all(np.isfinite(v) & (v >= 0)):
                 raise ValueError(f"{name} must be finite and nonnegative")
             object.__setattr__(self, name, v)
@@ -122,8 +124,7 @@ def _view_points(scene: ToolScene, q: np.ndarray) -> tuple[np.ndarray, np.ndarra
     links = kin.forward_kinematics(scene.chain, base.rotation, base.translation, q)
     pts = np.concatenate([kin.keypoints_3d(scene.chain, links), links[-1][1][..., None, :]],
                          axis=-2)
-    xy, _ = render.project(scene.camera, pts)
-    return xy, pts[..., 2]
+    return render.project(scene.camera, pts), pts[..., 2]
 
 
 def _in_box(scene: ToolScene, xy: np.ndarray, z: np.ndarray, margin: float) -> np.ndarray:

@@ -40,12 +40,9 @@ its incoming gradient back to the weights' dtype.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
-import zipfile
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,12 +97,6 @@ class VitConfig:
     @property
     def patch_dim(self) -> int:
         return 2 * self.patch_size ** 2
-
-    @staticmethod
-    def from_dict(d: dict) -> "VitConfig":
-        d = dict(d)
-        d["head_widths"] = tuple(d.get("head_widths", (128, 64)))
-        return VitConfig(**d)
 
 
 def init_weights(config: VitConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -383,53 +374,3 @@ def forward(config: VitConfig, weights: dict, masks: np.ndarray, theta_norm: np.
 
     return ad.from_op(out, [weights[name] for name in taped], vjp)
 
-
-# ---------------------------------------------------------------------------
-# weights file: numpy .npz archive, one float64 array per tensor plus ``meta``,
-# a 0-d string array holding the JSON header {"config": ..., **extra}
-
-def save_weights(path, config: VitConfig, weights: dict[str, np.ndarray],
-                 extra: dict | None = None) -> None:
-    meta = json.dumps({"config": asdict(config), **(extra or {})}, sort_keys=True)
-    with open(path, "wb") as fh:
-        np.savez(fh, meta=np.array(meta),
-                 **{name: np.asarray(w, dtype=np.float64) for name, w in weights.items()})
-
-
-def load_weights(path) -> tuple[VitConfig, dict[str, np.ndarray], dict]:
-    """Config, weights and the header's other entries. The tensors must be
-    those of ``init_weights(config)``, each finite float64 of its shape.
-    Raises ValueError or FileNotFoundError naming the path."""
-    path = Path(path)
-    try:
-        # through our own handle: np.load leaks the one it opens when the
-        # zip directory is unreadable
-        with open(path, "rb") as fh:
-            archive = np.load(fh)
-            if not isinstance(archive, np.lib.npyio.NpzFile):
-                raise ValueError("a single array, not an .npz archive")
-            with archive:
-                weights = {name: archive[name] for name in archive.files}
-    except OSError as exc:
-        raise FileNotFoundError(f"weights file not readable: {path}") from exc
-    # MemoryError: a tensor header that claims more values than memory holds
-    except (ValueError, EOFError, MemoryError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"{path}: not a weights archive: {exc}") from exc
-    blob = weights.pop("meta", None)
-    if blob is None or blob.shape != () or blob.dtype.kind != "U":
-        raise ValueError(f"{path}: no 'meta' string")
-    try:
-        meta = json.loads(str(blob))
-        config = VitConfig.from_dict(meta.pop("config"))
-        expected = init_weights(config, np.random.default_rng(0))
-    except (ValueError, TypeError, KeyError, AttributeError) as exc:
-        raise ValueError(f"{path}: malformed meta: {exc!r}") from exc
-    if weights.keys() != expected.keys():
-        raise ValueError(f"{path}: missing or unexpected tensors "
-                         f"{sorted(weights.keys() ^ expected.keys())}")
-    for name, w in weights.items():
-        if w.shape != expected[name].shape or w.dtype != np.float64 \
-                or not np.isfinite(w).all():
-            raise ValueError(f"{path}: tensor {name!r} is not finite float64 "
-                             f"of shape {expected[name].shape}")
-    return config, weights, meta

@@ -46,10 +46,9 @@ def frame_loss_of_raw(store, i, alpha, beta, gamma, k, squash="centered"):
     def f(raw):
         theta_hat = corrector.apply_correction(raw, store.theta_noisy[sel], k,
                                                store.scene.chain, squash)
-        s_hat, points = corrector.render_corrected(store.scene, theta_hat,
-                                                   store.q_noisy_full[sel, :3])
-        total, _ = corrector.weighted_loss(
-            s_hat, points, theta_hat, store.masks_ref[sel], store.keypoints[sel],
-            store.q_true_full[sel, corrector.VISIBLE_SLICE], alpha, beta, gamma)
+        total, _ = corrector.pose_loss(
+            store.scene, theta_hat, store.q_noisy_full[sel, :3], store.masks_ref[sel],
+            store.keypoints[sel], store.q_true_full[sel, corrector.VISIBLE_SLICE],
+            alpha, beta, gamma)
         return total
     return f

@@ -90,6 +90,8 @@ def test_backward_sigmoid_chain():
     g = grad_of(weighted_sum(out, 1.0), w)
     np.testing.assert_allclose(g, 2.0 * k[None] * s * (1 - s) * 2.0, rtol=1e-12)
     np.testing.assert_allclose(g / (2.0 * k), 0.209987, atol=1e-6)
+    # the nodes between the leaf and the loss keep no gradient
+    assert ad.backward(weighted_sum(out, 1.0)).keys() == {w.nid}
 
 
 def test_backward_rejects_nonscalar():

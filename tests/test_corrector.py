@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from silgrad import autodiff as ad
-from silgrad import baseline, corrector, kinematics, synth, vit
+from silgrad import baseline, corrector, kinematics, scene, se3, synth, vit
 from silgrad.synth import rng_stream
 
 from conftest import frame_loss_of_raw, weighted_sum
@@ -377,7 +377,7 @@ def test_load_weights_rejects_garbage(tmp_path):
     p = tmp_path / "bad.npz"
     p.write_bytes(b"NOPE")
     with pytest.raises(ValueError):
-        vit.load_weights(p)
+        corrector.CorrectorModel.load(p)
 
 
 # --------------------------------------------------- the correction node
@@ -566,7 +566,6 @@ def test_loss_rejects_fewer_points_than_keypoints():
 # ------------------------------------------------- corrected-render pipeline
 
 def truth_theta(store, i):
-    import silgrad.se3 as se3
     pose, _ = se3.transform_to_euler(store.base_true)
     return np.concatenate([pose, store.q_true_full[i, corrector.VISIBLE_SLICE]])
 
@@ -577,8 +576,8 @@ def test_render_corrected_at_truth_matches_reference(tiny_store):
     store = tiny_store
     i = 7
     theta = truth_theta(store, i)[None]
-    s_hat, points = corrector.render_corrected(store.scene, theta,
-                                               store.q_true_full[i][None, :3])
+    points, depth = scene.project_theta(store.scene, theta, store.q_true_full[i][None, :3])
+    s_hat = scene.render_points(store.scene, points, depth, "soft")
     soft_bin = s_hat[0] > 0.5
     ref = store.masks_ref[i] > 0.5
     iou = np.logical_and(soft_bin, ref).sum() / np.logical_or(soft_bin, ref).sum()
@@ -592,9 +591,9 @@ def test_zero_correction_renders_noisy_config(tiny_store):
     out = corrector.apply_correction(np.zeros((1, 10)), store.theta_noisy[i][None],
                                      corrector.default_scale(store.scene.chain),
                                      store.scene.chain)
-    s_hat, _ = corrector.render_corrected(store.scene, out, store.q_noisy_full[i, :3][None])
+    xy, depth = scene.project_theta(store.scene, out, store.q_noisy_full[i, :3][None])
+    s_hat = scene.render_points(store.scene, xy, depth, "soft")
     rot = store.scene.base  # recompute directly from the noisy parametrization
-    import silgrad.se3 as se3
     from silgrad.scene import render_masks
     e = store.theta_noisy[i]
     r = se3.euler_to_matrix(e[:3])[None]
@@ -613,7 +612,10 @@ def test_one_forward_kinematics_pass_per_render(monkeypatch, tiny_store, render)
     if render == "render_corrected":
         tape = ad.Tape()
         theta = ad.leaf(tape, store.theta_noisy[:3])
-        corrector.render_corrected(store.scene, theta, store.q_noisy_full[:3, :3])
+        alpha, beta, gamma = corrector.default_loss_weights(store.scene.camera)
+        corrector.pose_loss(store.scene, theta, store.q_noisy_full[:3, :3],
+                            store.masks_ref[:3], store.keypoints[:3],
+                            store.q_true_full[:3, corrector.VISIBLE_SLICE], alpha, beta, gamma)
     else:
         synth.render_truth(store.scene, store.base_true, store.q_true_full[:3])
     assert len(calls) == 1
@@ -685,12 +687,12 @@ def small_cfg(**kw):
 
 @pytest.mark.parametrize("name, bad", [
     ("lr", np.nan), ("lr", np.inf), ("lr", -1e-4), ("epochs", 0), ("batch_size", 0),
-    ("patience", 0), ("val_stride", 0), ("val_stride", np.nan), ("batch_size", 2.5),
+    ("patience", 0), ("batch_size", 2.5),
     ("epochs", 2.0), ("epochs", True), ("weight_decay", -1e-4),
     ("weight_decay", np.inf), ("beta", np.nan), ("beta", -0.05), ("gamma", -500.0),
     ("gamma", np.inf), ("squash", "tanh"), ("lr", True), ("lr", "1e-4"),
     ("weight_decay", None), ("beta", np.True_), ("gamma", "500"), ("seed", "x"),
-    ("seed", 1.5), ("seed", True),
+    ("seed", 1.5), ("seed", True), ("vit_config", {"image_size": 64}), ("vit_config", None),
 ])
 def test_train_config_rejects_bad_field(name, bad):
     with pytest.raises(ValueError, match=name):
@@ -734,7 +736,7 @@ def test_evaluate_loss_is_the_frame_weighted_mean_of_batch_losses(tiny_store):
     alpha, beta, gamma = corrector.default_loss_weights(store.scene.camera)
     model = corrector.CorrectorModel(cfg, w, k, "centered", alpha, beta, gamma)
     idx = rng.permutation(len(store))[:n]
-    got = corrector.evaluate_loss(model, store, idx, alpha, beta, gamma)
+    got = corrector.evaluate_loss(model, store, idx)
 
     want, means = dict.fromkeys(got, 0.0), []
     for sel in (idx[:corrector._EVAL_BATCH], idx[corrector._EVAL_BATCH:]):
@@ -820,3 +822,16 @@ def test_infer_is_finite_and_single_pass(tiny_train, tiny_val, tiny_store):
     theta = corrector.infer(model, tiny_store, np.arange(16))
     assert theta.shape == (16, 10)
     assert np.all(np.isfinite(theta))
+
+
+def test_frame_store_rejects_trajectories_with_different_true_bases(tmp_path, scene64):
+    # the store keeps one true base; a second trajectory's, 10 mm off, would
+    # have its errors scored against the first one's
+    ds = synth.generate_dataset(tmp_path, "t", 2, 0.1, 3, scene=scene64,
+                                frames_per_trajectory=2)
+    rec = ds.load_trajectory(1)
+    base = rec.base_true
+    rec.base_true = se3.RigidTransform(base.rotation, base.translation + [0.01, 0.0, 0.0])
+    synth.write_trajectory(ds.trajectory_path(1), rec)
+    with pytest.raises(ValueError, match=re.escape(str(ds.trajectory_path(1)))):
+        corrector.build_frame_store(ds)

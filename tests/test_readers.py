@@ -92,49 +92,54 @@ def _row(line, edit):
     return corrupt
 
 
+_load = corrector.CorrectorModel.load
+
 # name: (reader, valid bytes, corruption or None for a missing file, error)
 CASES = {
-    "weights-short-tensor": (vit.load_weights, _model, lambda b: b[:-100], ValueError),
-    "weights-short-header": (vit.load_weights, _model, lambda b: b[:10], ValueError),
-    "weights-empty": (vit.load_weights, _model, lambda b: b"", ValueError),
-    "weights-magic": (vit.load_weights, _model, lambda b: b"SGWX" + b[4:], ValueError),
-    "weights-missing": (vit.load_weights, _model, None, FileNotFoundError),
-    "weights-no-meta": (vit.load_weights, _model, _drop("meta"), ValueError),
-    "weights-header-json": (vit.load_weights, _model, _archive(
+    "weights-short-tensor": (_load, _model, lambda b: b[:-100], ValueError),
+    "weights-short-header": (_load, _model, lambda b: b[:10], ValueError),
+    "weights-empty": (_load, _model, lambda b: b"", ValueError),
+    "weights-magic": (_load, _model, lambda b: b"SGWX" + b[4:], ValueError),
+    "weights-missing": (_load, _model, None, FileNotFoundError),
+    "weights-no-meta": (_load, _model, _drop("meta"), ValueError),
+    "weights-header-json": (_load, _model, _archive(
         lambda arrays: arrays.update(meta=np.array("{config"))), ValueError),
-    "weights-header-overclaims": (vit.load_weights, _model, _overclaim_tensor, ValueError),
-    "weights-no-head3-b": (vit.load_weights, _model, _drop("head3.b"), ValueError),
-    "weights-head3-w-shape": (vit.load_weights, _model, _archive(
+    "weights-header-overclaims": (_load, _model, _overclaim_tensor, ValueError),
+    "weights-no-head3-b": (_load, _model, _drop("head3.b"), ValueError),
+    "weights-head3-w-shape": (_load, _model, _archive(
         lambda arrays: arrays.update({"head3.w": np.zeros((3, 3))})), ValueError),
-    "weights-config-zero-patch": (vit.load_weights, _model, _meta(
+    "weights-config-zero-patch": (_load, _model, _meta(
         lambda meta: meta["config"].update(patch_size=0)), ValueError),
-    "weights-config-float-layers": (vit.load_weights, _model, _meta(
+    "weights-config-float-layers": (_load, _model, _meta(
         lambda meta: meta["config"].update(layers=2.5)), ValueError),
-    "model-no-k": (corrector.CorrectorModel.load, _model, _drop_meta("k"), ValueError),
-    "model-no-squash": (corrector.CorrectorModel.load, _model, _drop_meta("squash"),
-                        ValueError),
-    "model-no-alpha": (corrector.CorrectorModel.load, _model, _drop_meta("alpha"), ValueError),
-    "model-no-beta": (corrector.CorrectorModel.load, _model, _drop_meta("beta"), ValueError),
-    "model-no-gamma": (corrector.CorrectorModel.load, _model, _drop_meta("gamma"), ValueError),
-    "model-k-length": (corrector.CorrectorModel.load, _model,
+    "weights-config-missing-key": (_load, _model, _meta(
+        lambda meta: meta["config"].pop("heads")), ValueError),
+    "weights-config-unexpected-key": (_load, _model, _meta(
+        lambda meta: meta["config"].update(dropout=0.1)), ValueError),
+    "model-no-k": (_load, _model, _drop_meta("k"), ValueError),
+    "model-no-squash": (_load, _model, _drop_meta("squash"), ValueError),
+    "model-no-alpha": (_load, _model, _drop_meta("alpha"), ValueError),
+    "model-no-beta": (_load, _model, _drop_meta("beta"), ValueError),
+    "model-no-gamma": (_load, _model, _drop_meta("gamma"), ValueError),
+    "model-k-length": (_load, _model,
                        _meta(lambda meta: meta.update(k=meta["k"][:9])), ValueError),
-    "model-squash-unknown": (corrector.CorrectorModel.load, _model,
+    "model-squash-unknown": (_load, _model,
                              _meta(lambda meta: meta.update(squash="tanh")), ValueError),
-    "model-k-nan": (corrector.CorrectorModel.load, _model, _set_k(3, float("nan")), ValueError),
-    "model-k-zero": (corrector.CorrectorModel.load, _model, _set_k(0, 0.0), ValueError),
-    "model-k-negative": (corrector.CorrectorModel.load, _model, _set_k(9, -0.1), ValueError),
-    "model-k-inf": (corrector.CorrectorModel.load, _model, _set_k(5, float("inf")), ValueError),
-    "model-alpha-nan": (corrector.CorrectorModel.load, _model,
+    "model-k-nan": (_load, _model, _set_k(3, float("nan")), ValueError),
+    "model-k-zero": (_load, _model, _set_k(0, 0.0), ValueError),
+    "model-k-negative": (_load, _model, _set_k(9, -0.1), ValueError),
+    "model-k-inf": (_load, _model, _set_k(5, float("inf")), ValueError),
+    "model-alpha-nan": (_load, _model,
                         _meta(lambda meta: meta.update(alpha=float("nan"))), ValueError),
-    "model-beta-inf": (corrector.CorrectorModel.load, _model,
+    "model-beta-inf": (_load, _model,
                        _meta(lambda meta: meta.update(beta=float("inf"))), ValueError),
-    "model-gamma-nan": (corrector.CorrectorModel.load, _model,
+    "model-gamma-nan": (_load, _model,
                         _meta(lambda meta: meta.update(gamma=float("nan"))), ValueError),
-    "model-gamma-minus-inf": (corrector.CorrectorModel.load, _model,
+    "model-gamma-minus-inf": (_load, _model,
                               _meta(lambda meta: meta.update(gamma=float("-inf"))), ValueError),
-    "model-alpha-negative": (corrector.CorrectorModel.load, _model,
+    "model-alpha-negative": (_load, _model,
                              _meta(lambda meta: meta.update(alpha=-0.25)), ValueError),
-    "model-gamma-negative": (corrector.CorrectorModel.load, _model,
+    "model-gamma-negative": (_load, _model,
                              _meta(lambda meta: meta.update(gamma=-500.0)), ValueError),
     "pose-csv-short-row": (metrics.read_pose_csv, _pose_csv,
                            _row(3, lambda r: r.rsplit(b",", 1)[0]), ValueError),
@@ -151,6 +156,10 @@ CASES = {
 AFTER_PATH = {case: ", line 3:" for case in CASES if case.startswith("pose-csv")}
 # a config field of the wrong type: the message names the field
 AFTER_PATH["weights-config-float-layers"] = ": malformed meta: ValueError('layers"
+# a config key missing or unexpected: the message names the key
+_ODD_KEYS = ': malformed meta: ValueError("missing or unexpected config keys '
+AFTER_PATH["weights-config-missing-key"] = _ODD_KEYS + "['heads']"
+AFTER_PATH["weights-config-unexpected-key"] = _ODD_KEYS + "['dropout']"
 # a model value out of range: the message names its key
 AFTER_PATH.update({case: f": {case.split('-')[1]!r}" for case in CASES
                    if case.startswith("model-")

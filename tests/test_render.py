@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from silgrad import autodiff as ad
-from silgrad import corrector, mesh, render, scene, se3
+from silgrad import mesh, render, scene, se3
 from silgrad.mesh import TriMesh
 
 from conftest import weighted_sum
@@ -23,13 +23,12 @@ def soft_occupancy(verts, faces, parts, valid, width, height, sigma_r):
 # --------------------------------------------------------------- projection
 
 def test_project_optical_axis():
-    xy, behind = render.project(cam(fx=100.0, size=64), np.array([0.0, 0.0, 1.0]))
+    xy = render.project(cam(fx=100.0, size=64), np.array([0.0, 0.0, 1.0]))
     assert xy.tolist() == [32.0, 32.0]
-    assert not behind
 
 
 def test_project_offset_point():
-    xy, _ = render.project(cam(fx=100.0, size=64), np.array([0.1, 0.0, 1.0]))
+    xy = render.project(cam(fx=100.0, size=64), np.array([0.1, 0.0, 1.0]))
     assert xy.tolist() == [42.0, 32.0]
 
 
@@ -55,8 +54,7 @@ def test_project_gradient_is_fx_over_z():
 
 def test_project_behind_camera_flagged_and_clamped():
     c = cam()
-    xy, behind = render.project(c, np.array([[0.0, 0.0, -0.5], [0.0, 0.0, 1.0]]))
-    assert behind.tolist() == [True, False]
+    xy = render.project(c, np.array([[0.0, 0.0, -0.5], [0.0, 0.0, 1.0]]))
     assert np.all(np.isfinite(xy))
 
 
@@ -92,7 +90,7 @@ def rasterize(meshes_poses, camera, mode="hard", sigma_r=None):
         faces = np.concatenate([faces, m.faces + pts.shape[1]])
         parts = np.concatenate([parts, np.full(len(m.faces), i)])
         pts = np.concatenate([pts, pose.apply(m.vertices)[None]], axis=1)
-    xy, _ = render.project(camera, pts)
+    xy = render.project(camera, pts)
     valid = render.face_validity(pts[..., 2], faces, camera, mode)
     if mode == "hard":
         img = render.hard_occupancy(xy, faces, valid, camera.width, camera.height)
@@ -454,7 +452,7 @@ def test_soft_call_memory_follows_the_outline():
     sc = scene.reference_scene(128)
     q = visible_config(np.random.default_rng(2))[None]
     _, world = scene.posed_points(sc, sc.base.rotation[None], sc.base.translation[None], q)
-    xy, _ = render.project(sc.camera, world)
+    xy = render.project(sc.camera, world)
     v = len(sc.verts_local)
     verts = ad.leaf(ad.Tape(), xy[:, :v])
     valid = render.face_validity(world[:, :v, 2], sc.faces, sc.camera, "soft")
@@ -484,8 +482,8 @@ def test_soft_gradients_match_finite_differences_ten_params():
         # p = params0 + scale * pn, as one node on the (1, 10) leaf
         p = ad.from_op(params0 + scale * ad._val(pn), [pn] if isinstance(pn, ad.DiffValue)
                        else [], lambda g: (g * scale,))
-        mask, _ = corrector.render_corrected(sc, p, q_first[None])
-        return weighted_sum(mask, 1.0)
+        xy, depth = scene.project_theta(sc, p, q_first[None])
+        return weighted_sum(scene.render_points(sc, xy, depth, "soft"), 1.0)
 
     rep = ad.finite_diff_check(f, np.zeros((1, 10)), epsilon=1e-4, tolerance=1e-3)
     assert rep.passed, rep
@@ -522,7 +520,7 @@ def _posed_tool(size, seed):
     sc = scene.reference_scene(size)
     q = visible_config(np.random.default_rng(seed))[None]
     _, world = scene.posed_points(sc, sc.base.rotation[None], sc.base.translation[None], q)
-    return sc, render.project(sc.camera, world)[0], world[..., 2]
+    return sc, render.project(sc.camera, world), world[..., 2]
 
 
 def test_soft_rows_no_face_uses_get_zero_gradient():

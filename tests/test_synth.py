@@ -221,6 +221,19 @@ def test_noise_spec_rejects_nonfinite(field, value):
         synth.NoiseSpec(**widths)
 
 
+@pytest.mark.parametrize("field, shape", [
+    ("transform_translation_halfwidth", (2,)), ("transform_euler_halfwidth", (3, 1)),
+    ("joint_sigma", (3,)), ("joint_sigma", (1,)), ("joint_sigma", ()),
+])
+def test_noise_spec_rejects_wrong_shape(field, shape):
+    # a (3,) joint sigma would fail only inside generate_dataset, after it
+    # has removed the old manifest; a (1,) one would broadcast to all joints
+    widths = synth.default_noise_spec().to_dict()
+    widths[field] = np.full(shape, 0.01)
+    with pytest.raises(ValueError, match=f"{field} must have shape"):
+        synth.NoiseSpec(**widths)
+
+
 @pytest.mark.parametrize("name, value", [
     ("trajectories", 2.5), ("trajectories", 0), ("trajectories", "2"), ("trajectories", True),
     ("frames_per_trajectory", 2.5), ("frames_per_trajectory", 0),
