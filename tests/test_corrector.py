@@ -691,8 +691,9 @@ def small_cfg(**kw):
     ("epochs", 2.0), ("epochs", True), ("weight_decay", -1e-4),
     ("weight_decay", np.inf), ("beta", np.nan), ("beta", -0.05), ("gamma", -500.0),
     ("gamma", np.inf), ("squash", "tanh"), ("lr", True), ("lr", "1e-4"),
-    ("weight_decay", None), ("beta", np.True_), ("gamma", "500"), ("seed", "x"),
-    ("seed", 1.5), ("seed", True), ("vit_config", {"image_size": 64}), ("vit_config", None),
+    ("weight_decay", None), pytest.param("beta", np.True_, id="beta-bad21"), ("gamma", "500"),
+    ("seed", "x"), ("seed", 1.5), ("seed", True),
+    pytest.param("vit_config", {"image_size": 64}, id="vit_config-dict"), ("vit_config", None),
 ])
 def test_train_config_rejects_bad_field(name, bad):
     with pytest.raises(ValueError, match=name):
