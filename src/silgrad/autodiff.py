@@ -17,7 +17,6 @@ point array feeds both the soft rasterizer, which reads its vertex rows, and
 the loss, which reads its keypoint rows; the two VJPs it receives are
 disjoint, so their sum is exact. A leaf is a node without a VJP, and
 :func:`backward` returns the gradients of the leaves the loss depends on.
-:func:`finite_diff_check` compares a tape gradient with central differences.
 
 An op given no :class:`DiffValue` operand evaluates on the plain arrays and
 returns a plain array, so the network, the correction and the loss run both
@@ -40,10 +39,8 @@ __all__ = [
     "DiffValue",
     "Tape",
     "ShapeMismatch",
-    "FiniteDiffReport",
     "leaf",
     "backward",
-    "finite_diff_check",
 ]
 
 
@@ -157,7 +154,7 @@ def from_op(out_value: np.ndarray, parents: list, vjp):
 
 
 # ---------------------------------------------------------------------------
-# backward / finite_diff_check
+# backward
 
 def backward(loss) -> dict[int, np.ndarray]:
     """Gradients of a scalar loss w.r.t. each leaf it depends on.
@@ -184,53 +181,3 @@ def backward(loss) -> dict[int, np.ndarray]:
             acc = grads.get(pid)
             grads[pid] = pg if acc is None else acc + pg
     return grads
-
-
-class FiniteDiffReport:
-    """Comparison of tape gradients against central finite differences."""
-
-    def __init__(self, analytic, numeric, rel_error, tolerance):
-        self.analytic = analytic
-        self.numeric = numeric
-        self.rel_error = rel_error
-        self.max_rel_error = float(np.max(rel_error)) if rel_error.size else 0.0
-        self.tolerance = tolerance
-        self.passed = bool(self.max_rel_error < tolerance)
-
-    def __repr__(self):
-        status = "pass" if self.passed else "FAIL"
-        return f"FiniteDiffReport(max_rel_error={self.max_rel_error:.3e}, {status})"
-
-
-def finite_diff_check(f, x0, epsilon=1e-5, tolerance=1e-6) -> FiniteDiffReport:
-    """Check the tape gradient of ``f`` at ``x0`` against central differences.
-
-    ``f`` must be dual-mode: called with a DiffValue it returns a scalar
-    DiffValue; called with a plain array it returns a plain scalar.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    x0 = np.asarray(x0, dtype=np.float64)
-    tape = Tape()
-    x = leaf(tape, x0)
-    out = f(x)
-    grads = backward(out)
-    analytic = np.asarray(grads.get(x.nid, np.zeros_like(x0)), dtype=np.float64).ravel()
-
-    flat = x0.ravel()
-    numeric = np.zeros_like(flat)
-    with np.errstate(all="ignore"):
-        for i in range(flat.size):
-            probe = flat.copy()
-            probe[i] = flat[i] + epsilon
-            hi = np.asarray(_val(f(probe.reshape(x0.shape)))).item()
-            probe[i] = flat[i] - epsilon
-            lo = np.asarray(_val(f(probe.reshape(x0.shape)))).item()
-            if not (np.isfinite(hi) and np.isfinite(lo)):
-                raise FloatingPointError(f"f non-finite at probe for coordinate {i}")
-            numeric[i] = (hi - lo) / (2.0 * epsilon)
-
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    rel = np.abs(analytic - numeric) / denom
-    return FiniteDiffReport(analytic.reshape(x0.shape), numeric.reshape(x0.shape),
-                            rel.reshape(x0.shape), tolerance)

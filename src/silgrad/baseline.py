@@ -154,19 +154,11 @@ def track_trajectory(scene: ToolScene, theta_noisy: np.ndarray,
     iters = np.empty(n, dtype=int)
     losses = np.empty(n)
     flags = np.zeros(n, dtype=bool)
-    prev = None
     for t in range(n):
-        if prev is None:
-            init = theta_noisy[t].copy()
-        else:
-            init = prev.copy()
-            init[6:10] = theta_noisy[t, 6:10]  # joint noise is white: restart
-        theta, it, loss, failed = optimize_frame(
+        init = theta_noisy[t].astype(float)
+        if t:
+            init[:6] = out[t - 1, :6]  # the base error persists; joint noise is white
+        out[t], iters[t], losses[t], flags[t] = optimize_frame(
             scene, init, masks_ref[t].astype(float), keypoints_ref[t],
             q_noisy_full[t, :3], config)
-        out[t] = theta
-        iters[t] = it
-        losses[t] = loss
-        flags[t] = failed
-        prev = theta
     return out, iters, losses, flags

@@ -178,34 +178,24 @@ def build_frame_store(ds: Dataset, stride: int = 1) -> FrameStore:
 
     recs = [ds.load_trajectory(i) for i in range(ds.num_trajectories)]
     base = recs[0].base_true
-    parts = {k: [] for k in ("mr", "mn", "tn", "qn", "qt", "kp", "tj", "tm")}
+    per_traj = []
     for i, rec in enumerate(recs):
         if not (np.array_equal(rec.base_true.rotation, base.rotation)
                 and np.array_equal(rec.base_true.translation, base.translation)):
             raise ValueError(f"{ds.trajectory_path(i)}: true base differs from "
                              f"trajectory 0's, and a frame store holds one")
         sel = slice(0, rec.num_frames, stride)
-        noisy_masks, _ = render_truth(ds.scene, rec.base_noisy, rec.q_noisy[sel])
-        parts["mr"].append(rec.masks[sel])
-        parts["mn"].append(noisy_masks)
-        parts["tn"].append(noisy_theta_vector(rec)[sel])
-        parts["qn"].append(rec.q_noisy[sel])
-        parts["qt"].append(rec.q_true[sel])
-        parts["kp"].append(rec.keypoints[sel].astype(float))
-        parts["tj"].append(np.full(len(rec.times[sel]), i))
-        parts["tm"].append(rec.times[sel])
-    return FrameStore(
-        scene=ds.scene,
-        masks_ref=np.concatenate(parts["mr"]),
-        masks_noisy=np.concatenate(parts["mn"]),
-        theta_noisy=np.concatenate(parts["tn"]),
-        q_noisy_full=np.concatenate(parts["qn"]),
-        q_true_full=np.concatenate(parts["qt"]),
-        keypoints=np.concatenate(parts["kp"]),
-        traj_of=np.concatenate(parts["tj"]),
-        base_true=base,
-        times=np.concatenate(parts["tm"]),
-    )
+        per_traj.append({
+            "masks_ref": rec.masks[sel],
+            "masks_noisy": render_truth(ds.scene, rec.base_noisy, rec.q_noisy[sel])[0],
+            "theta_noisy": noisy_theta_vector(rec)[sel],
+            "q_noisy_full": rec.q_noisy[sel],
+            "q_true_full": rec.q_true[sel],
+            "keypoints": rec.keypoints[sel].astype(float),
+            "traj_of": np.full(len(rec.times[sel]), i),
+            "times": rec.times[sel]})
+    return FrameStore(scene=ds.scene, base_true=base,
+                      **{key: np.concatenate([t[key] for t in per_traj]) for key in per_traj[0]})
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +264,9 @@ class CorrectorModel:
                     or not np.isfinite(w).all():
                 raise ValueError(f"{path}: tensor {name!r} is not finite float64 "
                                  f"of shape {expected[name].shape}")
-        for key in ("k", "squash", "alpha", "beta", "gamma"):
-            if key not in meta:
-                raise ValueError(f"{path}: no {key!r} entry")
+        odd = sorted(meta.keys() ^ {"config", "k", "squash", "alpha", "beta", "gamma"})
+        if odd:
+            raise ValueError(f"{path}: missing or unexpected entries {odd}")
         try:
             k = np.asarray(meta["k"], dtype=np.float64).reshape(10)
             gains = [float(meta[key]) for key in ("alpha", "beta", "gamma")]
@@ -296,14 +286,20 @@ def stack_mask_channels(m_ref: np.ndarray, m_noisy: np.ndarray) -> np.ndarray:
     return np.stack([m_ref, m_noisy], axis=1).astype(np.float64)
 
 
+def _correct(config: vit.VitConfig, weights: dict, store: FrameStore, idx, k, squash: str):
+    """The corrected configurations of frames ``idx``: the network on their
+    mask pairs and theta / k, then the correction. Dual-mode in the weights."""
+    masks = stack_mask_channels(store.masks_ref[idx], store.masks_noisy[idx])
+    theta_noisy = store.theta_noisy[idx]
+    raw = vit.forward(config, weights, masks, theta_noisy / k)
+    return apply_correction(raw, theta_noisy, k, store.scene.chain, squash)
+
+
 def infer(model: CorrectorModel, store: FrameStore, idx=None) -> np.ndarray:
     """One forward pass + squashing per frame; no renderer involved."""
     if idx is None:
         idx = np.arange(len(store))
-    masks = stack_mask_channels(store.masks_ref[idx], store.masks_noisy[idx])
-    theta_noisy = store.theta_noisy[idx]
-    raw = vit.forward(model.config, model.weights, masks, theta_noisy / model.k)
-    return apply_correction(raw, theta_noisy, model.k, store.scene.chain, model.squash)
+    return _correct(model.config, model.weights, store, idx, model.k, model.squash)
 
 
 # ---------------------------------------------------------------------------
@@ -391,30 +387,32 @@ def batch_loss(model_cfg: vit.VitConfig, weights: dict, store: FrameStore,
 
     Returns (total, parts) where parts are plain per-term batch means.
     """
-    masks = stack_mask_channels(store.masks_ref[idx], store.masks_noisy[idx])
-    theta_noisy = store.theta_noisy[idx]
-    raw = vit.forward(model_cfg, weights, masks, theta_noisy / k)
-    theta_hat = apply_correction(raw, theta_noisy, k, store.scene.chain, squash)
+    theta_hat = _correct(model_cfg, weights, store, idx, k, squash)
     total, parts = pose_loss(store.scene, theta_hat, store.q_noisy_full[idx, :3],
                              store.masks_ref[idx], store.keypoints[idx],
                              store.q_true_full[idx, VISIBLE_SLICE], alpha, beta, gamma)
     return total, {name: float(np.mean(part)) for name, part in parts.items()}
 
 
+def _frame_means(batches: list) -> dict:
+    """Each loss part's mean over frames, from one (frames, {part: batch
+    mean}) pair per batch: a batch counts by its number of frames."""
+    frames = sum(n for n, _ in batches)
+    return {key: sum(n * means[key] for n, means in batches) / frames
+            for key in batches[0][1]}
+
+
 def evaluate_loss(model: CorrectorModel, store: FrameStore, idx: np.ndarray) -> dict:
     """Plain-numpy loss over the given frames (no tape), with the model's
     loss weights."""
-    sums = {"total": 0.0, "render": 0.0, "keypoints": 0.0, "joints": 0.0}
+    batches = []
     for lo in range(0, len(idx), _EVAL_BATCH):
         sel = idx[lo:lo + _EVAL_BATCH]
         total, parts = batch_loss(model.config, model.weights, store, sel,
                                   model.k, model.alpha, model.beta, model.gamma,
                                   model.squash)
-        n = len(sel)
-        sums["total"] += float(ad._val(total)) * n
-        for key in ("render", "keypoints", "joints"):
-            sums[key] += parts[key] * n
-    return {key: v / len(idx) for key, v in sums.items()}
+        batches.append((len(sel), {"total": float(ad._val(total)), **parts}))
+    return _frame_means(batches)
 
 
 def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
@@ -433,8 +431,9 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
     threads, so a run with one thread and one with two end with weights that
     differ in the last bits.
 
-    Returns (model, log) where log holds one record per epoch. Checkpoints
-    are written on every validation improvement when ``out_dir`` is given.
+    Returns (model, log) where log holds one record per epoch; its "train"
+    and "val" loss parts are frame-weighted means. Checkpoints are written
+    on every validation improvement when ``out_dir`` is given.
     """
     size = cfg.vit_config.image_size
     for ds in (train_ds, val_ds):
@@ -466,8 +465,7 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
     for epoch in range(cfg.epochs):
         t0 = time.time()
         order = rng_stream(cfg.seed, _TRAIN_STREAM + 1 + epoch).permutation(n)
-        train_sums = {"total": 0.0, "render": 0.0, "keypoints": 0.0, "joints": 0.0}
-        batches = 0
+        batches = []
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
             tape = ad.Tape()
@@ -487,14 +485,11 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
             # the tape holds the whole ViT node: free it before the next
             # step's forward pass, not after it
             del tape, dvs, total, grads
-            train_sums["total"] += value
-            for key in ("render", "keypoints", "joints"):
-                train_sums[key] += parts[key]
-            batches += 1
+            batches.append((len(idx), {"total": value, **parts}))
 
         val = evaluate_loss(model, val_store, val_idx)
         rec = {"epoch": epoch,
-               "train": {key: v / max(batches, 1) for key, v in train_sums.items()},
+               "train": _frame_means(batches),
                "val": val, "seconds": round(time.time() - t0, 2)}
         log.append(rec)
         if log_fn:

@@ -57,24 +57,6 @@ class KinematicChain:
         object.__setattr__(self, "joints", tuple(self.joints))
         object.__setattr__(self, "keypoints", tuple(self.keypoints))
 
-    def validate(self) -> None:
-        for j in self.joints:
-            if j.kind not in (REVOLUTE, PRISMATIC):
-                raise ValueError(f"joint {j.name}: unknown kind {j.kind!r}")
-            numbers = np.concatenate([j.offset.rotation.ravel(), j.offset.translation,
-                                      j.axis, [j.lower, j.upper]])
-            if not np.isfinite(numbers).all():
-                raise ValueError(f"joint {j.name}: non-finite offset, axis or limit")
-            if abs(np.linalg.norm(j.axis) - 1.0) > 1e-9:
-                raise ValueError(f"joint {j.name}: axis is not unit-norm")
-            if not j.lower < j.upper:
-                raise ValueError(f"joint {j.name}: empty limit interval")
-        for k in self.keypoints:
-            if not 0 <= k.joint_index < len(self.joints):
-                raise ValueError(f"keypoint references joint {k.joint_index} out of range")
-            if not np.isfinite(k.point).all():
-                raise ValueError(f"keypoint on joint {k.joint_index}: non-finite point")
-
     @property
     def num_joints(self) -> int:
         return len(self.joints)
@@ -161,6 +143,4 @@ def reference_chain() -> KinematicChain:
         KeypointAnchor(5, [0.0, 0.0, 0.014]),    # fixed jaw tip
         KeypointAnchor(6, [0.0, 0.0, 0.010]),    # moving jaw tip
     )
-    chain = KinematicChain("psm_simplified", joints, keypoints)
-    chain.validate()
-    return chain
+    return KinematicChain("psm_simplified", joints, keypoints)

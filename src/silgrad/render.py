@@ -99,7 +99,6 @@ import numpy as np
 
 from . import autodiff as ad
 
-_PAIR_CHUNK = 1 << 22  # pixel-triangle pairs processed per vectorized block
 _HALO_SIGMAS = 3.0     # contour-edge halo in units of sqrt(sigma_r)
 
 
@@ -258,24 +257,17 @@ def _coverage(tris: np.ndarray, cell: np.ndarray, size: int, width: int,
               height: int) -> np.ndarray:
     """Boolean (size,) array with ``cell[i] + row * width + col`` set for
     every pixel center that CCW triangle i covers under the top-left rule."""
+    tri, px, py = _pairs(*_spans(tris, width, height))
+    x, y = px + 0.5, py + 0.5
+    inside = np.ones(len(tri), dtype=bool)
+    for k in range(3):
+        ax, ay = tris[:, k, 0], tris[:, k, 1]
+        dx, dy = tris[:, (k + 1) % 3, 0] - ax, tris[:, (k + 1) % 3, 1] - ay
+        topleft = ((dy == 0) & (dx < 0)) | (dy > 0)  # y-down
+        e = dx[tri] * (y - ay[tri]) - dy[tri] * (x - ax[tri])
+        inside &= (e > 0) | ((e == 0) & topleft[tri])
     out = np.zeros(size, dtype=bool)
-    tri_r, row, xs, cnt = _spans(tris, width, height)
-    ends = np.cumsum(cnt)
-    r0 = 0
-    while r0 < len(cnt):
-        r1 = max(int(np.searchsorted(ends, ends[r0] - cnt[r0] + _PAIR_CHUNK, side="right")),
-                 r0 + 1)
-        tri, px, py = _pairs(tri_r[r0:r1], row[r0:r1], xs[r0:r1], cnt[r0:r1])
-        x, y = px + 0.5, py + 0.5
-        inside = np.ones(len(tri), dtype=bool)
-        for k in range(3):
-            ax, ay = tris[:, k, 0], tris[:, k, 1]
-            dx, dy = tris[:, (k + 1) % 3, 0] - ax, tris[:, (k + 1) % 3, 1] - ay
-            topleft = ((dy == 0) & (dx < 0)) | (dy > 0)  # y-down
-            e = dx[tri] * (y - ay[tri]) - dy[tri] * (x - ax[tri])
-            inside &= (e > 0) | ((e == 0) & topleft[tri])
-        out[(cell[tri] + py * np.int64(width) + px)[inside]] = True
-        r0 = r1
+    out[(cell[tri] + py * np.int64(width) + px)[inside]] = True
     return out
 
 

@@ -68,16 +68,6 @@ class RigidTransform:
                 and np.allclose(self.translation, other.translation, atol=atol))
 
 
-def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
-    """a then b applied in a's frame: rotation Ra@Rb, translation Ra@tb + ta."""
-    return RigidTransform(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
-
-
-def invert(t: RigidTransform) -> RigidTransform:
-    rt = t.rotation.T
-    return RigidTransform(rt, -rt @ t.translation)
-
-
 def euler_to_matrix(euler):
     """Batched Z-Y-X intrinsic Euler angles to rotation.
 

@@ -406,8 +406,11 @@ def generate_dataset(out_dir, split: str, trajectories: int, duration_s: float,
         "seed": int(seed),
     }
     # the manifest goes last, so a run that fails partway leaves no manifest
-    # naming trajectories that were never written
+    # naming trajectories that were never written; an earlier split's
+    # trajectory files go with its manifest
     (out / "manifest").unlink(missing_ok=True)
+    for stale in out.glob("traj_*.npy"):
+        stale.unlink()
     for i in range(trajectories):
         rec = generate_trajectory(frames, scene, noise, seed, index=i)
         write_trajectory(out / f"traj_{i:04d}.npy", rec)

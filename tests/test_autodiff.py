@@ -10,7 +10,7 @@ from silgrad import autodiff as ad
 from silgrad import corrector, kinematics, scene, se3, vit
 from silgrad.synth import rng_stream
 
-from conftest import weighted_sum
+from conftest import finite_diff_check, weighted_sum
 
 
 def grad_of(loss, x):
@@ -117,7 +117,7 @@ def test_shape_mismatch_error_names_op():
 
 
 def test_finite_diff_square():
-    rep = ad.finite_diff_check(lambda x: _product(x, x), np.array(3.0), epsilon=1e-5)
+    rep = finite_diff_check(lambda x: _product(x, x), np.array(3.0), epsilon=1e-5)
     np.testing.assert_allclose(rep.numeric, 6.0, rtol=1e-8)
     assert rep.passed
     assert rep.max_rel_error < 1e-9
@@ -133,7 +133,7 @@ def test_finite_diff_kink_flags_disagreement():
     def f(raw):
         return weighted_sum(corrector.apply_correction(raw, theta_noisy, k, chain), 1.0)
 
-    rep = ad.finite_diff_check(f, np.zeros((1, 10)), epsilon=1e-5, tolerance=1e-6)
+    rep = finite_diff_check(f, np.zeros((1, 10)), epsilon=1e-5, tolerance=1e-6)
     assert np.isfinite(rep.max_rel_error)
     assert not rep.passed
 
@@ -146,14 +146,14 @@ def test_finite_diff_nonfinite_probe_raises():
                           lambda g: (g / xv,))
 
     with pytest.raises(FloatingPointError, match="coordinate 0"):
-        ad.finite_diff_check(f, np.array([1e-9]), epsilon=1e-5)
+        finite_diff_check(f, np.array([1e-9]), epsilon=1e-5)
 
 
 RNG = np.random.default_rng(20240811)
 
 
 def _check(f, x0, tol=1e-6, eps=1e-6):
-    rep = ad.finite_diff_check(f, x0, epsilon=eps, tolerance=tol)
+    rep = finite_diff_check(f, x0, epsilon=eps, tolerance=tol)
     assert rep.passed, f"{f}: {rep}"
 
 

@@ -9,7 +9,7 @@ from silgrad import autodiff as ad
 from silgrad import baseline, corrector, kinematics, scene, se3, synth, vit
 from silgrad.synth import rng_stream
 
-from conftest import frame_loss_of_raw, weighted_sum
+from conftest import finite_diff_check, frame_loss_of_raw, weighted_sum
 
 RNG = np.random.default_rng(55)
 
@@ -406,7 +406,7 @@ def test_correction_gradient_matches_finite_differences(chain, k_scale, case):
     def f(raw):
         return weighted_sum(corrector.apply_correction(raw, theta, k_scale, chain, squash), w)
 
-    rep = ad.finite_diff_check(f, raw0, epsilon=1e-6, tolerance=1e-6)
+    rep = finite_diff_check(f, raw0, epsilon=1e-6, tolerance=1e-6)
     assert rep.passed, rep
     plain = corrector.apply_correction(raw0, theta, k_scale, chain, squash)
     if case == "saturated":
@@ -505,7 +505,7 @@ def test_loss_gradient_matches_finite_differences(gamma):
             args = preds[:i] + [x] + preds[i + 1:]
             return corrector.weighted_loss(*args, *refs, 0.3, 0.05, gamma)[0]
 
-        rep = ad.finite_diff_check(f, x0, epsilon=1e-5, tolerance=1e-6)
+        rep = finite_diff_check(f, x0, epsilon=1e-5, tolerance=1e-6)
         assert rep.passed, (i, rep)
         reports.append(rep)
     joints = reports[2].analytic
@@ -643,8 +643,8 @@ def test_end_to_end_gradcheck_five_frames(tiny_store):
     frames = rng.choice(len(store), size=5, replace=False)
     for i in frames:
         f = frame_loss_of_raw(store, int(i), alpha, beta, gamma, k)
-        rep = ad.finite_diff_check(f, rng.normal(size=(1, 10)) * 0.3,
-                                   epsilon=1e-4, tolerance=1e-3)
+        rep = finite_diff_check(f, rng.normal(size=(1, 10)) * 0.3,
+                                epsilon=1e-4, tolerance=1e-3)
         assert rep.passed, (i, rep)
 
 
@@ -808,6 +808,18 @@ def test_training_deterministic_same_seed(tiny_train, tiny_val):
     _, log_b = corrector.train(tiny_train, tiny_val, small_cfg(), log_fn=None)
     assert log_a[0]["train"]["total"] == log_b[0]["train"]["total"]
     assert log_a[0]["val"]["total"] == log_b[0]["val"]["total"]
+
+
+def test_training_log_is_a_mean_over_frames(tiny_train, tiny_val, tiny_store):
+    # with lr = 0 the zero-initialised head corrects nothing, so the logged
+    # train loss is the loss of the noisy frames; 120 frames in batches of 7
+    # end with a batch of 1, which a mean of batch means would over-weight
+    cfg = corrector.TrainConfig(epochs=1, lr=0.0, weight_decay=0.0, batch_size=7, seed=3)
+    model, log = corrector.train(tiny_train, tiny_val, cfg, log_fn=None)
+    assert len(tiny_store) % cfg.batch_size == 1
+    want = corrector.evaluate_loss(model, tiny_store, np.arange(len(tiny_store)))
+    assert log[0]["train"].keys() == want.keys()
+    assert log[0]["train"]["total"] == pytest.approx(want["total"], rel=1e-12)
 
 
 def test_training_decreases_loss_and_saves_checkpoints(tiny_train, tiny_val, tmp_path):

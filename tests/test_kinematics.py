@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from silgrad import autodiff as ad
 from silgrad import kinematics as kin
 from silgrad import scene as scenemod
 from silgrad import se3
 
-from conftest import weighted_sum
+from conftest import compose, finite_diff_check, weighted_sum
 
 RNG = np.random.default_rng(31)
 
@@ -41,8 +40,16 @@ def test_reference_chain_layout(chain):
     names = [j.name for j in chain.joints]
     assert names == ["Outer Yaw", "Outer Pitch", "Insertion", "Outer Roll",
                      "Wrist Pitch", "Wrist Yaw", "End Effector"]
+    for j in chain.joints:
+        assert j.kind in (kin.REVOLUTE, kin.PRISMATIC)
+        assert np.isfinite(np.concatenate([j.offset.rotation.ravel(), j.offset.translation,
+                                           j.axis, [j.lower, j.upper]])).all()
+        assert abs(np.linalg.norm(j.axis) - 1.0) <= 1e-9
+        assert j.lower < j.upper
     assert len(chain.keypoints) == 6
-    chain.validate()
+    for k in chain.keypoints:
+        assert 0 <= k.joint_index < chain.num_joints
+        assert np.isfinite(k.point).all()
 
 
 def test_zero_config_gives_cumulative_offsets(chain):
@@ -50,7 +57,7 @@ def test_zero_config_gives_cumulative_offsets(chain):
     links = fk_single(chain, base, np.zeros(7))
     acc = se3.RigidTransform.identity()
     for joint, (r, t) in zip(chain.joints, links):
-        acc = se3.compose(acc, joint.offset)
+        acc = compose(acc, joint.offset)
         np.testing.assert_allclose(r, acc.rotation, atol=1e-12)
         np.testing.assert_allclose(t, acc.translation, atol=1e-12)
 
@@ -70,7 +77,7 @@ def test_fk_equivariance_under_base_motion(chain):
     delta = se3.RigidTransform(se3.rotation_about_axis([0.3, 0.5, 0.81], 0.7),
                                [0.02, -0.01, 0.03])
     base = se3.RigidTransform(se3.rotation_about_axis([0, 1, 0], 0.4), [0.1, 0.0, 0.05])
-    moved = se3.compose(delta, base)
+    moved = compose(delta, base)
     q = random_config(chain, rng)[0]
     links_a = fk_single(chain, moved, q)
     links_b = fk_single(chain, base, q)
@@ -140,7 +147,7 @@ def test_fk_gradient_wrt_joints_matches_finite_differences(tool_scene):
         xy, _ = scenemod.project_theta(tool_scene, theta, Q_FIRST)
         return weighted_sum(xy, w)
 
-    rep = ad.finite_diff_check(f, theta0, epsilon=1e-6, tolerance=1e-6)
+    rep = finite_diff_check(f, theta0, epsilon=1e-6, tolerance=1e-6)
     assert rep.passed, rep
     assert np.count_nonzero(rep.analytic[0, 6:]) == 4
 
@@ -156,7 +163,7 @@ def test_fk_gradient_wrt_base_euler_pose(tool_scene):
         xy, _ = scenemod.project_theta(tool_scene, theta, Q_FIRST)
         return weighted_sum(xy, w)
 
-    rep = ad.finite_diff_check(f, theta0, epsilon=1e-6, tolerance=1e-6)
+    rep = finite_diff_check(f, theta0, epsilon=1e-6, tolerance=1e-6)
     assert rep.passed, rep
     assert np.count_nonzero(rep.analytic[0, :6]) == 6
 
@@ -172,5 +179,5 @@ def test_every_eef_coordinate_differentiable(tool_scene):
             xy, _ = scenemod.project_theta(tool_scene, theta, Q_FIRST)
             return weighted_sum(xy, w)
 
-        rep = ad.finite_diff_check(f, theta0, epsilon=1e-6, tolerance=1e-6)
+        rep = finite_diff_check(f, theta0, epsilon=1e-6, tolerance=1e-6)
         assert rep.passed, (coord, rep)

@@ -5,6 +5,8 @@ from scipy import signal
 from silgrad import kinematics as kin
 from silgrad import metrics, se3
 
+from conftest import compose
+
 CHAIN = kin.reference_chain()
 RNG = np.random.default_rng(17)
 
@@ -42,7 +44,7 @@ def compose_chain(base, q):
             motion = se3.RigidTransform(se3.rotation_about_axis(joint.axis, qi), np.zeros(3))
         else:
             motion = se3.RigidTransform(np.eye(3), joint.axis * qi)
-        acc = se3.compose(se3.compose(acc, joint.offset), motion)
+        acc = compose(compose(acc, joint.offset), motion)
     return acc
 
 
@@ -59,7 +61,7 @@ def test_hand_eye_identity_base_zero_joints():
     he = hand_eye(se3.RigidTransform.identity(), np.zeros(7), np.zeros(4))
     acc = se3.RigidTransform.identity()
     for j in CHAIN.joints:
-        acc = se3.compose(acc, j.offset)
+        acc = compose(acc, j.offset)
     assert he.allclose(acc, atol=1e-12)
 
 

@@ -59,9 +59,6 @@ UNCALLED_ALLOWED = {
     "metrics.evaluate_series": "the paper's error tables; the eval driver will call it",
     "metrics.write_pose_csv": "the per-frame pose CSV; the eval driver will write it",
     "metrics.read_pose_csv": "reads the eval driver's pose CSV back",
-    "se3.compose": "the tests' reference forward kinematics",
-    "se3.invert": "the tests' reference forward kinematics",
-    "autodiff.finite_diff_check": "the tests' gradient reference for every op",
 }
 
 

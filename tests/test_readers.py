@@ -121,6 +121,8 @@ CASES = {
     "model-no-alpha": (_load, _model, _drop_meta("alpha"), ValueError),
     "model-no-beta": (_load, _model, _drop_meta("beta"), ValueError),
     "model-no-gamma": (_load, _model, _drop_meta("gamma"), ValueError),
+    "model-unexpected-key": (_load, _model,
+                             _meta(lambda meta: meta.update(sigma_r=9.0)), ValueError),
     "model-k-length": (_load, _model,
                        _meta(lambda meta: meta.update(k=meta["k"][:9])), ValueError),
     "model-squash-unknown": (_load, _model,
@@ -160,6 +162,11 @@ AFTER_PATH["weights-config-float-layers"] = ": malformed meta: ValueError('layer
 _ODD_KEYS = ': malformed meta: ValueError("missing or unexpected config keys '
 AFTER_PATH["weights-config-missing-key"] = _ODD_KEYS + "['heads']"
 AFTER_PATH["weights-config-unexpected-key"] = _ODD_KEYS + "['dropout']"
+# a top-level entry missing or unexpected: the message names the key
+_ODD_ENTRIES = ": missing or unexpected entries "
+AFTER_PATH.update({case: _ODD_ENTRIES + f"[{case.split('-')[2]!r}]" for case in CASES
+                   if case.startswith("model-no-")})
+AFTER_PATH["model-unexpected-key"] = _ODD_ENTRIES + "['sigma_r']"
 # a model value out of range: the message names its key
 AFTER_PATH.update({case: f": {case.split('-')[1]!r}" for case in CASES
                    if case.startswith("model-")

@@ -7,7 +7,7 @@ from silgrad import autodiff as ad
 from silgrad import mesh, render, scene, se3
 from silgrad.mesh import TriMesh
 
-from conftest import weighted_sum
+from conftest import finite_diff_check, weighted_sum
 
 
 def cam(fx=100.0, size=64, near=0.01, far=10.0):
@@ -47,7 +47,7 @@ def test_project_gradient_is_fx_over_z():
         xy, _ = scene.project_theta(sc, theta, q_first)
         return weighted_sum(xy, w)
 
-    rep = ad.finite_diff_check(f, theta0, epsilon=1e-6)
+    rep = finite_diff_check(f, theta0, epsilon=1e-6)
     assert rep.passed, rep
     np.testing.assert_allclose(rep.analytic[0, 3], sc.camera.fx / depth[0, 0], rtol=1e-9)
 
@@ -485,7 +485,7 @@ def test_soft_gradients_match_finite_differences_ten_params():
         xy, depth = scene.project_theta(sc, p, q_first[None])
         return weighted_sum(scene.render_points(sc, xy, depth, "soft"), 1.0)
 
-    rep = ad.finite_diff_check(f, np.zeros((1, 10)), epsilon=1e-4, tolerance=1e-3)
+    rep = finite_diff_check(f, np.zeros((1, 10)), epsilon=1e-4, tolerance=1e-3)
     assert rep.passed, rep
 
 

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from silgrad import autodiff as ad
 from silgrad import scene, se3
 
-from conftest import weighted_sum
+from conftest import compose, finite_diff_check, invert, weighted_sum
 
 RNG = np.random.default_rng(7)
 
@@ -18,22 +17,22 @@ def random_transform(rng):
 
 def test_compose_identity():
     t = random_transform(RNG)
-    assert se3.compose(se3.RigidTransform.identity(), t).allclose(t)
-    assert se3.compose(t, se3.RigidTransform.identity()).allclose(t)
+    assert compose(se3.RigidTransform.identity(), t).allclose(t)
+    assert compose(t, se3.RigidTransform.identity()).allclose(t)
 
 
 def test_compose_with_inverse_is_identity():
     for _ in range(50):
         t = random_transform(RNG)
-        se3.compose(t, se3.invert(t)).validate()
-        assert se3.compose(t, se3.invert(t)).allclose(se3.RigidTransform.identity(), atol=1e-9)
+        compose(t, invert(t)).validate()
+        assert compose(t, invert(t)).allclose(se3.RigidTransform.identity(), atol=1e-9)
 
 
 def test_compose_two_quarter_turns():
     rot90 = se3.rotation_about_axis([0, 0, 1], np.pi / 2)
     a = se3.RigidTransform(rot90, [1.0, 0.0, 0.0])
     b = se3.RigidTransform(rot90, [0.0, 0.0, 0.0])
-    out = se3.compose(a, b)
+    out = compose(a, b)
     np.testing.assert_allclose(out.rotation, se3.rotation_about_axis([0, 0, 1], np.pi), atol=1e-12)
     np.testing.assert_allclose(out.translation, [1.0, 0.0, 0.0], atol=1e-12)
 
@@ -126,8 +125,8 @@ def test_euler_to_matrix_gradients():
         return weighted_sum(xy, w)
 
     # theta is one leaf; its Euler angles are the first three columns
-    rep = ad.finite_diff_check(f, np.concatenate([e0, rest], axis=1), epsilon=1e-6,
-                               tolerance=1e-6)
+    rep = finite_diff_check(f, np.concatenate([e0, rest], axis=1), epsilon=1e-6,
+                            tolerance=1e-6)
     assert rep.passed, rep
     assert np.count_nonzero(rep.analytic[:, :3]) == 6
 

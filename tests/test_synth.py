@@ -264,6 +264,13 @@ def test_failed_generation_leaves_no_manifest(tmp_path, monkeypatch):
     assert not (tmp_path / "d" / "manifest").exists()
 
 
+def test_smaller_split_replaces_the_larger_ones_files(tmp_path):
+    synth.generate_dataset(tmp_path / "d", "val", 3, 0.1, seed=2, scene=SCENE)
+    ds = synth.generate_dataset(tmp_path / "d", "val", 1, 0.1, seed=3, scene=SCENE)
+    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == ["manifest", "traj_0000.npy"]
+    assert ds.num_trajectories == 1
+
+
 def test_dataset_same_seed_bit_identical(tmp_path):
     synth.generate_dataset(tmp_path / "a", "val", 3, 0.5, seed=6, scene=SCENE)
     synth.generate_dataset(tmp_path / "b", "val", 3, 0.5, seed=6, scene=SCENE)
