@@ -130,13 +130,12 @@ def _tape_of(*xs) -> Tape:
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function for plain arrays."""
-    out = np.empty_like(x)
+    """Numerically stable logistic function for plain arrays: 1 / (1 + e)
+    where x >= 0 and e / (1 + e) elsewhere, with e = exp(-|x|), so exp never
+    overflows. A nan keeps its sign through exp, as in the two-branch form."""
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def from_op(out_value: np.ndarray, parents: list, vjp):

@@ -8,8 +8,11 @@ before its motion, so link ``i`` sits at
 shape (..., J) and a base rotation/translation of shape (..., 3, 3)/(..., 3).
 Everything that needs link poses (mesh vertices, keypoints, the end
 effector) takes them from one :func:`forward_kinematics` call, so a rendered
-pose costs one FK pass. Gradients through the chain come from the geometric
-Jacobian of ``scene.project_theta``.
+pose costs one FK pass. A :class:`KinematicChain` builds its constant
+arrays once, read-only: the joint limits, and each joint axis's skew matrix
+and its square. :func:`forward_kinematics` turns every joint about its axis
+in one :func:`se3.axis_rotations` call before it walks the chain. Gradients
+through the chain come from the geometric Jacobian of ``scene.project_theta``.
 """
 
 from __future__ import annotations
@@ -53,21 +56,26 @@ class KinematicChain:
     joints: tuple[Joint, ...]
     keypoints: tuple[KeypointAnchor, ...] = field(default_factory=tuple)
 
+    # read-only arrays, derived once from the joints
+    lower_limits: np.ndarray = field(init=False, repr=False, compare=False)  # (J,)
+    upper_limits: np.ndarray = field(init=False, repr=False, compare=False)  # (J,)
+    axis_skews: np.ndarray = field(init=False, repr=False, compare=False)    # (J, 3, 3)
+    axis_skews_sq: np.ndarray = field(init=False, repr=False, compare=False)  # (J, 3, 3)
+
     def __post_init__(self):
         object.__setattr__(self, "joints", tuple(self.joints))
         object.__setattr__(self, "keypoints", tuple(self.keypoints))
+        k = se3.skew([j.axis for j in self.joints])
+        derived = {"lower_limits": np.array([j.lower for j in self.joints], dtype=float),
+                   "upper_limits": np.array([j.upper for j in self.joints], dtype=float),
+                   "axis_skews": k, "axis_skews_sq": k @ k}
+        for name, a in derived.items():
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def num_joints(self) -> int:
         return len(self.joints)
-
-    @property
-    def lower_limits(self) -> np.ndarray:
-        return np.array([j.lower for j in self.joints])
-
-    @property
-    def upper_limits(self) -> np.ndarray:
-        return np.array([j.upper for j in self.joints])
 
 
 def forward_kinematics(chain: KinematicChain, base_rotation, base_translation, q):
@@ -88,18 +96,20 @@ def forward_kinematics(chain: KinematicChain, base_rotation, base_translation, q
     # a base shared by the batch is broadcast, so every link has the batch shape
     r_acc = np.broadcast_to(rot, batch + (3, 3))
     t_acc = np.broadcast_to(np.asarray(base_translation, dtype=float), batch + (3,))
+    # every joint's rotation about its axis, (..., J, 3, 3); a prismatic
+    # joint's goes unused
+    turns = se3.axis_rotations(chain.axis_skews, chain.axis_skews_sq, q)
     links = []
     for i, joint in enumerate(chain.joints):
-        qi = q[..., i]
         # r_pre/t_pre: pose of the joint frame before motion
         r_pre = r_acc @ joint.offset.rotation
         t_pre = (r_acc @ joint.offset.translation[:, None])[..., 0] + t_acc
         if joint.kind == REVOLUTE:
-            r_acc = r_pre @ se3.rotation_about_axis(joint.axis, qi)
+            r_acc = r_pre @ turns[..., i, :, :]
             t_acc = t_pre
         else:
             r_acc = r_pre
-            t_acc = (r_pre @ (qi[..., None] * joint.axis)[..., None])[..., 0] + t_pre
+            t_acc = (r_pre @ (q[..., i, None] * joint.axis)[..., None])[..., 0] + t_pre
         links.append((r_acc, t_acc))
     return links
 

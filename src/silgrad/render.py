@@ -67,17 +67,22 @@ no edge of P visits it, d2_P is infinite and it reads exactly 1 inside P and
 
 Past the coverage pass and one boolean union over parts, the soft raster's
 work and memory follow the outline. A distance pair keeps its edge, its
-(visited pixel, part) cell and its d2, and nothing else outlives the pass.
-The nearest edge of each cell is a scatter-min of d2 followed by the lowest
-edge among the pairs at that minimum (ties to the first edge), with no
-sort. The max over parts (ties to the first part) and the sigmoid run only
-at the pixels some contour edge visits, with d2 infinite for a part none
-of whose edges reaches the pixel; every other pixel reads 1 where a part
-covers it and 0 elsewhere, which is the sigmoid of +-inf. The gradient
-w.r.t. projected vertices is hand-derived (envelope theorem on the pixel's
-one winning contour edge) and exposed as a single fused autodiff op, which
-keeps per pixel only the winning edge and dO/dd2 and recomputes the nearest
-point in its VJP.
+(visited pixel, part) cell, its d2, and the nearest point's t and p - q. A
+cell's pixel is numbered by its rank among the visited pixels, read from a
+transient int32 running count over the image. The nearest edge of each cell
+is a scatter-min of d2 followed by a scatter-min of the pair index among
+the pairs at that minimum, with no sort. Pairs run in segment order and a
+segment visits a pixel once, so that lowest pair is the lowest edge: ties go
+to the first edge. Only the pairs at a cell's minimum outlive that step. The
+max over parts is a sweep over the P part columns with a strict > (ties to
+the first part). It and the sigmoid run only at the pixels some contour
+edge visits, with d2 infinite for a part none of whose edges reaches the
+pixel; every other pixel reads 1 where a part covers it and 0 elsewhere,
+which is the sigmoid of +-inf. The gradient w.r.t. projected vertices is
+hand-derived (envelope theorem on the pixel's one winning contour edge) and
+exposed as a single fused autodiff op. It keeps per pixel the winning edge,
+that pair's t and p - q from the forward pass, and dO/dd2, so its VJP
+recomputes nothing.
 
 On the 128 px tool scene (median over the 36 soft-raster calls of a
 `track` round, range in brackets), the coverage pass visits 2,500 pairs
@@ -86,8 +91,9 @@ bounding boxes (29-81x); the one-pixel guard it had before visited 7,400.
 The distance pass visits 6,500 pairs (4,500-6,700) of 38 contour edges and
 2,600 of the 16,384 pixels, and the two passes together 20x fewer pairs
 than the bounding boxes widened by h where a triangle owns a contour edge
-(6-32x). A taped call peaks at 380 KB of allocations (450 KB), 130 KB of
-them the returned image.
+(6-32x). A taped call peaks at 510 KB of allocations (340-555 KB), 130 KB
+of them the returned image; the t and p - q that every pair keeps until the
+cell stage cost about 120 KB of that against recomputing them in the VJP.
 """
 
 from __future__ import annotations
@@ -399,50 +405,67 @@ def soft_occupancy(verts2d, faces: np.ndarray, edges: np.ndarray, parts: np.ndar
     segs = v2.reshape(-1, 2)[np.stack([ea, eb], axis=1)]
     h = _HALO_SIGMAS * np.sqrt(sigma_r) + 0.5
     e, px, py = _pairs(*_segment_spans(segs, width, height, h))
-    rx, ry = _to_segments(segs, e, px, py)[1:]
-    d2 = rx * rx
-    ry *= ry
-    d2 += ry
-    del rx, ry
-    # the visited pixels, ascending, and cells (visited pixel, part)
+    # the visited pixels, ascending, and cells (visited pixel, part): a
+    # pixel's rank among the visited ones comes from a transient running
+    # count over the image
     pix = (img * HW)[e]
     pix += py * np.int64(width)
     pix += px
-    del px, py
     seen = np.zeros(B * HW, dtype=bool)
     seen[pix] = True
     vis = np.flatnonzero(seen)
-    del seen
+    key = np.subtract(np.cumsum(seen, dtype=np.int32)[pix], 1, dtype=np.intp)
+    del seen, pix
     covers = inside.take(vis, axis=1).T.reshape(-1)
     occ = inside.any(axis=0)
     del inside
-    key = np.searchsorted(vis, pix)
-    del pix
     key *= P
     key += edge_part[e]
-    # nearest edge per cell, ties to the first edge
+    t, rx, ry = _to_segments(segs, e, px, py)
+    del px, py
+    d2 = rx * rx
+    d2 += ry * ry
+    # nearest edge per cell: the lowest pair at the minimum. Pairs run in
+    # edge order and an edge visits a pixel once, so ties go to the first edge
     z = np.full(len(vis) * P, np.inf)
     np.minimum.at(z, key, d2)
     tie = np.flatnonzero(d2 == z[key])
-    key, e = key[tie], e[tie]
-    del d2, tie
+    del d2
+    # only the pairs at a cell's minimum go on, in pair order
+    key = key[tie]
+    e = e[tie]
+    t = t[tie]
+    rx = rx[tie]
+    ry = ry[tie]
+    del tie
+    # max over parts, ties to the first part, as a sweep over the P columns
+    # with a strict >: argmax for every z but nan. An image with a non-finite
+    # point has no pair, so z is nan only where a pair's squares overflow, at
+    # coordinates past 1e150 px. A part with no edge in reach reads +inf
+    # inside and -inf outside, so a pixel no edge visits reads 1 where some
+    # part covers it and 0 elsewhere
+    np.negative(z, out=z, where=~covers)
+    z /= sigma_r
+    z = z.reshape(-1, P)
+    top, part = z[:, 0].copy(), np.zeros(len(vis), dtype=np.intp)
+    for p in range(1, P):
+        part[z[:, p] > top] = p
+        np.maximum(top, z[:, p], out=top)
+    del z
+    best = np.arange(len(vis)) * P
+    best += part
+    covers = covers[best]
+    del part
     # the table, its index and its values share one dtype, intp: with an
     # int32 table, np.minimum.at casts on numpy's slow path, 30x slower
-    win = np.full(len(vis) * P, len(ea), dtype=np.intp)
-    np.minimum.at(win, key, e)
-    del key, e
-    # max over parts, ties to the first part; a part with no edge in reach
-    # reads +inf inside and -inf outside, so a pixel no edge visits reads
-    # 1 where some part covers it and 0 elsewhere
-    z[~covers] *= -1.0
-    z /= sigma_r
-    best = np.arange(len(vis)) * P
-    best += z.reshape(-1, P).argmax(axis=1)
-    z, won, covers = z[best], win[best], covers[best]
+    win = np.full(len(vis) * P, len(e), dtype=np.intp)
+    np.minimum.at(win, key, np.arange(len(e)))
+    del key
+    won = win[best]
     del win, best
     occ = occ.astype(float)
-    occ[vis] = ad.stable_sigmoid(z)
-    del z
+    occ[vis] = ad.stable_sigmoid(top)
+    del top
     occ = occ.reshape(B, height, width)
     occ[~finite] = np.nan
 
@@ -450,26 +473,24 @@ def soft_occupancy(verts2d, faces: np.ndarray, edges: np.ndarray, parts: np.ndar
         return occ
 
     # envelope theorem on the winning contour edge AB with nearest point
-    # q = A + t(B - A): dd2/dA = -2(1-t)(p-q), dd2/dB = -2t(p-q)
-    has = won < len(ea)
+    # q = A + t(B - A): dd2/dA = -2(1-t)(p-q), dd2/dB = -2t(p-q). The
+    # forward's t and p - q of the winning pairs are kept
+    has = won < len(e)
     pix, won = vis[has], won[has]
+    t, rx, ry, e = t[won], rx[won], ry[won], e[won]
     occ_px = occ.reshape(-1)[pix]
     do_dd2 = occ_px * (1.0 - occ_px) * (np.where(covers[has], 1.0, -1.0) / sigma_r)
-    del covers, vis, has, occ_px
+    del covers, vis, has, won, occ_px
     bad = np.repeat(~finite, V)
 
     def vjp(g):
-        py, px = np.divmod(pix % HW, width)
-        t, rx, ry = _to_segments(segs, won, px, py)
-        del px, py
         c = np.empty((2, len(pix)))
         np.multiply(-2.0, do_dd2, out=c[0])
         np.multiply(c[0], t, out=c[1])
         c[0] *= 1.0 - t
-        del t
         # per coordinate, a vertex sums its terms as the start A of a
         # winning edge, in pixel order, then as its end B
-        ends = np.concatenate([ea[won], eb[won]])
+        ends = np.concatenate([ea[e], eb[e]])
         gp = g.reshape(-1)[pix]
         grad = np.empty((B * V, 2))
         for j, r in enumerate((rx, ry)):

@@ -201,9 +201,14 @@ def _theta_jacobian(scene: ToolScene, theta: np.ndarray, rot: np.ndarray, links,
                      np.stack([-np.sin(yaw), np.cos(yaw), np.zeros(b)], axis=1), rot[:, :, 0]]
                     + [links[i][0] @ chain.joints[i].axis for i in joints], axis=1)  # (B, C, 3)
     origins = np.stack([theta[:, 3:6]] * 3 + [links[i][1] for i in joints], axis=1)
-    moves = np.stack([np.ones(n, dtype=bool)] * 3 + [scene.point_links >= i for i in joints], 1)
+    # the angles move the points of every link, 0 on; joint i those of links >= i
+    moves = scene.point_links[:, None] >= np.array([0, 0, 0, *joints])  # (N, C)
     slides = np.array([False] * 3 + [chain.joints[i].kind == kin.PRISMATIC for i in joints])
-    turn = np.cross(axes[:, None], world[:, :, None] - origins[:, None])  # (B, N, C, 3)
+    # a × r per component, in np.cross's order; (B, N, C, 3)
+    a, r = axes[:, None], world[:, :, None] - origins[:, None]
+    turn = np.stack([a[..., 1] * r[..., 2] - a[..., 2] * r[..., 1],
+                     a[..., 2] * r[..., 0] - a[..., 0] * r[..., 2],
+                     a[..., 0] * r[..., 1] - a[..., 1] * r[..., 0]], axis=-1)
     dp = np.where(slides[:, None], axes[:, None], turn) * moves[..., None]
     # columns in θ order: Euler angles, translation, joints; (B, N, 10, 3)
     dp = np.concatenate([dp[:, :, :3], np.broadcast_to(np.eye(3), (b, n, 3, 3)),

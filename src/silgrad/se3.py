@@ -6,10 +6,14 @@ is ``Rz(e0) @ Ry(e1) @ Rx(e2)``. The canonical pitch (Y angle) lies in
 [-pi/2, pi/2]. A pose is the 6-vector ``[z, y, x angles, translation in m]``,
 the first six entries of the correction pipeline's 10-D configuration.
 
-The module is plain numpy. The rotation builders :func:`rotation_about_axis`
-and :func:`euler_to_matrix` are batched over any leading shape. Gradients
-with respect to the Euler angles come from the geometric Jacobian of
-``scene.project_theta``, not from this module.
+The module is plain numpy. It holds the one Rodrigues formula,
+:func:`axis_rotations`, which turns a stack of unit axes by one batched angle
+each in one expression. It takes the axes' skew matrices (:func:`skew`) and
+their squares, which a caller builds once: the kinematic chain for its
+joints, this module for the three Euler axes. :func:`euler_to_matrix` is
+batched over any leading shape. Gradients with respect to the Euler angles
+come from the geometric Jacobian of ``scene.project_theta``, not from this
+module.
 """
 
 from __future__ import annotations
@@ -21,19 +25,29 @@ import numpy as np
 _EYE3 = np.eye(3)
 
 
-def skew(v: np.ndarray) -> np.ndarray:
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+def skew(v) -> np.ndarray:
+    """Skew matrices [v]x of vectors ``v`` (..., 3), shape (..., 3, 3)."""
+    x, y, z = np.moveaxis(np.asarray(v, dtype=float), -1, 0)
+    o = np.zeros_like(x)
+    return np.stack([np.stack([o, -z, y], axis=-1), np.stack([z, o, -x], axis=-1),
+                     np.stack([-y, x, o], axis=-1)], axis=-2)
 
 
-def rotation_about_axis(axis: np.ndarray, theta):
-    """Rodrigues rotation for a fixed unit axis and batched angle.
+def axis_rotations(k: np.ndarray, kk: np.ndarray, theta) -> np.ndarray:
+    """Rodrigues rotations I + sin(theta) K + (1 - cos(theta)) K^2 about M
+    unit axes, from their skew matrices ``k`` (M, 3, 3) and ``kk`` = k @ k.
 
-    ``theta`` has shape (...,); result has shape (..., 3, 3).
+    ``theta`` has shape (..., M), one angle per axis; result (..., M, 3, 3).
     """
-    k = skew(np.asarray(axis, dtype=float))
     th = np.asarray(theta, dtype=float)[..., None, None]
-    return _EYE3 + np.sin(th) * k + (1.0 - np.cos(th)) * (k @ k)
+    return _EYE3 + np.sin(th) * k + (1.0 - np.cos(th)) * kk
+
+
+# the Euler factors' axes in angle order, e_z, e_y, e_x, built once
+_EULER_K = skew(np.eye(3)[::-1])
+_EULER_KK = _EULER_K @ _EULER_K
+_EULER_K.setflags(write=False)
+_EULER_KK.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -58,26 +72,14 @@ class RigidTransform:
         if not np.isclose(np.linalg.det(r), 1.0, atol=1e-8):
             raise ValueError("rotation determinant is not +1")
 
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Transform points of shape (..., 3)."""
-        p = np.asarray(points, dtype=float)
-        return p @ self.rotation.T + self.translation
-
-    def allclose(self, other: "RigidTransform", atol: float = 1e-9) -> bool:
-        return (np.allclose(self.rotation, other.rotation, atol=atol)
-                and np.allclose(self.translation, other.translation, atol=atol))
-
 
 def euler_to_matrix(euler):
     """Batched Z-Y-X intrinsic Euler angles to rotation.
 
     ``euler`` has shape (..., 3); result (..., 3, 3).
     """
-    e = np.asarray(euler, dtype=float)
-    rz = rotation_about_axis([0.0, 0.0, 1.0], e[..., 0])
-    ry = rotation_about_axis([0.0, 1.0, 0.0], e[..., 1])
-    rx = rotation_about_axis([1.0, 0.0, 0.0], e[..., 2])
-    return rz @ ry @ rx
+    r = axis_rotations(_EULER_K, _EULER_KK, euler)
+    return r[..., 0, :, :] @ r[..., 1, :, :] @ r[..., 2, :, :]
 
 
 def matrix_to_euler(r: np.ndarray) -> tuple[np.ndarray, bool]:

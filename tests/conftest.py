@@ -116,3 +116,31 @@ def compose(a: se3.RigidTransform, b: se3.RigidTransform) -> se3.RigidTransform:
 def invert(t: se3.RigidTransform) -> se3.RigidTransform:
     rt = t.rotation.T
     return se3.RigidTransform(rt, -rt @ t.translation)
+
+
+def apply(t: se3.RigidTransform, points) -> np.ndarray:
+    """Points (..., 3) transformed by ``t``."""
+    return np.asarray(points, dtype=float) @ t.rotation.T + t.translation
+
+
+def allclose(a: se3.RigidTransform, b: se3.RigidTransform, atol: float = 1e-9) -> bool:
+    return (np.allclose(a.rotation, b.rotation, atol=atol)
+            and np.allclose(a.translation, b.translation, atol=atol))
+
+
+def rotation_about_axis(axis, theta) -> np.ndarray:
+    """Rotations about one unit axis by batched angles (...,), (..., 3, 3):
+    se3.axis_rotations over a stack of that one axis."""
+    k = se3.skew(axis)[None]
+    return se3.axis_rotations(k, k @ k, np.asarray(theta, dtype=float)[..., None])[..., 0, :, :]
+
+
+def two_branch_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function in two masked branches, the reference that
+    autodiff.stable_sigmoid matches bit for bit."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out

@@ -10,7 +10,7 @@ from silgrad import autodiff as ad
 from silgrad import corrector, kinematics, scene, se3, vit
 from silgrad.synth import rng_stream
 
-from conftest import finite_diff_check, weighted_sum
+from conftest import finite_diff_check, two_branch_sigmoid, weighted_sum
 
 
 def grad_of(loss, x):
@@ -41,6 +41,18 @@ def test_record_mul_product_rule():
     grads = ad.backward(out)
     assert grads[x.nid] == 4.0
     assert grads[y.nid] == 3.0
+
+
+@pytest.mark.parametrize("dtype, bits", [(np.float64, np.uint64), (np.float32, np.uint32)])
+def test_stable_sigmoid_matches_two_branch_form_bit_for_bit(dtype, bits):
+    tiny = np.finfo(dtype).smallest_subnormal
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0, tiny, -tiny,
+               np.finfo(dtype).tiny, np.finfo(dtype).max, -np.finfo(dtype).max]
+    x = np.concatenate([np.array(special, dtype=dtype),
+                        np.random.default_rng(3).normal(0.0, 20.0, 4001).astype(dtype)])
+    got, ref = ad.stable_sigmoid(x), two_branch_sigmoid(x)
+    assert got.dtype == dtype
+    np.testing.assert_array_equal(got.view(bits), ref.view(bits))
 
 
 def test_record_sigmoid_at_zero():

@@ -5,7 +5,7 @@ from silgrad import kinematics as kin
 from silgrad import scene as scenemod
 from silgrad import se3
 
-from conftest import compose, finite_diff_check, weighted_sum
+from conftest import compose, finite_diff_check, rotation_about_axis, weighted_sum
 
 RNG = np.random.default_rng(31)
 
@@ -52,6 +52,19 @@ def test_reference_chain_layout(chain):
         assert np.isfinite(k.point).all()
 
 
+def test_chain_constants_are_built_once_read_only(chain):
+    np.testing.assert_array_equal(chain.lower_limits, [j.lower for j in chain.joints])
+    np.testing.assert_array_equal(chain.upper_limits, [j.upper for j in chain.joints])
+    v = RNG.normal(size=3)
+    for j, k, kk in zip(chain.joints, chain.axis_skews, chain.axis_skews_sq):
+        np.testing.assert_allclose(k @ v, np.cross(j.axis, v), atol=1e-15)
+        np.testing.assert_allclose(kk, np.outer(j.axis, j.axis) - np.eye(3), atol=1e-15)
+    for name in ("lower_limits", "upper_limits", "axis_skews", "axis_skews_sq"):
+        assert getattr(chain, name) is getattr(chain, name)
+        assert not getattr(chain, name).flags.writeable
+        assert name not in repr(chain)
+
+
 def test_zero_config_gives_cumulative_offsets(chain):
     base = se3.RigidTransform.identity()
     links = fk_single(chain, base, np.zeros(7))
@@ -74,9 +87,9 @@ def test_insertion_translates_along_axis(chain):
 
 def test_fk_equivariance_under_base_motion(chain):
     rng = np.random.default_rng(5)
-    delta = se3.RigidTransform(se3.rotation_about_axis([0.3, 0.5, 0.81], 0.7),
+    delta = se3.RigidTransform(rotation_about_axis([0.3, 0.5, 0.81], 0.7),
                                [0.02, -0.01, 0.03])
-    base = se3.RigidTransform(se3.rotation_about_axis([0, 1, 0], 0.4), [0.1, 0.0, 0.05])
+    base = se3.RigidTransform(rotation_about_axis([0, 1, 0], 0.4), [0.1, 0.0, 0.05])
     moved = compose(delta, base)
     q = random_config(chain, rng)[0]
     links_a = fk_single(chain, moved, q)
@@ -87,7 +100,7 @@ def test_fk_equivariance_under_base_motion(chain):
 
 
 def test_fk_batched_matches_loop(chain):
-    base = kin.se3.RigidTransform(se3.rotation_about_axis([0, 1, 0], 0.3), [0.05, 0.02, 0.04])
+    base = kin.se3.RigidTransform(rotation_about_axis([0, 1, 0], 0.3), [0.05, 0.02, 0.04])
     qs = random_config(chain, RNG, n=8)
     batched = kin.forward_kinematics(chain, base.rotation[None], base.translation[None], qs)
     for i in range(8):
@@ -116,7 +129,7 @@ def test_keypoint_at_link_origin_equals_link_translation(chain):
 def test_keypoints_rigid_equivariance(chain):
     q = random_config(chain, RNG)[0]
     base = se3.RigidTransform.identity()
-    delta = se3.RigidTransform(se3.rotation_about_axis([0, 0, 1], 1.1), [0.01, 0.02, 0.03])
+    delta = se3.RigidTransform(rotation_about_axis([0, 0, 1], 1.1), [0.01, 0.02, 0.03])
     pts = keypoints_single(chain, base, q)
     moved = keypoints_single(chain, delta, q)
     np.testing.assert_allclose(moved, pts @ delta.rotation.T + delta.translation, atol=1e-9)

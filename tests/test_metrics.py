@@ -5,7 +5,7 @@ from scipy import signal
 from silgrad import kinematics as kin
 from silgrad import metrics, se3
 
-from conftest import compose
+from conftest import allclose, compose, rotation_about_axis
 
 CHAIN = kin.reference_chain()
 RNG = np.random.default_rng(17)
@@ -41,7 +41,7 @@ def compose_chain(base, q):
     acc = base
     for joint, qi in zip(CHAIN.joints, q):
         if joint.kind == kin.REVOLUTE:
-            motion = se3.RigidTransform(se3.rotation_about_axis(joint.axis, qi), np.zeros(3))
+            motion = se3.RigidTransform(rotation_about_axis(joint.axis, qi), np.zeros(3))
         else:
             motion = se3.RigidTransform(np.eye(3), joint.axis * qi)
         acc = compose(compose(acc, joint.offset), motion)
@@ -49,7 +49,7 @@ def compose_chain(base, q):
 
 
 def test_hand_eye_zero_noise_is_exact():
-    base = se3.RigidTransform(se3.rotation_about_axis([0, 1, 0], 0.4), [0.06, 0.05, 0.04])
+    base = se3.RigidTransform(rotation_about_axis([0, 1, 0], 0.4), [0.06, 0.05, 0.04])
     q = np.array([0.1, -0.2, 0.15, 0.5, 0.2, -0.3, 0.6])
     direct = compose_chain(base, q)
     he = hand_eye(base, q, q[3:7])
@@ -62,11 +62,11 @@ def test_hand_eye_identity_base_zero_joints():
     acc = se3.RigidTransform.identity()
     for j in CHAIN.joints:
         acc = compose(acc, j.offset)
-    assert he.allclose(acc, atol=1e-12)
+    assert allclose(he, acc, atol=1e-12)
 
 
 def test_hand_eye_isolates_single_noisy_joint():
-    base = se3.RigidTransform(se3.rotation_about_axis([1, 0, 0], -0.3), [0.05, 0.03, 0.02])
+    base = se3.RigidTransform(rotation_about_axis([1, 0, 0], -0.3), [0.05, 0.03, 0.02])
     q_true = np.array([0.2, -0.1, 0.12, 0.3, 0.1, -0.2, 0.5])
     q_noisy = q_true.copy()
     q_noisy[0] += 0.01  # only joint 1 perturbed
@@ -265,7 +265,7 @@ def test_pose_csv_rejects_other_headers(tmp_path):
 
 
 def test_series_from_params_matches_hand_eye():
-    base = se3.RigidTransform(se3.rotation_about_axis([0, 1, 0], 0.3), [0.05, 0.04, 0.03])
+    base = se3.RigidTransform(rotation_about_axis([0, 1, 0], 0.3), [0.05, 0.04, 0.03])
     pose, _ = se3.transform_to_euler(base)
     q_noisy = RNG.uniform(-0.3, 0.3, size=(5, 7))
     theta = np.concatenate([np.tile(pose, (5, 1)),

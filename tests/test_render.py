@@ -7,7 +7,7 @@ from silgrad import autodiff as ad
 from silgrad import mesh, render, scene, se3
 from silgrad.mesh import TriMesh
 
-from conftest import finite_diff_check, weighted_sum
+from conftest import apply, finite_diff_check, rotation_about_axis, weighted_sum
 
 
 def cam(fx=100.0, size=64, near=0.01, far=10.0):
@@ -89,7 +89,7 @@ def rasterize(meshes_poses, camera, mode="hard", sigma_r=None):
     for i, (m, pose) in enumerate(meshes_poses):
         faces = np.concatenate([faces, m.faces + pts.shape[1]])
         parts = np.concatenate([parts, np.full(len(m.faces), i)])
-        pts = np.concatenate([pts, pose.apply(m.vertices)[None]], axis=1)
+        pts = np.concatenate([pts, apply(pose, m.vertices)[None]], axis=1)
     xy = render.project(camera, pts)
     valid = render.face_validity(pts[..., 2], faces, camera, mode)
     if mode == "hard":
@@ -127,7 +127,7 @@ def test_hard_edge_rule_half_integer_boundary():
 
 def test_hard_shared_diagonal_no_seam():
     # rotate the quad so the internal diagonal crosses many pixel centers
-    rot = se3.RigidTransform(se3.rotation_about_axis([0, 0, 1], 0.3), [0, 0, 0])
+    rot = se3.RigidTransform(rotation_about_axis([0, 0, 1], 0.3), [0, 0, 0])
     img = rasterize([(quad_mesh(), rot)], cam(fx=100.0, size=128))
     from scipy import ndimage
     filled = ndimage.binary_fill_holes(img > 0.5)
@@ -315,6 +315,27 @@ def test_diagonal_sliver_pairs_follow_its_length(halo):
     else:
         spans = render._spans(SLIVER, 128, 128)
     assert 128 <= spans[3].sum() <= 128 * 2 * (2 * halo + 3)
+
+
+@pytest.mark.parametrize("size", [64, 128, 256])
+def test_segment_pairs_run_in_segment_order_once_each(size):
+    # the soft raster takes a cell's lowest pair at the minimum as its lowest
+    # edge there: that holds when the pairs come in nondecreasing segment
+    # order and no segment visits a pixel twice
+    rng = np.random.default_rng(size)
+    a = rng.uniform(-0.2 * size, 1.2 * size, (80, 2))
+    b = a + rng.normal(0.0, 0.2 * size, (80, 2))
+    b[:15, 1] = a[:15, 1]                                # level
+    b[15:30, 0] = a[15:30, 0]                            # vertical
+    b[30:40] = a[30:40]                                  # zero length
+    a[40:60] = np.round(a[40:60]) + 0.5                  # on pixel centers
+    b[40:60] = np.round(b[40:60]) + 0.5
+    h = 3.0 * np.sqrt(render.default_sigma_r(size)) + 0.5
+    e, px, py = render._pairs(*render._segment_spans(np.stack([a, b], axis=1), size, size, h))
+    assert len(np.unique(e)) > 40
+    assert (np.diff(e) >= 0).all()
+    cell = (e * np.int64(size) + py) * size + px
+    assert len(np.unique(cell)) == len(cell)
 
 
 def test_coverage_pass_visits_covered_pixels_and_rounding_guard_only():

@@ -4,7 +4,8 @@ from scipy.spatial.transform import Rotation
 
 from silgrad import scene, se3
 
-from conftest import compose, finite_diff_check, invert, weighted_sum
+from conftest import (allclose, compose, finite_diff_check, invert, rotation_about_axis,
+                      weighted_sum)
 
 RNG = np.random.default_rng(7)
 
@@ -17,30 +18,30 @@ def random_transform(rng):
 
 def test_compose_identity():
     t = random_transform(RNG)
-    assert compose(se3.RigidTransform.identity(), t).allclose(t)
-    assert compose(t, se3.RigidTransform.identity()).allclose(t)
+    assert allclose(compose(se3.RigidTransform.identity(), t), t)
+    assert allclose(compose(t, se3.RigidTransform.identity()), t)
 
 
 def test_compose_with_inverse_is_identity():
     for _ in range(50):
         t = random_transform(RNG)
         compose(t, invert(t)).validate()
-        assert compose(t, invert(t)).allclose(se3.RigidTransform.identity(), atol=1e-9)
+        assert allclose(compose(t, invert(t)), se3.RigidTransform.identity(), atol=1e-9)
 
 
 def test_compose_two_quarter_turns():
-    rot90 = se3.rotation_about_axis([0, 0, 1], np.pi / 2)
+    rot90 = rotation_about_axis([0, 0, 1], np.pi / 2)
     a = se3.RigidTransform(rot90, [1.0, 0.0, 0.0])
     b = se3.RigidTransform(rot90, [0.0, 0.0, 0.0])
     out = compose(a, b)
-    np.testing.assert_allclose(out.rotation, se3.rotation_about_axis([0, 0, 1], np.pi), atol=1e-12)
+    np.testing.assert_allclose(out.rotation, rotation_about_axis([0, 0, 1], np.pi), atol=1e-12)
     np.testing.assert_allclose(out.translation, [1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_euler_identity_and_single_axis():
-    assert se3.euler_to_transform(np.zeros(6)).allclose(se3.RigidTransform.identity())
+    assert allclose(se3.euler_to_transform(np.zeros(6)), se3.RigidTransform.identity())
     t = se3.euler_to_transform([np.pi / 2, 0, 0, 0, 0, 0])
-    np.testing.assert_allclose(t.rotation, se3.rotation_about_axis([0, 0, 1], np.pi / 2),
+    np.testing.assert_allclose(t.rotation, rotation_about_axis([0, 0, 1], np.pi / 2),
                                atol=1e-12)
 
 
@@ -82,7 +83,7 @@ def test_transform_euler_round_trip():
         if locked:
             continue
         assert abs(pose[1]) <= np.pi / 2
-        assert se3.euler_to_transform(pose).allclose(t, atol=1e-9)
+        assert allclose(se3.euler_to_transform(pose), t, atol=1e-9)
 
 
 def test_wrap_angle():
@@ -92,14 +93,20 @@ def test_wrap_angle():
 
 
 def test_rotation_about_axis_batched_matches_scipy_rotvec():
-    axis = RNG.normal(size=3)
-    axis /= np.linalg.norm(axis)
-    th = RNG.uniform(-np.pi, np.pi, size=(4, 5))
-    batch = se3.rotation_about_axis(axis, th)
-    assert batch.shape == (4, 5, 3, 3)
-    ref = Rotation.from_rotvec(th.reshape(-1, 1) * axis).as_matrix()
-    np.testing.assert_allclose(batch.reshape(-1, 3, 3), ref, atol=1e-12)
-    np.testing.assert_array_equal(se3.rotation_about_axis(axis, th[1, 2]), batch[1, 2])
+    # three axes, one angle each per batch entry, in one stacked build
+    axes = RNG.normal(size=(3, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    k = se3.skew(axes)
+    th = RNG.uniform(-np.pi, np.pi, size=(4, 5, 3))
+    batch = se3.axis_rotations(k, k @ k, th)
+    assert batch.shape == (4, 5, 3, 3, 3)
+    ref = Rotation.from_rotvec(th.reshape(-1, 3, 1) * axes).as_matrix()
+    np.testing.assert_allclose(batch.reshape(-1, 3, 3), ref.reshape(-1, 3, 3), atol=1e-12)
+    # each axis of the stack gives the bits of a build over that axis alone
+    for m in range(3):
+        np.testing.assert_array_equal(rotation_about_axis(axes[m], th[..., m]),
+                                      batch[..., m, :, :])
+        np.testing.assert_array_equal(rotation_about_axis(axes[m], th[1, 2, m]), batch[1, 2, m])
 
 
 def test_euler_to_matrix_batched_matches_single():

@@ -3,6 +3,8 @@ import pytest
 
 from silgrad import mesh, scene, se3, synth
 
+from conftest import allclose
+
 SCENE = scene.reference_scene(64)
 ZERO_NOISE = synth.NoiseSpec(np.zeros(3), np.zeros(3), np.zeros(7))
 
@@ -133,7 +135,7 @@ def test_duration_30s_gives_900_frames(tmp_path):
 def test_zero_noise_reproduces_truth_exactly():
     rec = synth.generate_trajectory(30, SCENE, ZERO_NOISE, 3)
     np.testing.assert_array_equal(rec.q_noisy, rec.q_true)
-    assert rec.base_noisy.allclose(rec.base_true, atol=0.0)
+    assert allclose(rec.base_noisy, rec.base_true, atol=0.0)
 
 
 def test_trajectory_determinism_same_seed():
@@ -143,7 +145,7 @@ def test_trajectory_determinism_same_seed():
     assert np.array_equal(a.q_noisy, b.q_noisy)
     assert np.array_equal(a.masks, b.masks)
     assert np.array_equal(a.keypoints, b.keypoints)
-    assert a.base_noisy.allclose(b.base_noisy, atol=0.0)
+    assert allclose(a.base_noisy, b.base_noisy, atol=0.0)
     c = synth.generate_trajectory(45, SCENE, synth.default_noise_spec(), 42, index=8)
     assert not np.array_equal(a.q_true, c.q_true)
 
@@ -185,8 +187,8 @@ def test_round_trip_bit_exact(tmp_path):
     np.testing.assert_array_equal(back.q_noisy, rec.q_noisy)
     np.testing.assert_array_equal(back.masks, rec.masks)
     np.testing.assert_array_equal(back.keypoints, rec.keypoints)
-    assert back.base_true.allclose(rec.base_true, atol=0.0)
-    assert back.base_noisy.allclose(rec.base_noisy, atol=0.0)
+    assert allclose(back.base_true, rec.base_true, atol=0.0)
+    assert allclose(back.base_noisy, rec.base_noisy, atol=0.0)
 
 
 def test_dataset_round_trip_and_validation(tmp_path):
@@ -284,7 +286,7 @@ def test_dataset_scene_is_the_generating_scene(tmp_path):
     np.testing.assert_array_equal(ds.scene.verts_local, SCENE.verts_local)
     np.testing.assert_array_equal(ds.scene.faces, SCENE.faces)
     assert ds.scene.vert_slices == SCENE.vert_slices
-    assert ds.scene.base.allclose(SCENE.base, atol=0.0)
+    assert allclose(ds.scene.base, SCENE.base, atol=0.0)
     assert ds.scene.camera == SCENE.camera
     assert ds.manifest["geometry"] == scene.geometry_digest(SCENE)
 
